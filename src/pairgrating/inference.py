@@ -52,6 +52,8 @@ class Measurement:
         object.__setattr__(self, "rates", rates)
         if angles.ndim != 1 or angles.shape != rates.shape:
             raise ParameterError("angles and rates must be 1D arrays of equal length")
+        if not (np.all(np.isfinite(angles)) and np.all(np.isfinite(rates))):
+            raise ParameterError("angles and rates must be finite")
         if angles.size and np.any(np.diff(angles) <= 0.0):
             raise ParameterError("angles must be strictly increasing")
         if np.any(rates < 0.0):
@@ -61,6 +63,8 @@ class Measurement:
             object.__setattr__(self, "rate_errors", errors)
             if errors.shape != rates.shape:
                 raise ParameterError("rate_errors must match rates in length")
+            if not np.all(np.isfinite(errors)):
+                raise ParameterError("rate_errors must be finite")
             if np.any(errors <= 0.0):
                 raise ParameterError("rate_errors must be positive")
         if self.channel not in ("singles", "coincidences"):
@@ -133,6 +137,8 @@ def load_measurement(path, channel: str = "coincidences") -> Measurement:
         except ValueError:
             raise MeasurementFormatError(
                 f"line {line_no}: non-numeric value in {raw!r}") from None
+        if not all(math.isfinite(x) for x in numbers):
+            raise MeasurementFormatError(f"line {line_no}: non-finite value in {raw!r}")
         if numbers[1] < 0.0:
             raise MeasurementFormatError(f"line {line_no}: negative rate {numbers[1]!r}")
         if n_columns == 3 and numbers[2] <= 0.0:
@@ -233,12 +239,23 @@ def forward_on_angles(scenario: ScenarioConfig, sigma_um: float, angles,
     """Peak-normalized forward profile interpolated to the given angles (rad).
 
     The scenario's angle_offset_mrad shifts the model before
-    interpolation, for scans whose angular zero is pre-aligned.
+    interpolation, for scans whose angular zero is pre-aligned.  Angles
+    outside the shifted model's range by more than a millionth of a bin
+    raise ParameterError instead of being clamped to the edge values.
     """
     diagonal, singles = profiles_for(scenario, sigma_um=sigma_um)
     profile = diagonal if channel == "coincidences" else singles
-    offset = scenario.angle_offset_mrad * 1e-3
-    model = np.interp(np.asarray(angles, dtype=float), profile.angles + offset, profile.values)
+    model_angles = profile.angles + scenario.angle_offset_mrad * 1e-3
+    angles = np.asarray(angles, dtype=float)
+    # The slack admits the edge angles of simulate's output, which the CSV
+    # rounds to 10 significant digits.
+    slack = 1e-6 * (model_angles[1] - model_angles[0])
+    outside = ~((angles >= model_angles[0] - slack) & (angles <= model_angles[-1] + slack))
+    if outside.any():
+        raise ParameterError(
+            f"scan angle {angles[np.argmax(outside)] * 1e3:.6g} mrad lies outside the "
+            f"model's range {model_angles[0] * 1e3:.6g} to {model_angles[-1] * 1e3:.6g} mrad")
+    model = np.interp(angles, model_angles, profile.values)
     peak = model.max()
     return model / peak if peak > 0.0 else model
 

@@ -18,8 +18,8 @@ from .biphoton import CorrelationModel, two_photon_amplitude
 from .errors import ConfigError
 from .lattice import SpatialGrid, make_grid
 from .optics import GratingSpec, Illumination, transmission
-from .propagation import (RateMap, RateProfile, blur, coincidence_map,
-                          diagonal_profile, singles_profile, to_far_field)
+from .propagation import (RateMap, RateProfile, blur, blurred_diagonal,
+                          coincidence_map, singles_profile, to_far_field)
 
 _FLOAT_KEYS = (
     "wavelength_nm",
@@ -70,6 +70,8 @@ class ScenarioConfig:
         if self.illumination not in ("near", "far"):
             raise ConfigError(
                 f"illumination must be 'near' or 'far', got {self.illumination!r}")
+        if isinstance(self.grid_n, bool) or not isinstance(self.grid_n, (int, np.integer)):
+            raise ConfigError(f"grid_n must be an integer, got {self.grid_n!r}")
         if self.grid_n < 4 or self.grid_n % 2 != 0:
             raise ConfigError(f"grid_n must be even and >= 4, got {self.grid_n}")
         if self.window_um / self.grid_n > self.grating_period_um / 4.0:
@@ -140,15 +142,20 @@ def transmission_for(config: ScenarioConfig, grid: SpatialGrid | None = None) ->
     return transmission(grid, spec, illum)
 
 
-def rate_map_for(config: ScenarioConfig, sigma_um: float | None = None) -> RateMap:
-    """Run the full forward chain; sigma_um overrides the configured width."""
+def _coincidence_map_for(config: ScenarioConfig, sigma_um: float | None) -> RateMap:
+    """Unblurred rate map: grid, transmission, pair amplitude, far field, |F|**2."""
     grid = grid_for(config)
     amp = transmission_for(config, grid)
     model = CorrelationModel(
         sigma_corr=config.sigma_corr_um if sigma_um is None else float(sigma_um),
         mode=config.illumination)
     far = to_far_field(two_photon_amplitude(amp, model, grid))
-    rmap = coincidence_map(far, config.wavelength_um)
+    return coincidence_map(far, config.wavelength_um)
+
+
+def rate_map_for(config: ScenarioConfig, sigma_um: float | None = None) -> RateMap:
+    """Run the full forward chain; sigma_um overrides the configured width."""
+    rmap = _coincidence_map_for(config, sigma_um)
     if config.resolution_mrad > 0.0:
         rmap = blur(rmap, config.resolution_mrad * 1e-3)
     return rmap
@@ -156,7 +163,12 @@ def rate_map_for(config: ScenarioConfig, sigma_um: float | None = None) -> RateM
 
 def profiles_for(config: ScenarioConfig,
                  sigma_um: float | None = None) -> tuple[RateProfile, RateProfile]:
-    """Diagonal (at the configured detector separation) and singles profiles."""
-    rmap = rate_map_for(config, sigma_um=sigma_um)
-    diagonal = diagonal_profile(rmap, config.detector_separation_mrad * 1e-3)
-    return diagonal, singles_profile(rmap)
+    """Diagonal (at the configured detector separation) and singles profiles.
+
+    Both are the cuts of rate_map_for's blurred map, taken from the
+    unblurred map without building the blurred one (see propagation).
+    """
+    rmap = _coincidence_map_for(config, sigma_um)
+    width = config.resolution_mrad * 1e-3
+    diagonal = blurred_diagonal(rmap, width, config.detector_separation_mrad * 1e-3)
+    return diagonal, blur(singles_profile(rmap), width)

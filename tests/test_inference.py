@@ -74,6 +74,21 @@ def test_load_negative_rate(tmp_path):
         load_measurement(path)
 
 
+@pytest.mark.parametrize("text,line", [
+    ("angle_mrad,rate\n0.0,1.0\nnan,2.0\n", 3),
+    ("angle_mrad,rate\n0.0,inf\n", 2),
+    ("angle_mrad,rate\n0.0,NaN\n", 2),
+    ("angle_mrad,rate,rate_err\n-inf,1.0,1.0\n", 2),
+    ("angle_mrad,rate,rate_err\n0.0,1.0,1.0\n1.0,-inf,1.0\n", 3),
+    ("angle_mrad,rate,rate_err\n0.0,1.0,1.0\n1.0,2.0,inf\n", 3),
+    ("angle_mrad,rate,rate_err\n0.0,1.0,nan\n", 2),
+])
+def test_load_non_finite_value_names_line(tmp_path, text, line):
+    path = _write(tmp_path, text)
+    with pytest.raises(MeasurementFormatError, match=f"line {line}: non-finite"):
+        load_measurement(path)
+
+
 def test_load_missing_header(tmp_path):
     path = _write(tmp_path, "0.0,1.0\n1.0,2.0\n")
     with pytest.raises(MeasurementFormatError, match="header"):
@@ -226,6 +241,68 @@ def test_fit_boundary_not_converged(fast_config):
     result = fit_sigma(Measurement(angles=SCAN, rates=900.0 * model), fast_config)
     assert not result.converged
     assert "boundary" in result.message
+
+
+@pytest.mark.parametrize("keys", [
+    dict(angles=np.array([0.0, np.nan]), rates=np.array([1.0, 2.0])),
+    dict(angles=np.array([0.0, 1.0]), rates=np.array([1.0, np.inf])),
+    dict(angles=np.array([0.0, 1.0]), rates=np.array([1.0, 2.0]),
+         rate_errors=np.array([np.nan, 1.0])),
+    dict(angles=np.array([0.0, 1.0]), rates=np.array([1.0, 2.0]),
+         rate_errors=np.array([1.0, np.inf])),
+])
+def test_measurement_rejects_non_finite(keys):
+    with pytest.raises(ParameterError, match="finite"):
+        Measurement(**keys)
+
+
+@pytest.mark.parametrize("keys,angle,message", [
+    # n = 256 over 300 um: the model spans -332.8 to 330.2 mrad
+    (dict(), 0.5, "500 mrad .* -332.8 to 330.2 mrad"),
+    (dict(), 0.9, "900 mrad"),
+    (dict(), -0.34, "-340 mrad"),
+    (dict(angle_offset_mrad=-20.0), 0.32, "320 mrad .* -352.8 to 310.2 mrad"),
+    # a 5-bin separation drops the diagonal's last 5 angles
+    (dict(detector_separation_mrad=13.0), 0.32, "320 mrad .* -332.8 to 317.2 mrad"),
+])
+def test_forward_on_angles_rejects_angles_outside_model(keys, angle, message):
+    config = ScenarioConfig(grid_n=256, window_um=300.0, **keys)
+    with pytest.raises(ParameterError, match=message):
+        forward_on_angles(config, 9.0, [-0.01, 0.0, angle, 0.1])
+
+
+def test_forward_on_angles_accepts_the_model_edges(fast_config):
+    # the edges as simulate writes them, rounded to 10 significant digits
+    model = forward_on_angles(fast_config, 9.0, [-0.3328, 0.3302])
+    assert np.all(np.isfinite(model))
+
+
+# Fit results at the commit before the blurred cuts were taken from the
+# unblurred map; the scans carry a fixed 2% multiplicative ripple so the
+# fit does not simply recover its input.
+PINNED_FITS = [
+    (dict(), 13.0, "coincidences",
+     12.986018411101686, 4961.436933557459, 101.81834054417901, 41),
+    (dict(illumination="far"), 13.0, "coincidences",
+     12.953479083391436, 4960.914436247362, 100.52219206477253, 41),
+    (dict(), 9.0, "singles",
+     8.943693859151008, 4969.857900743222, 99.09607712184497, 42),
+]
+
+
+@pytest.mark.parametrize("keys,sigma,channel,fit_sigma_um,scale,background,evaluations",
+                         PINNED_FITS)
+def test_fit_pinned(keys, sigma, channel, fit_sigma_um, scale, background, evaluations):
+    config = ScenarioConfig(grid_n=256, window_um=300.0, **keys)
+    angles = np.linspace(-60.0, 60.0, 121) * 1e-3
+    ripple = 1.0 + 0.02 * np.random.default_rng(5).standard_normal(angles.size)
+    rates = 5e3 * forward_on_angles(config, sigma, angles, channel) * ripple + 100.0
+    result = fit_sigma(Measurement(angles, rates, channel=channel), config)
+    assert result.converged
+    assert result.sigma_corr == pytest.approx(fit_sigma_um, rel=1e-9)
+    assert result.scale == pytest.approx(scale, rel=1e-9)
+    assert result.background == pytest.approx(background, rel=1e-9)
+    assert result.n_evaluations == evaluations
 
 
 def test_fit_honors_rate_errors(fast_config):

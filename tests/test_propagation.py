@@ -1,11 +1,13 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from pairgrating import (BiphotonAmplitude, CorrelationModel, angles_of, blur,
-                         coincidence_map, diagonal_profile, fourier_1d,
-                         make_grid, singles_profile, to_far_field,
-                         two_photon_amplitude)
-from pairgrating.propagation import RateMap, RateProfile
+from pairgrating import (BiphotonAmplitude, CorrelationModel, ScenarioConfig,
+                         angles_of, blur, coincidence_map, diagonal_profile,
+                         fourier_1d, make_grid, profiles_for, rate_map_for,
+                         singles_profile, to_far_field, two_photon_amplitude)
+from pairgrating.propagation import RateMap, RateProfile, blurred_diagonal
 from pairgrating.errors import BinSnapWarning, ParameterError
 
 from conftest import WAVELENGTH, matched_deviation
@@ -215,6 +217,63 @@ def test_blur_width_validation(far_map):
         blur(far_map, 0.6 * span)
     with pytest.raises(ParameterError):
         blur(np.zeros(4), 0.001)
+
+
+@pytest.mark.parametrize("width_bins", [0.0, 0.9, 1.0, 2.6, 7.7])
+@pytest.mark.parametrize("shift", [-5, -1, 0, 1, 3, 31])
+def test_blurred_diagonal_matches_cut_of_blurred_map(width_bins, shift):
+    # a random nonnegative map makes every wrapped term count, edges included
+    grid = make_grid(32, 32.0)
+    angles = angles_of(grid, 1.0)
+    bin_width = angles[1] - angles[0]
+    rate_map = RateMap(grid=grid, angles=angles,
+                       values=np.random.default_rng(shift + 5).random((32, 32)))
+    width, separation = width_bins * bin_width, shift * bin_width
+    expected = diagonal_profile(blur(rate_map, width), separation)
+    got = blurred_diagonal(rate_map, width, separation)
+    np.testing.assert_array_equal(got.angles, expected.angles)
+    np.testing.assert_allclose(got.values, expected.values, rtol=1e-14, atol=0.0)
+    assert got.kind == "coincidence-diagonal"
+
+
+def test_blurred_diagonal_checks_like_blur_and_cut():
+    rate_map = _toy_map()
+    bin_width = rate_map.angles[1] - rate_map.angles[0]
+    span = rate_map.angles[-1] - rate_map.angles[0]
+    for width in (-0.001, np.nan, 0.6 * span):
+        with pytest.raises(ParameterError, match="blur width"):
+            blurred_diagonal(rate_map, width)
+    with pytest.raises(ParameterError, match="separation"):
+        blurred_diagonal(rate_map, 2.0 * bin_width, 2.0 * span)
+    with pytest.warns(BinSnapWarning):
+        blurred_diagonal(rate_map, 2.0 * bin_width, 1.4 * bin_width)
+
+
+@pytest.mark.parametrize("keys,snaps", [
+    (dict(), 0),
+    (dict(illumination="far"), 0),
+    (dict(detector_separation_mrad=13.0), 0),    # bins are 1.3 mrad wide
+    (dict(detector_separation_mrad=-7.8), 0),
+    (dict(detector_separation_mrad=4.0), 1),
+    (dict(resolution_mrad=0.0), 0),
+    (dict(grid_n=1024, window_um=1200.0), 0),
+])
+def test_profiles_for_matches_cuts_of_rate_map_for(keys, snaps):
+    config = ScenarioConfig(**keys)
+    separation = config.detector_separation_mrad * 1e-3
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        diagonal, singles = profiles_for(config)
+    assert sum(issubclass(w.category, BinSnapWarning) for w in caught) == snaps
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", BinSnapWarning)
+        rate_map = rate_map_for(config)
+        expected = (diagonal_profile(rate_map, separation), singles_profile(rate_map))
+    for got, want in zip((diagonal, singles), expected):
+        np.testing.assert_array_equal(got.angles, want.angles)
+        np.testing.assert_allclose(got.values, want.values, rtol=1e-12, atol=0.0)
+        assert np.all(got.values >= 0.0)
+        assert got.kind == want.kind
 
 
 def test_separable_limit_diagonal_is_squared_singles(grid256, amp_spot100_256):

@@ -57,6 +57,16 @@ def test_config_errors(tmp_path, text, fragment):
         parse_config(_config(tmp_path, text))
 
 
+@pytest.mark.parametrize("grid_n", [512.0, True, np.float64(256)])
+def test_grid_n_must_be_an_integer(grid_n):
+    with pytest.raises(ConfigError, match="grid_n must be an integer"):
+        ScenarioConfig(grid_n=grid_n)
+
+
+def test_grid_n_accepts_numpy_integers():
+    assert ScenarioConfig(grid_n=np.int64(256), window_um=300.0).grid_n == 256
+
+
 def test_missing_config_file(tmp_path):
     with pytest.raises(ConfigError, match="not found"):
         parse_config(tmp_path / "absent.cfg")
@@ -165,6 +175,13 @@ def test_cli_exit_codes(tmp_path, monkeypatch):
     assert main(["simulate", str(bad_cfg)]) == 2                  # config error
     assert main(["fit", str(cfg), str(tmp_path / "nope.csv")]) == 2    # parse error
     assert main(["fit", str(cfg), str(const)]) == 4               # not converged
+    nan_scan = tmp_path / "nan.csv"
+    nan_scan.write_text("angle_mrad,rate\n0,5.0\n1,nan\n", encoding="utf-8")
+    assert main(["fit", str(cfg), str(nan_scan)]) == 2            # non-finite rate
+    wide = tmp_path / "wide.csv"
+    wide.write_text("angle_mrad,rate\n" + "".join(f"{a},5.0\n" for a in range(0, 400, 10)),
+                    encoding="utf-8")
+    assert main(["fit", str(cfg), str(wide)]) == 2                # beyond the model's angles
     assert main(["sweep", str(cfg), "1,abc"]) == 2
     assert main(["sweep", str(cfg), "1,-3"]) == 2
 
