@@ -42,27 +42,14 @@ class CorrelationModel:
             raise ParameterError(f"correlation mode must be 'near' or 'far', got {self.mode!r}")
 
 
-@dataclass(frozen=True)
-class BiphotonAmplitude:
-    """n x n joint amplitude, exchange symmetric and unit square sum.
-
-    plane "near": entry (j, l) is F(x_j, x_l) at the grating.
-    plane "far": entry (j, l) is the transform over (k_j, k_l).
-    """
-
-    grid: SpatialGrid
-    values: np.ndarray
-    plane: str
-
-
 def correlation_factor(x1, x2, model: CorrelationModel):
     """Gaussian pair weight in (0, 1]; broadcasts over array inputs."""
     s = np.asarray(x1, dtype=float) - x2 if model.mode == "near" else np.asarray(x1, dtype=float) + x2
     return np.exp(-np.square(s) / (2.0 * model.sigma_corr ** 2))
 
 
-def two_photon_amplitude(amplitude, model: CorrelationModel, grid: SpatialGrid) -> BiphotonAmplitude:
-    """Joint amplitude F(x_j, x_l) = A(x_j)*A(x_l)*G(x_j, x_l), unit square sum.
+def two_photon_amplitude(amplitude, model: CorrelationModel, grid: SpatialGrid) -> np.ndarray:
+    """n x n joint amplitude F(x_j, x_l) = A(x_j)*A(x_l)*G(x_j, x_l), unit square sum.
 
     Normalization happens here (sum(|F|**2)*dx**2 = 1) so downstream
     rates stay comparable across correlation-width sweeps.  Widths below
@@ -90,4 +77,4 @@ def two_photon_amplitude(amplitude, model: CorrelationModel, grid: SpatialGrid) 
         raise DegenerateInputError("joint amplitude is identically zero")
     joint /= np.sqrt(total)
     joint.setflags(write=False)
-    return BiphotonAmplitude(grid=grid, values=joint, plane="near")
+    return joint

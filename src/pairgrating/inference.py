@@ -28,6 +28,7 @@ SIGMA_RANGE = (0.5, 200.0)
 COARSE_POINTS = 25
 REFINE_REL_WIDTH = 1e-3
 FLAT_LANDSCAPE_REL = 1e-9
+CHANNELS = ("coincidences", "singles")
 
 
 @dataclass(frozen=True)
@@ -67,9 +68,8 @@ class Measurement:
                 raise ParameterError("rate_errors must be finite")
             if np.any(errors <= 0.0):
                 raise ParameterError("rate_errors must be positive")
-        if self.channel not in ("singles", "coincidences"):
-            raise ParameterError(
-                f"channel must be 'singles' or 'coincidences', got {self.channel!r}")
+        if self.channel not in CHANNELS:
+            raise ParameterError(f"channel must be one of {CHANNELS}, got {self.channel!r}")
 
 
 @dataclass(frozen=True)
@@ -116,7 +116,11 @@ def load_measurement(path, channel: str = "coincidences") -> Measurement:
             body = line.lstrip("#").strip()
             if ":" in body:
                 key, _, value = body.partition(":")
-                metadata[key.strip()] = value.strip()
+                key, value = key.strip(), value.strip()
+                if key == "channel" and value not in CHANNELS:
+                    raise MeasurementFormatError(
+                        f"line {line_no}: channel must be one of {CHANNELS}, got {value!r}")
+                metadata[key] = value
             continue
         if n_columns == 0:
             if line == "angle_mrad,rate":
@@ -167,21 +171,16 @@ def load_measurement(path, channel: str = "coincidences") -> Measurement:
         metadata=metadata)
 
 
-def _profile_values(profile) -> tuple[np.ndarray, np.ndarray]:
-    values = profile.rates if hasattr(profile, "rates") else profile.values
-    return np.asarray(profile.angles, dtype=float), np.asarray(values, dtype=float)
-
-
 def visibility(profile, window) -> float:
     """(max - min)/(max + min) over the samples inside the angle window.
 
-    Accepts a RateProfile or a Measurement.  Returns 0 for an
+    Reads the profile's angles and values.  Returns 0 for an
     identically zero window; needs at least 3 samples inside.
     """
     lo, hi = float(window[0]), float(window[1])
     if not hi > lo:
         raise ParameterError(f"empty visibility window ({lo}, {hi})")
-    angles, values = _profile_values(profile)
+    angles, values = profile.angles, profile.values
     mask = (angles >= lo) & (angles <= hi)
     count = int(mask.sum())
     if count < 3:
@@ -207,7 +206,7 @@ def od_ratio(profile, wavelength: float, period: float,
     Returns +inf when the red peak is exactly zero.
     """
     if peak_halfwidth is None:
-        bins = np.diff(np.asarray(profile.angles, dtype=float))
+        bins = np.diff(profile.angles)
         peak_halfwidth = 0.5 * float(bins.min())
     if not (peak_halfwidth > 0.0):
         raise ParameterError(f"peak_halfwidth must be positive, got {peak_halfwidth!r}")
@@ -217,7 +216,7 @@ def od_ratio(profile, wavelength: float, period: float,
         raise ParameterError(
             f"peak windows overlap: half width {peak_halfwidth:.6g} rad is too large "
             f"for order spacing {red_center - blue_center:.6g} rad")
-    angles, values = _profile_values(profile)
+    angles, values = profile.angles, profile.values
     if blue_center - peak_halfwidth < angles[0] or red_center + peak_halfwidth > angles[-1]:
         raise ParameterError("peak windows fall outside the profile's angular range")
 
@@ -242,7 +241,10 @@ def forward_on_angles(scenario: ScenarioConfig, sigma_um: float, angles,
     interpolation, for scans whose angular zero is pre-aligned.  Angles
     outside the shifted model's range by more than a millionth of a bin
     raise ParameterError instead of being clamped to the edge values.
+    channel is "coincidences" (the diagonal) or "singles".
     """
+    if channel not in CHANNELS:
+        raise ParameterError(f"channel must be one of {CHANNELS}, got {channel!r}")
     diagonal, singles = profiles_for(scenario, sigma_um=sigma_um)
     profile = diagonal if channel == "coincidences" else singles
     model_angles = profile.angles + scenario.angle_offset_mrad * 1e-3

@@ -34,7 +34,6 @@ class LimitProfiles:
 
     diagonal: RateProfile
     singles: RateProfile
-    case: str  # "uncorrelated" or "delta-correlated"
 
 
 def _unit_mass(values: np.ndarray, bin_width: float) -> np.ndarray:
@@ -54,10 +53,8 @@ def uncorrelated_profiles(amplitude, grid: SpatialGrid, wavelength: float) -> Li
     power = np.abs(at) ** 2
     singles = _unit_mass(power, bin_width)
     diagonal = _unit_mass(power ** 2, bin_width)
-    return LimitProfiles(
-        diagonal=RateProfile(angles=angles, values=diagonal, kind="coincidence-diagonal"),
-        singles=RateProfile(angles=angles.copy(), values=singles, kind="singles"),
-        case="uncorrelated")
+    return LimitProfiles(diagonal=RateProfile(angles=angles, values=diagonal),
+                         singles=RateProfile(angles=angles.copy(), values=singles))
 
 
 def delta_correlated_profiles(amplitude, grid: SpatialGrid, wavelength: float) -> LimitProfiles:
@@ -80,7 +77,5 @@ def delta_correlated_profiles(amplitude, grid: SpatialGrid, wavelength: float) -
     bin_width = float(angles[1] - angles[0])
     diagonal = _unit_mass(diagonal, bin_width)
     singles = np.full(n, 1.0 / (n * bin_width))
-    return LimitProfiles(
-        diagonal=RateProfile(angles=angles, values=diagonal, kind="coincidence-diagonal"),
-        singles=RateProfile(angles=angles.copy(), values=singles, kind="singles"),
-        case="delta-correlated")
+    return LimitProfiles(diagonal=RateProfile(angles=angles, values=diagonal),
+                         singles=RateProfile(angles=angles.copy(), values=singles))

@@ -38,30 +38,6 @@ class GratingSpec:
                 f"blaze wavelength must be positive, got {self.blaze_wavelength!r}")
 
 
-@dataclass(frozen=True)
-class Illumination:
-    """Gaussian spot on the grating.
-
-    spot_diameter is the 1/e^2 intensity full width; the amplitude
-    envelope is exp(-x**2/w0**2) with w0 = spot_diameter/2.  mode
-    records which plane of the pair source is imaged onto the grating
-    ("near" or "far") and selects the sign of the correlation factor
-    downstream.
-    """
-
-    wavelength: float
-    spot_diameter: float
-    mode: str = "near"
-
-    def __post_init__(self):
-        if not (self.wavelength > 0.0):
-            raise ParameterError(f"wavelength must be positive, got {self.wavelength!r}")
-        if not (self.spot_diameter > 0.0):
-            raise ParameterError(f"spot diameter must be positive, got {self.spot_diameter!r}")
-        if self.mode not in ("near", "far"):
-            raise ParameterError(f"illumination mode must be 'near' or 'far', got {self.mode!r}")
-
-
 def blaze_phase(x, spec: GratingSpec, wavelength: float):
     """Sawtooth phase in rad: 2*pi*(blaze_wavelength/wavelength)*frac((x - x0)/d).
 
@@ -74,20 +50,24 @@ def blaze_phase(x, spec: GratingSpec, wavelength: float):
     return TWO_PI * (spec.blaze_wavelength / wavelength) * frac
 
 
-def transmission(grid: SpatialGrid, spec: GratingSpec, illum: Illumination) -> np.ndarray:
+def transmission(grid: SpatialGrid, spec: GratingSpec, wavelength: float,
+                 spot_diameter: float) -> np.ndarray:
     """Single-photon transmission amplitude A on the grid, unit square sum.
 
     A(x_j) = exp(-x_j**2/w0**2) * exp(i*blaze_phase(x_j)), normalized so
-    that sum(|A|**2)*dx = 1.  The grid must resolve the grating:
-    dx <= period/4.
+    that sum(|A|**2)*dx = 1.  spot_diameter is the 1/e^2 intensity full
+    width of the Gaussian spot, so w0 = spot_diameter/2.  The grid must
+    resolve the grating: dx <= period/4.
     """
+    if not (spot_diameter > 0.0):
+        raise ParameterError(f"spot diameter must be positive, got {spot_diameter!r}")
     if grid.dx > spec.period / 4.0:
         raise ResolutionError(
             f"grid spacing {grid.dx:.6g} um under-resolves the {spec.period:.6g} um "
             f"period; need dx <= period/4")
-    w0 = illum.spot_diameter / 2.0
+    w0 = spot_diameter / 2.0
     envelope = np.exp(-((grid.x / w0) ** 2))
-    amp = envelope * np.exp(1j * blaze_phase(grid.x, spec, illum.wavelength))
+    amp = envelope * np.exp(1j * blaze_phase(grid.x, spec, wavelength))
     norm_sq = np.sum(np.abs(amp) ** 2) * grid.dx
     if norm_sq == 0.0:
         raise DegenerateInputError("illumination envelope vanished everywhere on the grid")

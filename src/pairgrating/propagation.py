@@ -19,11 +19,10 @@ the unblurred map R without building the blurred one:
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .biphoton import BiphotonAmplitude
 from .errors import BinSnapWarning, ParameterError
 from .lattice import TWO_PI, SpatialGrid, angles_of
 
@@ -40,54 +39,49 @@ def fourier_1d(values, grid: SpatialGrid) -> np.ndarray:
     return np.fft.fftshift(np.fft.fft(np.fft.ifftshift(v))) * (grid.dx / np.sqrt(TWO_PI))
 
 
-def to_far_field(amp: BiphotonAmplitude) -> BiphotonAmplitude:
-    """Transform both coordinates of a near-plane amplitude.
+def to_far_field(values, grid: SpatialGrid) -> np.ndarray:
+    """Transform both coordinates of an n x n joint amplitude over (x_j, x_l).
 
-    The transform is unitary (factor dx**2/(2*pi) on a centered FFT), so
-    sum(|out|**2)*dk**2 equals the near-plane square sum; exchange
+    Entry (m, p) of the result is the amplitude over (k_m, k_p).  The
+    transform is unitary (factor dx**2/(2*pi) on a centered FFT), so
+    sum(|out|**2)*dk**2 equals the input's sum(|F|**2)*dx**2; exchange
     symmetry is preserved.
     """
-    if amp.plane != "near":
-        raise ParameterError(f"far-field transform expects a near-plane amplitude, got {amp.plane!r}")
-    ft = np.fft.fftshift(np.fft.fft2(np.fft.ifftshift(amp.values)))
-    ft *= amp.grid.dx ** 2 / TWO_PI
+    v = np.asarray(values)
+    if v.shape != (grid.n, grid.n):
+        raise ParameterError(f"values must have shape ({grid.n}, {grid.n}), got {v.shape}")
+    ft = np.fft.fftshift(np.fft.fft2(np.fft.ifftshift(v)))
+    ft *= grid.dx ** 2 / TWO_PI
     ft.setflags(write=False)
-    return BiphotonAmplitude(grid=amp.grid, values=ft, plane="far")
+    return ft
 
 
 @dataclass(frozen=True)
 class RateMap:
-    """Coincidence rate over detection-angle pairs, symmetric and nonnegative.
-
-    blur_applied records the accumulated top-hat width in rad (0 if none).
-    """
+    """Coincidence rate over detection-angle pairs, symmetric and nonnegative."""
 
     grid: SpatialGrid
     angles: np.ndarray
     values: np.ndarray
-    blur_applied: float = 0.0
 
 
 @dataclass(frozen=True)
 class RateProfile:
-    """1D rate versus detection angle; kind is "coincidence-diagonal" or "singles"."""
+    """1D rate versus detection angle."""
 
     angles: np.ndarray
     values: np.ndarray
-    kind: str
 
 
-def coincidence_map(amp: BiphotonAmplitude, wavelength: float) -> RateMap:
-    """Two-photon count rate |F(k1, k2)|**2 labeled by detection angles.
+def coincidence_map(far, grid: SpatialGrid, wavelength: float) -> RateMap:
+    """Two-photon count rate |F(k1, k2)|**2 of a far-field amplitude, labeled by angles.
 
     The wavelength fixes the angle lattice theta = k*wavelength/(2*pi)
     used by cuts and blurring.
     """
-    if amp.plane != "far":
-        raise ParameterError(f"coincidence map expects a far-plane amplitude, got {amp.plane!r}")
-    values = np.abs(amp.values) ** 2
+    values = np.abs(far) ** 2
     values.setflags(write=False)
-    return RateMap(grid=amp.grid, angles=angles_of(amp.grid, wavelength), values=values)
+    return RateMap(grid=grid, angles=angles_of(grid, wavelength), values=values)
 
 
 def _snap_shift(angles: np.ndarray, separation: float) -> int:
@@ -125,8 +119,7 @@ def diagonal_profile(rate_map: RateMap, separation: float = 0.0) -> RateProfile:
     """
     shift = _snap_shift(rate_map.angles, separation)
     values = np.diagonal(rate_map.values, offset=shift).copy()
-    return RateProfile(angles=_cut_angles(rate_map.angles, shift), values=values,
-                       kind="coincidence-diagonal")
+    return RateProfile(angles=_cut_angles(rate_map.angles, shift), values=values)
 
 
 def blurred_diagonal(rate_map: RateMap, width: float, separation: float = 0.0) -> RateProfile:
@@ -150,14 +143,13 @@ def blurred_diagonal(rate_map: RateMap, width: float, separation: float = 0.0) -
     values = np.zeros(rows.size)
     for weight, first_rows in zip(kernel, first):
         values += weight * (kernel @ rate_map.values[first_rows, second])
-    return RateProfile(angles=_cut_angles(rate_map.angles, shift), values=values,
-                       kind="coincidence-diagonal")
+    return RateProfile(angles=_cut_angles(rate_map.angles, shift), values=values)
 
 
 def singles_profile(rate_map: RateMap) -> RateProfile:
     """Single-detector rate: marginal over the undetected photon, sum times dk."""
     values = rate_map.values.sum(axis=1) * rate_map.grid.dk
-    return RateProfile(angles=rate_map.angles.copy(), values=values, kind="singles")
+    return RateProfile(angles=rate_map.angles.copy(), values=values)
 
 
 def _box_kernel(width: float, bin_width: float) -> np.ndarray:
@@ -201,22 +193,16 @@ def _blur_kernel(width: float, angles: np.ndarray) -> np.ndarray:
 
 
 def blur(obj, width: float):
-    """Convolve with a unit-sum top-hat of full angular width `width` rad.
+    """Convolve a RateMap or RateProfile with a unit-sum top-hat of full width `width` rad.
 
-    RateMap inputs are smoothed separably along both detector axes (each
-    physical detector integrates independently); RateProfile inputs along
-    their single axis.  Total mass is conserved and contrast can only
+    The values are smoothed separably along every axis, so a map is
+    smoothed along both detector axes (each physical detector integrates
+    independently).  Total mass is conserved and contrast can only
     decrease.  Returns the same type as the input.
     """
-    if isinstance(obj, RateMap):
-        kernel = _blur_kernel(width, obj.angles)
-        values = _smooth_axis(obj.values, kernel, axis=0)
-        values = _smooth_axis(values, kernel, axis=1)
-        values.setflags(write=False)
-        return RateMap(grid=obj.grid, angles=obj.angles, values=values,
-                       blur_applied=obj.blur_applied + width)
-    if isinstance(obj, RateProfile):
-        kernel = _blur_kernel(width, obj.angles)
-        values = _smooth_axis(obj.values, kernel, axis=0)
-        return RateProfile(angles=obj.angles.copy(), values=values, kind=obj.kind)
-    raise ParameterError(f"cannot blur a {type(obj).__name__}")
+    kernel = _blur_kernel(width, obj.angles)
+    values = obj.values
+    for axis in range(values.ndim):
+        values = _smooth_axis(values, kernel, axis)
+    values.setflags(write=False)
+    return replace(obj, values=values)

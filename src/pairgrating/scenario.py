@@ -17,7 +17,7 @@ import numpy as np
 from .biphoton import CorrelationModel, two_photon_amplitude
 from .errors import ConfigError
 from .lattice import SpatialGrid, make_grid
-from .optics import GratingSpec, Illumination, transmission
+from .optics import GratingSpec, transmission
 from .propagation import (RateMap, RateProfile, blur, blurred_diagonal,
                           coincidence_map, singles_profile, to_far_field)
 
@@ -92,14 +92,15 @@ class ScenarioConfig:
 def parse_config(path) -> ScenarioConfig:
     """Parse a key=value config file; '#' starts a comment.
 
-    Unspecified keys take the documented defaults.  Unknown keys,
-    non-numeric values, and invariant violations raise ConfigError
+    Unspecified keys take the documented defaults.  Unknown or repeated
+    keys, non-numeric values, and invariant violations raise ConfigError
     naming the key.
     """
     p = Path(path)
     if not p.is_file():
         raise ConfigError(f"config file not found: {path}")
     values: dict = {}
+    key_lines: dict = {}
     for line_no, raw in enumerate(p.read_text(encoding="utf-8").splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -111,6 +112,10 @@ def parse_config(path) -> ScenarioConfig:
         text = text.strip()
         if key not in _ALL_KEYS:
             raise ConfigError(f"line {line_no}: unknown key {key!r}")
+        if key in key_lines:
+            raise ConfigError(
+                f"line {line_no}: key {key!r} repeats the one on line {key_lines[key]}")
+        key_lines[key] = line_no
         if key in _STR_KEYS:
             values[key] = text
         elif key in _INT_KEYS:
@@ -136,10 +141,7 @@ def transmission_for(config: ScenarioConfig, grid: SpatialGrid | None = None) ->
         grid = grid_for(config)
     spec = GratingSpec(period=config.grating_period_um,
                        blaze_wavelength=config.blaze_wavelength_um)
-    illum = Illumination(wavelength=config.wavelength_um,
-                         spot_diameter=config.spot_diameter_um,
-                         mode=config.illumination)
-    return transmission(grid, spec, illum)
+    return transmission(grid, spec, config.wavelength_um, config.spot_diameter_um)
 
 
 def _coincidence_map_for(config: ScenarioConfig, sigma_um: float | None) -> RateMap:
@@ -149,8 +151,8 @@ def _coincidence_map_for(config: ScenarioConfig, sigma_um: float | None) -> Rate
     model = CorrelationModel(
         sigma_corr=config.sigma_corr_um if sigma_um is None else float(sigma_um),
         mode=config.illumination)
-    far = to_far_field(two_photon_amplitude(amp, model, grid))
-    return coincidence_map(far, config.wavelength_um)
+    far = to_far_field(two_photon_amplitude(amp, model, grid), grid)
+    return coincidence_map(far, grid, config.wavelength_um)
 
 
 def rate_map_for(config: ScenarioConfig, sigma_um: float | None = None) -> RateMap:

@@ -90,6 +90,8 @@ def run_fit(config: ScenarioConfig, data_path: str) -> FitResult:
 
 def run_sweep(config: ScenarioConfig, sigmas: list[float]) -> list[tuple[float, float, float]]:
     """Tabulate order ratio and singles visibility over correlation widths."""
+    if not sigmas:
+        raise ParameterError("no correlation widths given")
     for sigma in sigmas:
         if not (sigma > 0.0) or not np.isfinite(sigma):
             raise ParameterError(f"correlation widths must be positive, got {sigma!r}")

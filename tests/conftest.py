@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pairgrating import GratingSpec, Illumination, make_grid, transmission
+from pairgrating import GratingSpec, make_grid, transmission
 
 WAVELENGTH = 0.78      # um
 PERIOD = 25.0          # um
@@ -27,12 +27,12 @@ def grid256():
 
 @pytest.fixture(scope="session")
 def amp_spot100(grid512, grating):
-    return transmission(grid512, grating, Illumination(WAVELENGTH, 100.0, "near"))
+    return transmission(grid512, grating, WAVELENGTH, 100.0)
 
 
 @pytest.fixture(scope="session")
 def amp_spot100_256(grid256, grating):
-    return transmission(grid256, grating, Illumination(WAVELENGTH, 100.0, "near"))
+    return transmission(grid256, grating, WAVELENGTH, 100.0)
 
 
 def matched_deviation(candidate, reference, mask=None):

@@ -20,7 +20,7 @@ import warnings
 import numpy as np
 import pytest
 
-from pairgrating import (BiphotonAmplitude, CorrelationModel, ScenarioConfig,
+from pairgrating import (CorrelationModel, ScenarioConfig,
                          coincidence_map, delta_correlated_profiles,
                          diagonal_profile, fit_sigma, forward_on_angles,
                          make_grid, Measurement, od_ratio, order_efficiency,
@@ -272,19 +272,19 @@ def test_criterion_8_transform_correctness():
     raw = rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))
     raw = raw + raw.T
     raw /= np.sqrt(np.sum(np.abs(raw) ** 2) * grid.dx ** 2)
-    far = to_far_field(BiphotonAmplitude(grid=grid, values=raw, plane="near"))
+    far = to_far_field(raw, grid)
     kernel = np.exp(-1j * np.outer(grid.k, grid.x))
     direct = (grid.dx ** 2 / (2.0 * np.pi)) * kernel @ raw @ kernel.T
-    transform_err = float(np.max(np.abs(far.values - direct)))
+    transform_err = float(np.max(np.abs(far - direct)))
 
     grid512 = make_grid(512, 600.0)
     config = ScenarioConfig(spot_diameter_um=100.0, resolution_mrad=0.0)
     from pairgrating.scenario import transmission_for
     amp = transmission_for(config, grid512)
     far512 = to_far_field(two_photon_amplitude(
-        amp, CorrelationModel(9.0, "near"), grid512))
-    parseval = abs(np.sum(np.abs(far512.values) ** 2) * grid512.dk ** 2 - 1.0)
-    rate_map = coincidence_map(far512, WAVELENGTH)
+        amp, CorrelationModel(9.0, "near"), grid512), grid512)
+    parseval = abs(np.sum(np.abs(far512) ** 2) * grid512.dk ** 2 - 1.0)
+    rate_map = coincidence_map(far512, grid512, WAVELENGTH)
     marginal = abs(singles_profile(rate_map).values.sum() * grid512.dk
                    - rate_map.values.sum() * grid512.dk ** 2)
     ok = transform_err <= 1e-8 and parseval <= 1e-12 and marginal <= 1e-12

@@ -50,6 +50,12 @@ def test_load_metadata_comments(tmp_path):
     assert meas.metadata["spot_um"] == "29"
 
 
+def test_load_invalid_channel_comment_names_line(tmp_path):
+    path = _write(tmp_path, "# spot_um: 29\n# channel: coincidence\nangle_mrad,rate\n0,1\n")
+    with pytest.raises(MeasurementFormatError, match="line 2: channel .* 'coincidence'"):
+        load_measurement(path)
+
+
 def test_load_non_numeric_row_names_line(tmp_path):
     path = _write(tmp_path, "angle_mrad,rate\n0.0,1.0\nabc,5.0\n")
     with pytest.raises(MeasurementFormatError, match="line 3"):
@@ -119,24 +125,24 @@ def test_measurement_validation():
 # ---------------------------------------------------------------- metrics
 
 def test_visibility_constant_profile():
-    profile = RateProfile(angles=SCAN, values=np.full(SCAN.size, 4.0), kind="singles")
+    profile = RateProfile(angles=SCAN, values=np.full(SCAN.size, 4.0))
     assert visibility(profile, (-0.05, 0.05)) == 0.0
 
 
 def test_visibility_full_contrast():
     values = np.zeros(SCAN.size)
     values[::2] = 3.0
-    profile = RateProfile(angles=SCAN, values=values, kind="singles")
+    profile = RateProfile(angles=SCAN, values=values)
     assert visibility(profile, (-0.05, 0.05)) == 1.0
 
 
 def test_visibility_all_zero():
-    profile = RateProfile(angles=SCAN, values=np.zeros(SCAN.size), kind="singles")
+    profile = RateProfile(angles=SCAN, values=np.zeros(SCAN.size))
     assert visibility(profile, (-0.05, 0.05)) == 0.0
 
 
 def test_visibility_window_validation():
-    profile = RateProfile(angles=SCAN, values=np.ones(SCAN.size), kind="singles")
+    profile = RateProfile(angles=SCAN, values=np.ones(SCAN.size))
     with pytest.raises(ParameterError):
         visibility(profile, (0.05, -0.05))
     with pytest.raises(ParameterError):
@@ -146,7 +152,8 @@ def test_visibility_window_validation():
 def test_visibility_accepts_measurements():
     meas = Measurement(angles=SCAN, rates=np.linspace(1.0, 2.0, SCAN.size))
     expected = (2.0 - 1.0) / (2.0 + 1.0)
-    assert visibility(meas, (SCAN[0], SCAN[-1])) == pytest.approx(expected, rel=1e-12)
+    profile = RateProfile(meas.angles, meas.rates)
+    assert visibility(profile, (SCAN[0], SCAN[-1])) == pytest.approx(expected, rel=1e-12)
 
 
 def _profile_with_order_values(blue, red, fill=0.0):
@@ -155,7 +162,7 @@ def _profile_with_order_values(blue, red, fill=0.0):
     red_idx = int(np.argmin(np.abs(SCAN - WAVELENGTH / PERIOD)))
     values[blue_idx] = blue
     values[red_idx] = red
-    return RateProfile(angles=SCAN, values=values, kind="coincidence-diagonal")
+    return RateProfile(angles=SCAN, values=values)
 
 
 def test_od_ratio_equal_peaks():
@@ -179,7 +186,7 @@ def test_od_ratio_window_validation():
         od_ratio(profile, WAVELENGTH, PERIOD, peak_halfwidth=0.01)   # overlap
     with pytest.raises(ParameterError):
         od_ratio(profile, WAVELENGTH, PERIOD, peak_halfwidth=0.0)
-    narrow = RateProfile(angles=SCAN[:30], values=np.ones(30), kind="coincidence-diagonal")
+    narrow = RateProfile(angles=SCAN[:30], values=np.ones(30))
     with pytest.raises(ParameterError):
         od_ratio(narrow, WAVELENGTH, PERIOD)                         # out of range
 
@@ -269,6 +276,11 @@ def test_forward_on_angles_rejects_angles_outside_model(keys, angle, message):
     config = ScenarioConfig(grid_n=256, window_um=300.0, **keys)
     with pytest.raises(ParameterError, match=message):
         forward_on_angles(config, 9.0, [-0.01, 0.0, angle, 0.1])
+
+
+def test_forward_on_angles_rejects_unknown_channel(fast_config):
+    with pytest.raises(ParameterError, match="'coincidence'"):
+        forward_on_angles(fast_config, 9.0, SCAN, channel="coincidence")
 
 
 def test_forward_on_angles_accepts_the_model_edges(fast_config):

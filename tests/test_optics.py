@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from pairgrating import (GratingSpec, Illumination, angles_of, blaze_phase,
-                         fourier_1d, make_grid, order_efficiency, transmission)
+from pairgrating import (GratingSpec, angles_of, blaze_phase, fourier_1d,
+                         make_grid, order_efficiency, transmission)
 from pairgrating.errors import ParameterError, ResolutionError
 
 from conftest import BLAZE, PERIOD, RED_ORDER, WAVELENGTH
@@ -42,11 +42,10 @@ def test_grating_spec_validation(period, blaze):
 @pytest.mark.parametrize("kwargs", [
     dict(wavelength=0.0, spot_diameter=100.0),
     dict(wavelength=0.78, spot_diameter=0.0),
-    dict(wavelength=0.78, spot_diameter=100.0, mode="sideways"),
 ])
-def test_illumination_validation(kwargs):
+def test_illumination_validation(grid512, grating, kwargs):
     with pytest.raises(ParameterError):
-        Illumination(**kwargs)
+        transmission(grid512, grating, **kwargs)
 
 
 def test_transmission_is_pure_phase_under_envelope(grid512, grating, amp_spot100):
@@ -58,7 +57,7 @@ def test_transmission_is_pure_phase_under_envelope(grid512, grating, amp_spot100
 
 def test_transmission_envelope_at_spot_radius(grid512, grating):
     # amplitude envelope falls to 1/e at x = w0 = spot_diameter/2
-    amp = transmission(grid512, grating, Illumination(WAVELENGTH, 100.0))
+    amp = transmission(grid512, grating, WAVELENGTH, 100.0)
     j0 = 256                      # x = 0
     jr = 256 + int(round(50.0 / grid512.dx))  # closest sample to x = 50 um
     assert grid512.x[jr] == pytest.approx(50.0, abs=grid512.dx)
@@ -73,14 +72,14 @@ def test_transmission_unit_square_sum(grid512, amp_spot100):
 def test_transmission_accepts_quarter_period_spacing(grating):
     grid = make_grid(96, 600.0)   # dx = 6.25 um = period/4 exactly
     assert grid.dx == PERIOD / 4.0
-    amp = transmission(grid, grating, Illumination(WAVELENGTH, 100.0))
+    amp = transmission(grid, grating, WAVELENGTH, 100.0)
     assert amp.shape == (96,)
 
 
 def test_transmission_rejects_coarse_grid(grating):
     grid = make_grid(64, 600.0)   # dx = 9.375 um > period/4
     with pytest.raises(ResolutionError):
-        transmission(grid, grating, Illumination(WAVELENGTH, 100.0))
+        transmission(grid, grating, WAVELENGTH, 100.0)
 
 
 def test_order_efficiency_blaze_condition():
@@ -116,7 +115,7 @@ def test_order_efficiencies_sum_to_one():
 
 def test_first_order_power_matches_analytic(grid512, grating):
     # wide spot (8 periods): numerical first-order power within 2 percent
-    amp = transmission(grid512, grating, Illumination(WAVELENGTH, 200.0))
+    amp = transmission(grid512, grating, WAVELENGTH, 200.0)
     power = np.abs(fourier_1d(amp, grid512)) ** 2 * grid512.dk
     theta = angles_of(grid512, WAVELENGTH)
     window = np.abs(theta - RED_ORDER) <= RED_ORDER / 2.0
@@ -127,12 +126,11 @@ def test_first_order_power_matches_analytic(grid512, grating):
 
 def test_phase_origin_leaves_order_powers_unchanged(grid512):
     # lateral registration shifts nothing in far-field order powers
-    illum = Illumination(WAVELENGTH, 100.0)
     theta = angles_of(grid512, WAVELENGTH)
 
     def order_power(x0, center):
         spec = GratingSpec(period=PERIOD, blaze_wavelength=BLAZE, phase_origin=x0)
-        amp = transmission(grid512, spec, illum)
+        amp = transmission(grid512, spec, WAVELENGTH, 100.0)
         power = np.abs(fourier_1d(amp, grid512)) ** 2 * grid512.dk
         return power[np.abs(theta - center) <= RED_ORDER / 4.0].sum()
 

@@ -9,6 +9,7 @@ import pytest
 import pairgrating
 from pairgrating import ScenarioConfig, load_measurement, parse_config, visibility
 from pairgrating.errors import ConfigError
+from pairgrating.propagation import RateProfile
 from pairgrating.shell import main, run_fit, run_simulate, run_sweep
 
 from conftest import matched_deviation
@@ -51,6 +52,7 @@ def test_comments_and_blank_lines(tmp_path):
     ("illumination=sideways\n", "illumination"),
     ("grid_n=64\n", "coarse"),          # dx = 9.375 um > period/4
     ("spot_diameter_um\n", "key=value"),
+    ("grid_n = 512\n# smaller\ngrid_n = 256\n", "line 3: key 'grid_n' repeats the one on line 1"),
 ])
 def test_config_errors(tmp_path, text, fragment):
     with pytest.raises(ConfigError, match=fragment):
@@ -116,7 +118,7 @@ def test_simulate_strong_correlation_singles_flat(tmp_path, monkeypatch):
     with pytest.warns(Warning):
         run_simulate(config)
     meas = load_measurement(tmp_path / "flat_singles.csv", channel="singles")
-    assert visibility(meas, (-0.05, 0.05)) < 0.05
+    assert visibility(RateProfile(meas.angles, meas.rates), (-0.05, 0.05)) < 0.05
 
 
 # ------------------------------------------------------------- fit and sweep
@@ -184,6 +186,7 @@ def test_cli_exit_codes(tmp_path, monkeypatch):
     assert main(["fit", str(cfg), str(wide)]) == 2                # beyond the model's angles
     assert main(["sweep", str(cfg), "1,abc"]) == 2
     assert main(["sweep", str(cfg), "1,-3"]) == 2
+    assert main(["sweep", str(cfg), ","]) == 2                    # no widths
 
     unwritable = _config(tmp_path, FAST + "output_prefix=/no/such/dir/run\n",
                          name="unwritable.cfg")
