@@ -7,12 +7,12 @@ the correlation width to measured angular scans.
 """
 
 from . import errors
-from .biphoton import CorrelationModel, correlation_factor, two_photon_amplitude
+from .biphoton import correlation_factor, two_photon_amplitude
 from .inference import (FitResult, Measurement, fit_sigma, forward_on_angles,
                         load_measurement, od_ratio, visibility)
 from .lattice import SpatialGrid, angles_of, make_grid
 from .limits import LimitProfiles, delta_correlated_profiles, uncorrelated_profiles
-from .optics import GratingSpec, blaze_phase, order_efficiency, transmission
+from .optics import blaze_phase, order_efficiency, transmission
 from .propagation import (RateMap, RateProfile, blur, coincidence_map,
                           diagonal_profile, fourier_1d, singles_profile,
                           to_far_field)
@@ -21,9 +21,7 @@ from .scenario import ScenarioConfig, parse_config, profiles_for, rate_map_for
 __version__ = "0.1.0"
 
 __all__ = [
-    "CorrelationModel",
     "FitResult",
-    "GratingSpec",
     "LimitProfiles",
     "Measurement",
     "RateMap",

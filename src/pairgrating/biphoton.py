@@ -11,7 +11,6 @@ explicitly.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,59 +18,53 @@ from .errors import DegenerateInputError, ParameterError, SamplingWarning
 from .lattice import SpatialGrid
 
 
-@dataclass(frozen=True)
-class CorrelationModel:
-    """Gaussian position correlation of a photon pair.
+def correlation_factor(x1, x2, sigma_corr: float, mode: str):
+    """Gaussian pair weight in (0, 1]; broadcasts over array inputs.
 
-    mode "near": weight exp(-(x1 - x2)**2/(2*sigma**2)), positions
+    mode "near": exp(-(x1 - x2)**2/(2*sigma_corr**2)), positions
     correlated (the pair source plane is imaged onto the grating).
-    mode "far": weight exp(-(x1 + x2)**2/(2*sigma**2)), positions
+    mode "far": exp(-(x1 + x2)**2/(2*sigma_corr**2)), positions
     anti-correlated (the source's momentum plane sits on the grating).
-    sigma_corr must be positive; the uncorrelated and perfectly
-    correlated limits are reached asymptotically, not by special values.
+    sigma_corr must be positive and finite; the uncorrelated and
+    perfectly correlated limits are reached asymptotically, not by
+    special values.
     """
-
-    sigma_corr: float
-    mode: str = "near"
-
-    def __post_init__(self):
-        if not np.isfinite(self.sigma_corr) or not (self.sigma_corr > 0.0):
-            raise ParameterError(
-                f"correlation width must be positive and finite, got {self.sigma_corr!r}")
-        if self.mode not in ("near", "far"):
-            raise ParameterError(f"correlation mode must be 'near' or 'far', got {self.mode!r}")
+    if not np.isfinite(sigma_corr) or not (sigma_corr > 0.0):
+        raise ParameterError(
+            f"correlation width must be positive and finite, got {sigma_corr!r}")
+    if mode not in ("near", "far"):
+        raise ParameterError(f"correlation mode must be 'near' or 'far', got {mode!r}")
+    s = np.asarray(x1, dtype=float) - x2 if mode == "near" else np.asarray(x1, dtype=float) + x2
+    return np.exp(-np.square(s) / (2.0 * sigma_corr ** 2))
 
 
-def correlation_factor(x1, x2, model: CorrelationModel):
-    """Gaussian pair weight in (0, 1]; broadcasts over array inputs."""
-    s = np.asarray(x1, dtype=float) - x2 if model.mode == "near" else np.asarray(x1, dtype=float) + x2
-    return np.exp(-np.square(s) / (2.0 * model.sigma_corr ** 2))
-
-
-def two_photon_amplitude(amplitude, model: CorrelationModel, grid: SpatialGrid) -> np.ndarray:
+def two_photon_amplitude(amplitude, sigma_corr: float, mode: str,
+                         grid: SpatialGrid) -> np.ndarray:
     """n x n joint amplitude F(x_j, x_l) = A(x_j)*A(x_l)*G(x_j, x_l), unit square sum.
 
-    Normalization happens here (sum(|F|**2)*dx**2 = 1) so downstream
-    rates stay comparable across correlation-width sweeps.  Widths below
-    half the grid spacing leave the weight matrix effectively diagonal,
-    which is the perfect-correlation limit; that is acceptable but
-    flagged with a SamplingWarning.
+    G is correlation_factor(x_j, x_l, sigma_corr, mode).  Normalization
+    happens here (sum(|F|**2)*dx**2 = 1) so downstream rates stay
+    comparable across correlation-width sweeps.  Widths below half the
+    grid spacing leave the weight matrix effectively diagonal, which is
+    the perfect-correlation limit; that is acceptable but flagged with a
+    SamplingWarning.
     """
     a = np.asarray(amplitude, dtype=complex)
     if a.shape != (grid.n,):
         raise ParameterError(
             f"amplitude must have shape ({grid.n},) to match the grid, got {a.shape}")
-    if model.sigma_corr < grid.dx / 2.0:
-        warnings.warn(
-            f"correlation width {model.sigma_corr:.4g} um is below half the grid "
-            f"spacing {grid.dx:.4g} um; the pair weight is under-resolved and "
-            f"degenerates to its diagonal",
-            SamplingWarning, stacklevel=2)
     product = a[:, None] * a[None, :]
     # explicit exchange symmetrization: a rounding-level no-op for identical
     # amplitudes, but it pins F == F.T bitwise
     joint = 0.5 * (product + product.T)
-    joint *= correlation_factor(grid.x[:, None], grid.x[None, :], model)
+    joint *= correlation_factor(grid.x[:, None], grid.x[None, :], sigma_corr, mode)
+    # after the weight, which checks sigma_corr, so a bad width raises unwarned
+    if sigma_corr < grid.dx / 2.0:
+        warnings.warn(
+            f"correlation width {sigma_corr:.4g} um is below half the grid "
+            f"spacing {grid.dx:.4g} um; the pair weight is under-resolved and "
+            f"degenerates to its diagonal",
+            SamplingWarning, stacklevel=2)
     total = np.sum(np.abs(joint) ** 2) * grid.dx ** 2
     if total == 0.0:
         raise DegenerateInputError("joint amplitude is identically zero")

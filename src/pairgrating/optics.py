@@ -9,49 +9,31 @@ from it; manufactured groove imperfections are out of scope.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DegenerateInputError, ParameterError, ResolutionError
 from .lattice import TWO_PI, SpatialGrid
 
 
-@dataclass(frozen=True)
-class GratingSpec:
-    """Sawtooth phase grating: period and blaze wavelength in um.
-
-    phase_origin sets the lateral registration of the sawtooth.  Far
-    field magnitudes are insensitive to it (a pure phase ramp in k),
-    but near-field inspection is not, so it stays exposed.
-    """
-
-    period: float
-    blaze_wavelength: float
-    phase_origin: float = 0.0
-
-    def __post_init__(self):
-        if not (self.period > 0.0):
-            raise ParameterError(f"grating period must be positive, got {self.period!r}")
-        if not (self.blaze_wavelength > 0.0):
-            raise ParameterError(
-                f"blaze wavelength must be positive, got {self.blaze_wavelength!r}")
-
-
-def blaze_phase(x, spec: GratingSpec, wavelength: float):
-    """Sawtooth phase in rad: 2*pi*(blaze_wavelength/wavelength)*frac((x - x0)/d).
+def blaze_phase(x, period: float, blaze_wavelength: float, wavelength: float):
+    """Sawtooth phase in rad: 2*pi*(blaze_wavelength/wavelength)*frac(x/period).
 
     frac maps into [0, 1), so the phase is exactly periodic with the
-    grating period and zero at the phase origin.
+    grating period and zero at x = 0.  Far-field magnitudes do not
+    depend on where the sawtooth starts; evaluate at x - x0 to move it.
     """
+    if not (period > 0.0):
+        raise ParameterError(f"grating period must be positive, got {period!r}")
+    if not (blaze_wavelength > 0.0):
+        raise ParameterError(f"blaze wavelength must be positive, got {blaze_wavelength!r}")
     if not (wavelength > 0.0):
         raise ParameterError(f"wavelength must be positive, got {wavelength!r}")
-    frac = np.mod((np.asarray(x, dtype=float) - spec.phase_origin) / spec.period, 1.0)
-    return TWO_PI * (spec.blaze_wavelength / wavelength) * frac
+    frac = np.mod(np.asarray(x, dtype=float) / period, 1.0)
+    return TWO_PI * (blaze_wavelength / wavelength) * frac
 
 
-def transmission(grid: SpatialGrid, spec: GratingSpec, wavelength: float,
-                 spot_diameter: float) -> np.ndarray:
+def transmission(grid: SpatialGrid, period: float, blaze_wavelength: float,
+                 wavelength: float, spot_diameter: float) -> np.ndarray:
     """Single-photon transmission amplitude A on the grid, unit square sum.
 
     A(x_j) = exp(-x_j**2/w0**2) * exp(i*blaze_phase(x_j)), normalized so
@@ -59,15 +41,17 @@ def transmission(grid: SpatialGrid, spec: GratingSpec, wavelength: float,
     width of the Gaussian spot, so w0 = spot_diameter/2.  The grid must
     resolve the grating: dx <= period/4.
     """
+    # the phase first: it checks the period, which the dx check below divides
+    phase = blaze_phase(grid.x, period, blaze_wavelength, wavelength)
     if not (spot_diameter > 0.0):
         raise ParameterError(f"spot diameter must be positive, got {spot_diameter!r}")
-    if grid.dx > spec.period / 4.0:
+    if grid.dx > period / 4.0:
         raise ResolutionError(
-            f"grid spacing {grid.dx:.6g} um under-resolves the {spec.period:.6g} um "
+            f"grid spacing {grid.dx:.6g} um under-resolves the {period:.6g} um "
             f"period; need dx <= period/4")
     w0 = spot_diameter / 2.0
     envelope = np.exp(-((grid.x / w0) ** 2))
-    amp = envelope * np.exp(1j * blaze_phase(grid.x, spec, wavelength))
+    amp = envelope * np.exp(1j * phase)
     norm_sq = np.sum(np.abs(amp) ** 2) * grid.dx
     if norm_sq == 0.0:
         raise DegenerateInputError("illumination envelope vanished everywhere on the grid")

@@ -9,32 +9,24 @@ source (near mode), 10 mrad detector resolution, 512 samples over a
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
-from .biphoton import CorrelationModel, two_photon_amplitude
+from .biphoton import two_photon_amplitude
 from .errors import ConfigError
 from .lattice import SpatialGrid, make_grid
-from .optics import GratingSpec, transmission
+from .optics import transmission
 from .propagation import (RateMap, RateProfile, blur, blurred_diagonal,
                           coincidence_map, singles_profile, to_far_field)
 
-_FLOAT_KEYS = (
-    "wavelength_nm",
-    "grating_period_um",
-    "blaze_wavelength_nm",
-    "spot_diameter_um",
-    "sigma_corr_um",
-    "resolution_mrad",
-    "detector_separation_mrad",
-    "angle_offset_mrad",
-    "window_um",
-)
-_INT_KEYS = ("grid_n",)
-_STR_KEYS = ("illumination", "output_prefix")
-_ALL_KEYS = _FLOAT_KEYS + _INT_KEYS + _STR_KEYS
+# The forward chain holds several n x n complex128 arrays at once.
+MAX_GRID_N = 4096
+
+# How parse_config reads a value for each field annotation of ScenarioConfig,
+# and what a value that fails to read must be.
+_READERS = {"float": (float, "a number"), "int": (int, "an integer"), "str": (str, "text")}
 
 
 @dataclass(frozen=True)
@@ -74,6 +66,12 @@ class ScenarioConfig:
             raise ConfigError(f"grid_n must be an integer, got {self.grid_n!r}")
         if self.grid_n < 4 or self.grid_n % 2 != 0:
             raise ConfigError(f"grid_n must be even and >= 4, got {self.grid_n}")
+        if self.grid_n > MAX_GRID_N:
+            nbytes = 16 * self.grid_n ** 2
+            raise ConfigError(
+                f"grid_n must be at most {MAX_GRID_N}, got {self.grid_n}: one "
+                f"{self.grid_n}x{self.grid_n} complex128 array is {nbytes} bytes "
+                f"({nbytes / 2 ** 20:.1f} MiB), and the forward chain holds several")
         if self.window_um / self.grid_n > self.grating_period_um / 4.0:
             raise ConfigError(
                 f"grid too coarse for the grating: window_um/grid_n = "
@@ -99,6 +97,7 @@ def parse_config(path) -> ScenarioConfig:
     p = Path(path)
     if not p.is_file():
         raise ConfigError(f"config file not found: {path}")
+    kinds = {field.name: field.type for field in fields(ScenarioConfig)}
     values: dict = {}
     key_lines: dict = {}
     for line_no, raw in enumerate(p.read_text(encoding="utf-8").splitlines(), start=1):
@@ -110,24 +109,17 @@ def parse_config(path) -> ScenarioConfig:
         key, _, text = line.partition("=")
         key = key.strip()
         text = text.strip()
-        if key not in _ALL_KEYS:
+        if key not in kinds:
             raise ConfigError(f"line {line_no}: unknown key {key!r}")
         if key in key_lines:
             raise ConfigError(
                 f"line {line_no}: key {key!r} repeats the one on line {key_lines[key]}")
         key_lines[key] = line_no
-        if key in _STR_KEYS:
-            values[key] = text
-        elif key in _INT_KEYS:
-            try:
-                values[key] = int(text)
-            except ValueError:
-                raise ConfigError(f"line {line_no}: {key} must be an integer, got {text!r}") from None
-        else:
-            try:
-                values[key] = float(text)
-            except ValueError:
-                raise ConfigError(f"line {line_no}: {key} must be a number, got {text!r}") from None
+        read, expected = _READERS[kinds[key]]
+        try:
+            values[key] = read(text)
+        except ValueError:
+            raise ConfigError(f"line {line_no}: {key} must be {expected}, got {text!r}") from None
     return ScenarioConfig(**values)
 
 
@@ -139,19 +131,16 @@ def transmission_for(config: ScenarioConfig, grid: SpatialGrid | None = None) ->
     """Single-photon amplitude for the configured grating and spot."""
     if grid is None:
         grid = grid_for(config)
-    spec = GratingSpec(period=config.grating_period_um,
-                       blaze_wavelength=config.blaze_wavelength_um)
-    return transmission(grid, spec, config.wavelength_um, config.spot_diameter_um)
+    return transmission(grid, config.grating_period_um, config.blaze_wavelength_um,
+                        config.wavelength_um, config.spot_diameter_um)
 
 
 def _coincidence_map_for(config: ScenarioConfig, sigma_um: float | None) -> RateMap:
     """Unblurred rate map: grid, transmission, pair amplitude, far field, |F|**2."""
     grid = grid_for(config)
     amp = transmission_for(config, grid)
-    model = CorrelationModel(
-        sigma_corr=config.sigma_corr_um if sigma_um is None else float(sigma_um),
-        mode=config.illumination)
-    far = to_far_field(two_photon_amplitude(amp, model, grid), grid)
+    sigma = config.sigma_corr_um if sigma_um is None else float(sigma_um)
+    far = to_far_field(two_photon_amplitude(amp, sigma, config.illumination, grid), grid)
     return coincidence_map(far, grid, config.wavelength_um)
 
 

@@ -16,6 +16,7 @@ import sys
 
 import numpy as np
 
+from .biphoton import correlation_factor
 from .errors import ConfigError, MeasurementFormatError, ParameterError
 from .inference import (VISIBILITY_WINDOW, FitResult, fit_sigma, forward_on_angles,
                         load_measurement, od_ratio, visibility)
@@ -92,9 +93,8 @@ def run_sweep(config: ScenarioConfig, sigmas: list[float]) -> list[tuple[float, 
     """Tabulate order ratio and singles visibility over correlation widths."""
     if not sigmas:
         raise ParameterError("no correlation widths given")
-    for sigma in sigmas:
-        if not (sigma > 0.0) or not np.isfinite(sigma):
-            raise ParameterError(f"correlation widths must be positive, got {sigma!r}")
+    for sigma in sigmas:  # reject a bad width before the first row is computed
+        correlation_factor(0.0, 0.0, sigma, config.illumination)
     rows = []
     for sigma in sigmas:
         diagonal, singles = profiles_for(config, sigma_um=sigma)

@@ -1,18 +1,13 @@
 import numpy as np
 import pytest
 
-from pairgrating import GratingSpec, make_grid, transmission
+from pairgrating import make_grid, transmission
 
 WAVELENGTH = 0.78      # um
 PERIOD = 25.0          # um
 BLAZE = 0.5            # um
 RED_ORDER = WAVELENGTH / PERIOD          # 31.2 mrad
 BLUE_ORDER = WAVELENGTH / (2.0 * PERIOD)  # 15.6 mrad
-
-
-@pytest.fixture(scope="session")
-def grating():
-    return GratingSpec(period=PERIOD, blaze_wavelength=BLAZE)
 
 
 @pytest.fixture(scope="session")
@@ -26,13 +21,13 @@ def grid256():
 
 
 @pytest.fixture(scope="session")
-def amp_spot100(grid512, grating):
-    return transmission(grid512, grating, WAVELENGTH, 100.0)
+def amp_spot100(grid512):
+    return transmission(grid512, PERIOD, BLAZE, WAVELENGTH, 100.0)
 
 
 @pytest.fixture(scope="session")
-def amp_spot100_256(grid256, grating):
-    return transmission(grid256, grating, WAVELENGTH, 100.0)
+def amp_spot100_256(grid256):
+    return transmission(grid256, PERIOD, BLAZE, WAVELENGTH, 100.0)
 
 
 def matched_deviation(candidate, reference, mask=None):

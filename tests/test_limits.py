@@ -3,8 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from pairgrating import (CorrelationModel, coincidence_map,
-                         delta_correlated_profiles, diagonal_profile,
+from pairgrating import (coincidence_map, delta_correlated_profiles, diagonal_profile,
                          fourier_1d, singles_profile, to_far_field,
                          two_photon_amplitude, uncorrelated_profiles)
 from pairgrating.errors import SamplingWarning
@@ -15,7 +14,7 @@ from conftest import BLUE_ORDER, RED_ORDER, WAVELENGTH, matched_deviation
 def _pipeline_profiles(amp, grid, sigma, mode="near"):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", SamplingWarning)
-        f = two_photon_amplitude(amp, CorrelationModel(sigma, mode), grid)
+        f = two_photon_amplitude(amp, sigma, mode, grid)
     rate_map = coincidence_map(to_far_field(f, grid), grid, WAVELENGTH)
     return diagonal_profile(rate_map), singles_profile(rate_map)
 

@@ -1,63 +1,62 @@
 import numpy as np
 import pytest
 
-from pairgrating import (GratingSpec, angles_of, blaze_phase, fourier_1d,
-                         make_grid, order_efficiency, transmission)
+from pairgrating import (angles_of, blaze_phase, fourier_1d, make_grid, order_efficiency,
+                         transmission)
 from pairgrating.errors import ParameterError, ResolutionError
 
 from conftest import BLAZE, PERIOD, RED_ORDER, WAVELENGTH
 
 
-def test_blaze_phase_at_origin(grating):
-    assert blaze_phase(0.0, grating, WAVELENGTH) == 0.0
+def test_blaze_phase_at_origin():
+    assert blaze_phase(0.0, PERIOD, BLAZE, WAVELENGTH) == 0.0
 
 
-def test_blaze_phase_half_period_at_blaze(grating):
-    assert blaze_phase(PERIOD / 2.0, grating, BLAZE) == pytest.approx(np.pi, rel=1e-12)
+def test_blaze_phase_half_period_at_blaze():
+    assert blaze_phase(PERIOD / 2.0, PERIOD, BLAZE, BLAZE) == pytest.approx(np.pi, rel=1e-12)
 
 
-def test_blaze_phase_half_period_off_blaze(grating):
-    phi = blaze_phase(PERIOD / 2.0, grating, WAVELENGTH)
+def test_blaze_phase_half_period_off_blaze():
+    phi = blaze_phase(PERIOD / 2.0, PERIOD, BLAZE, WAVELENGTH)
     assert phi == pytest.approx(np.pi * BLAZE / WAVELENGTH, rel=1e-12)
     assert phi == pytest.approx(2.0136, abs=5e-4)
 
 
-def test_blaze_phase_periodicity(grating):
+def test_blaze_phase_periodicity():
     x = np.linspace(-80.0, 80.0, 641)
-    np.testing.assert_allclose(blaze_phase(x + PERIOD, grating, WAVELENGTH),
-                               blaze_phase(x, grating, WAVELENGTH), atol=1e-12)
-
-
-def test_blaze_phase_origin_shift():
-    spec = GratingSpec(period=PERIOD, blaze_wavelength=BLAZE, phase_origin=7.5)
-    assert blaze_phase(7.5, spec, WAVELENGTH) == 0.0
+    np.testing.assert_allclose(blaze_phase(x + PERIOD, PERIOD, BLAZE, WAVELENGTH),
+                               blaze_phase(x, PERIOD, BLAZE, WAVELENGTH), atol=1e-12)
 
 
 @pytest.mark.parametrize("period,blaze", [(0.0, 0.5), (-25.0, 0.5), (25.0, 0.0), (25.0, -1.0)])
-def test_grating_spec_validation(period, blaze):
+def test_grating_spec_validation(grid512, period, blaze):
     with pytest.raises(ParameterError):
-        GratingSpec(period=period, blaze_wavelength=blaze)
+        blaze_phase(0.0, period, blaze, WAVELENGTH)
+    # transmission builds the phase first, so a bad period is not reported
+    # as a ResolutionError
+    with pytest.raises(ParameterError):
+        transmission(grid512, period, blaze, WAVELENGTH, 100.0)
 
 
 @pytest.mark.parametrize("kwargs", [
     dict(wavelength=0.0, spot_diameter=100.0),
     dict(wavelength=0.78, spot_diameter=0.0),
 ])
-def test_illumination_validation(grid512, grating, kwargs):
+def test_illumination_validation(grid512, kwargs):
     with pytest.raises(ParameterError):
-        transmission(grid512, grating, **kwargs)
+        transmission(grid512, PERIOD, BLAZE, **kwargs)
 
 
-def test_transmission_is_pure_phase_under_envelope(grid512, grating, amp_spot100):
+def test_transmission_is_pure_phase_under_envelope(grid512, amp_spot100):
     w0 = 50.0
     envelope = np.exp(-((grid512.x / w0) ** 2))
     norm = np.sqrt(np.sum(envelope ** 2) * grid512.dx)
     np.testing.assert_allclose(np.abs(amp_spot100) * norm, envelope, atol=1e-14)
 
 
-def test_transmission_envelope_at_spot_radius(grid512, grating):
+def test_transmission_envelope_at_spot_radius(grid512):
     # amplitude envelope falls to 1/e at x = w0 = spot_diameter/2
-    amp = transmission(grid512, grating, WAVELENGTH, 100.0)
+    amp = transmission(grid512, PERIOD, BLAZE, WAVELENGTH, 100.0)
     j0 = 256                      # x = 0
     jr = 256 + int(round(50.0 / grid512.dx))  # closest sample to x = 50 um
     assert grid512.x[jr] == pytest.approx(50.0, abs=grid512.dx)
@@ -69,17 +68,17 @@ def test_transmission_unit_square_sum(grid512, amp_spot100):
     assert np.sum(np.abs(amp_spot100) ** 2) * grid512.dx == pytest.approx(1.0, abs=1e-12)
 
 
-def test_transmission_accepts_quarter_period_spacing(grating):
+def test_transmission_accepts_quarter_period_spacing():
     grid = make_grid(96, 600.0)   # dx = 6.25 um = period/4 exactly
     assert grid.dx == PERIOD / 4.0
-    amp = transmission(grid, grating, WAVELENGTH, 100.0)
+    amp = transmission(grid, PERIOD, BLAZE, WAVELENGTH, 100.0)
     assert amp.shape == (96,)
 
 
-def test_transmission_rejects_coarse_grid(grating):
+def test_transmission_rejects_coarse_grid():
     grid = make_grid(64, 600.0)   # dx = 9.375 um > period/4
     with pytest.raises(ResolutionError):
-        transmission(grid, grating, WAVELENGTH, 100.0)
+        transmission(grid, PERIOD, BLAZE, WAVELENGTH, 100.0)
 
 
 def test_order_efficiency_blaze_condition():
@@ -113,9 +112,9 @@ def test_order_efficiencies_sum_to_one():
     assert near_blaze == pytest.approx(1.0, abs=1e-12)
 
 
-def test_first_order_power_matches_analytic(grid512, grating):
+def test_first_order_power_matches_analytic(grid512):
     # wide spot (8 periods): numerical first-order power within 2 percent
-    amp = transmission(grid512, grating, WAVELENGTH, 200.0)
+    amp = transmission(grid512, PERIOD, BLAZE, WAVELENGTH, 200.0)
     power = np.abs(fourier_1d(amp, grid512)) ** 2 * grid512.dk
     theta = angles_of(grid512, WAVELENGTH)
     window = np.abs(theta - RED_ORDER) <= RED_ORDER / 2.0
@@ -124,17 +123,21 @@ def test_first_order_power_matches_analytic(grid512, grating):
     assert abs(numeric - analytic) / analytic <= 0.02
 
 
-def test_phase_origin_leaves_order_powers_unchanged(grid512):
-    # lateral registration shifts nothing in far-field order powers
+def test_lateral_shift_leaves_order_powers_unchanged(grid512, amp_spot100):
+    # moving the sawtooth sideways by x0 shifts nothing in far-field order powers
     theta = angles_of(grid512, WAVELENGTH)
+    envelope = np.exp(-((grid512.x / 50.0) ** 2))
 
-    def order_power(x0, center):
-        spec = GratingSpec(period=PERIOD, blaze_wavelength=BLAZE, phase_origin=x0)
-        amp = transmission(grid512, spec, WAVELENGTH, 100.0)
+    def shifted_amplitude(x0):
+        amp = envelope * np.exp(1j * blaze_phase(grid512.x - x0, PERIOD, BLAZE, WAVELENGTH))
+        return amp / np.sqrt(np.sum(np.abs(amp) ** 2) * grid512.dx)
+
+    def order_power(amp, center):
         power = np.abs(fourier_1d(amp, grid512)) ** 2 * grid512.dk
         return power[np.abs(theta - center) <= RED_ORDER / 4.0].sum()
 
+    np.testing.assert_allclose(shifted_amplitude(0.0), amp_spot100, rtol=0.0, atol=1e-15)
     for center in (0.0, RED_ORDER):
-        reference = order_power(0.0, center)
+        reference = order_power(amp_spot100, center)
         for x0 in (5.0, 7.3, 12.5):
-            assert abs(order_power(x0, center) - reference) / reference <= 1e-3
+            assert abs(order_power(shifted_amplitude(x0), center) - reference) / reference <= 1e-3

@@ -3,12 +3,12 @@ import warnings
 import numpy as np
 import pytest
 
-from pairgrating import (CorrelationModel, ScenarioConfig, angles_of, blur,
-                         coincidence_map, diagonal_profile, fourier_1d,
+from pairgrating import (ScenarioConfig, angles_of, blur, coincidence_map,
+                         diagonal_profile, fourier_1d,
                          make_grid, profiles_for, rate_map_for, singles_profile,
                          to_far_field, two_photon_amplitude)
 from pairgrating.propagation import RateMap, RateProfile, blurred_diagonal
-from pairgrating.errors import BinSnapWarning, ParameterError
+from pairgrating.errors import BinSnapWarning, ParameterError, SamplingWarning
 
 from conftest import WAVELENGTH, matched_deviation
 
@@ -19,7 +19,7 @@ def _normalized(values, grid):
 
 @pytest.fixture(scope="module")
 def far_map(grid512, amp_spot100):
-    f = two_photon_amplitude(amp_spot100, CorrelationModel(9.0, "near"), grid512)
+    f = two_photon_amplitude(amp_spot100, 9.0, "near", grid512)
     return coincidence_map(to_far_field(f, grid512), grid512, WAVELENGTH)
 
 
@@ -78,7 +78,7 @@ def test_point_source_transforms_to_flat_magnitude():
 
 
 def test_far_field_parseval_large_grid(grid512, amp_spot100):
-    f = two_photon_amplitude(amp_spot100, CorrelationModel(9.0, "near"), grid512)
+    f = two_photon_amplitude(amp_spot100, 9.0, "near", grid512)
     far = to_far_field(f, grid512)
     assert np.sum(np.abs(far) ** 2) * grid512.dk ** 2 == pytest.approx(1.0, abs=1e-12)
 
@@ -258,12 +258,22 @@ def test_profiles_for_matches_cuts_of_rate_map_for(keys, snaps):
         assert np.all(got.values >= 0.0)
 
 
+@pytest.mark.parametrize("sigma", [0.0, -1.0, float("nan"), float("inf")])
+@pytest.mark.parametrize("forward", [profiles_for, rate_map_for])
+def test_forward_chain_rejects_bad_sigma_override(forward, sigma):
+    # checked before the pair amplitude is built, so no SamplingWarning comes first
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", SamplingWarning)
+        with pytest.raises(ParameterError, match="correlation width"):
+            forward(ScenarioConfig(grid_n=256, window_um=300.0), sigma_um=sigma)
+
+
 def test_separable_limit_diagonal_is_squared_singles(grid256, amp_spot100_256):
     # weak correlation: the coincidence cut is the squared singles profile
     # up to one global scale; the residual falls off like 1/sigma**2
     deviations = []
     for sigma in (1e4, 1e5):
-        f = two_photon_amplitude(amp_spot100_256, CorrelationModel(sigma, "near"), grid256)
+        f = two_photon_amplitude(amp_spot100_256, sigma, "near", grid256)
         rate_map = coincidence_map(to_far_field(f, grid256), grid256, WAVELENGTH)
         diag = diagonal_profile(rate_map)
         singles = singles_profile(rate_map)

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 import pairgrating
 from pairgrating import ScenarioConfig, load_measurement, parse_config, visibility
 from pairgrating.errors import ConfigError
+from pairgrating.scenario import MAX_GRID_N
 from pairgrating.propagation import RateProfile
 from pairgrating.shell import main, run_fit, run_simulate, run_sweep
 
@@ -67,6 +69,29 @@ def test_grid_n_must_be_an_integer(grid_n):
 
 def test_grid_n_accepts_numpy_integers():
     assert ScenarioConfig(grid_n=np.int64(256), window_um=300.0).grid_n == 256
+
+
+def test_grid_n_memory_guard():
+    # by construction only: a config allocates no grid
+    assert MAX_GRID_N == 4096
+    assert ScenarioConfig(grid_n=4096).grid_n == 4096
+    with pytest.raises(ConfigError, match=r"grid_n .* 4098x4098 complex128 array is 268697664 bytes"):
+        ScenarioConfig(grid_n=4098)
+
+
+def test_every_key_parses(tmp_path):
+    # one non-default value per field pins the key table parse_config derives
+    expected = ScenarioConfig(
+        wavelength_nm=810.0, grating_period_um=30.0, blaze_wavelength_nm=450.0,
+        spot_diameter_um=40.0, sigma_corr_um=13.0, illumination="far",
+        resolution_mrad=5.0, detector_separation_mrad=2.0, angle_offset_mrad=-0.5,
+        grid_n=1024, window_um=900.0, output_prefix="every")
+    assert all(getattr(expected, f.name) != f.default for f in fields(ScenarioConfig))
+    text = "".join(f"{f.name} = {getattr(expected, f.name)}\n" for f in fields(ScenarioConfig))
+    config = parse_config(_config(tmp_path, text))
+    assert config == expected
+    assert ([type(getattr(config, f.name)) for f in fields(ScenarioConfig)]
+            == [type(getattr(expected, f.name)) for f in fields(ScenarioConfig)])
 
 
 def test_missing_config_file(tmp_path):
