@@ -10,12 +10,9 @@ explicitly.
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 
-from .errors import DegenerateInputError, ParameterError, SamplingWarning
-from .lattice import SpatialGrid
+from .errors import DegenerateInputError, ParameterError, SamplingWarning, warn_caller
 
 
 def correlation_factor(x1, x2, sigma_corr: float, mode: str):
@@ -38,34 +35,37 @@ def correlation_factor(x1, x2, sigma_corr: float, mode: str):
     return np.exp(-np.square(s) / (2.0 * sigma_corr ** 2))
 
 
-def two_photon_amplitude(amplitude, sigma_corr: float, mode: str,
-                         grid: SpatialGrid) -> np.ndarray:
-    """n x n joint amplitude F(x_j, x_l) = A(x_j)*A(x_l)*G(x_j, x_l), unit square sum.
+def two_photon_amplitude(amplitude, sigma_corr: float, mode: str, x,
+                         dx: float) -> np.ndarray:
+    """Joint amplitude F(x_j, x_l) = A(x_j)*A(x_l)*G(x_j, x_l) at positions x, unit square sum.
 
-    G is correlation_factor(x_j, x_l, sigma_corr, mode).  Normalization
-    happens here (sum(|F|**2)*dx**2 = 1) so downstream rates stay
-    comparable across correlation-width sweeps.  Widths below half the
-    grid spacing leave the weight matrix effectively diagonal, which is
-    the perfect-correlation limit; that is acceptable but flagged with a
+    G is correlation_factor(x_j, x_l, sigma_corr, mode).  x is the whole
+    grid or any subset of it outside which A vanishes (the spot's
+    support); F is then len(x) x len(x).  Normalization happens here
+    (sum(|F|**2)*dx**2 = 1) so downstream rates stay comparable across
+    correlation-width sweeps.  Widths below half the grid spacing dx
+    leave the weight matrix effectively diagonal, which is the
+    perfect-correlation limit; that is acceptable but flagged with a
     SamplingWarning.
     """
     a = np.asarray(amplitude, dtype=complex)
-    if a.shape != (grid.n,):
+    x = np.asarray(x, dtype=float)
+    if a.ndim != 1 or a.shape != x.shape:
         raise ParameterError(
-            f"amplitude must have shape ({grid.n},) to match the grid, got {a.shape}")
+            f"amplitude must have shape {x.shape} to match the positions, got {a.shape}")
     product = a[:, None] * a[None, :]
     # explicit exchange symmetrization: a rounding-level no-op for identical
     # amplitudes, but it pins F == F.T bitwise
     joint = 0.5 * (product + product.T)
-    joint *= correlation_factor(grid.x[:, None], grid.x[None, :], sigma_corr, mode)
+    joint *= correlation_factor(x[:, None], x[None, :], sigma_corr, mode)
     # after the weight, which checks sigma_corr, so a bad width raises unwarned
-    if sigma_corr < grid.dx / 2.0:
-        warnings.warn(
+    if sigma_corr < dx / 2.0:
+        warn_caller(
             f"correlation width {sigma_corr:.4g} um is below half the grid "
-            f"spacing {grid.dx:.4g} um; the pair weight is under-resolved and "
+            f"spacing {dx:.4g} um; the pair weight is under-resolved and "
             f"degenerates to its diagonal",
-            SamplingWarning, stacklevel=2)
-    total = np.sum(np.abs(joint) ** 2) * grid.dx ** 2
+            SamplingWarning)
+    total = np.sum(np.abs(joint) ** 2) * dx ** 2
     if total == 0.0:
         raise DegenerateInputError("joint amplitude is identically zero")
     joint /= np.sqrt(total)

@@ -1,4 +1,10 @@
-"""Exception and warning types shared across the package."""
+"""Exception and warning types shared across the package, and the warning helper."""
+
+import os
+import sys
+import warnings
+
+_PACKAGE_DIR = os.path.dirname(__file__) + os.sep
 
 
 class ParameterError(ValueError):
@@ -27,3 +33,15 @@ class SamplingWarning(UserWarning):
 
 class BinSnapWarning(UserWarning):
     """A requested angular quantity was rounded to the nearest grid bin."""
+
+
+def warn_caller(message: str, category: type) -> None:
+    """Warn at the innermost frame outside this package: the line that called into it.
+
+    A fixed stacklevel would name a line inside the package whenever the
+    warning is raised a different number of calls below the public entry.
+    """
+    frame, level = sys._getframe(1), 2
+    while frame is not None and frame.f_code.co_filename.startswith(_PACKAGE_DIR):
+        frame, level = frame.f_back, level + 1
+    warnings.warn(message, category, stacklevel=level)

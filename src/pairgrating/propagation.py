@@ -2,28 +2,40 @@
 
 Observation is deep in the Fraunhofer regime, so propagation is a pure
 centered unitary Fourier transform (no quadratic phase; only magnitudes
-are consumed downstream).  Detector resolution is a top-hat angular
-window, the response of a slit aperture.  Each detector integrates
-independently over its own acceptance, so the blur is a circular
-convolution of the 2D rate map along each detector axis with the
-unit-sum, symmetric kernel w.  The cuts of the blurred map follow from
-the unblurred map R without building the blurred one:
+are consumed downstream): F = W P W^T * dx**2/(2*pi) with the centered
+DFT matrix W[p, j] = exp(-2*pi*i*(p - n/2)*(j - n/2)/n).  Detector
+resolution is a top-hat angular window, the response of a slit
+aperture.  Each detector integrates independently over its own
+acceptance, so the blur is a circular convolution of the 2D rate map
+R = |F|**2 along each detector axis with the unit-sum, symmetric
+kernel w of reach t.  The blurred diagonal at a shift of s bins is
+D[i] = sum_a sum_b w_a w_b R[(i+a) mod n, (i+s+b) mod n], and the
+blurred singles are the 1D blur of the row sums of R.
 
-- the blurred diagonal at a shift of s bins is
-  D[i] = sum_a sum_b w_a w_b R[(i+a) mod n, (i+s+b) mod n]
-  (blurred_diagonal);
-- the blurred singles are the 1D blur of the row sums of R, because the
-  blur along the second axis keeps each row's mass.
+When P vanishes outside S x S for a set S of m grid samples (the
+spot's support), support_profiles takes both cuts from n x m arrays
+in place of n x n ones, through three identities:
+
+- first axis: C = W_S B, with B the m x m block of P and W_S the m
+  columns of W on S, is one centered 1D FFT of B zero-padded to n x m;
+- diagonal band: shifting the row of W by c bins multiplies column l
+  of W_S by the phase exp(-2*pi*i*c*(S_l - n/2)/n), so
+  R[p, (p+c) mod n] = |((C o W_S) Phi)[p, c]|**2 for the 4t+1 shifts
+  c = s-2t..s+2t that D reads, with Phi[l, c] that phase;
+- singles: Parseval along the second axis gives
+  sum_q R[p, q] = n * sum_l |C[p, l]|**2.
+
+Every phase is read from the table of the n roots of unity at an exact
+integer index, so no precision is lost to large arguments.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import BinSnapWarning, ParameterError
+from .errors import BinSnapWarning, ParameterError, warn_caller
 from .lattice import TWO_PI, SpatialGrid, angles_of
 
 
@@ -85,18 +97,15 @@ def coincidence_map(far, grid: SpatialGrid, wavelength: float) -> RateMap:
 
 
 def _snap_shift(angles: np.ndarray, separation: float) -> int:
-    """Detector separation in whole angle bins, warning when it had to round.
-
-    The BinSnapWarning points at the caller of the public cut function.
-    """
+    """Detector separation in whole angle bins, warning when it had to round."""
     bin_width = angles[1] - angles[0]
     shift_exact = separation / bin_width
     shift = int(round(shift_exact))
     if abs(shift_exact - shift) > 1e-9:
-        warnings.warn(
+        warn_caller(
             f"detector separation {separation:.6g} rad is not a multiple of the "
             f"{bin_width:.6g} rad angular bin; snapped to {shift} bins",
-            BinSnapWarning, stacklevel=3)
+            BinSnapWarning)
     if abs(shift) >= angles.size:
         raise ParameterError(
             f"detector separation {separation:.6g} rad exceeds the angular window")
@@ -119,30 +128,6 @@ def diagonal_profile(rate_map: RateMap, separation: float = 0.0) -> RateProfile:
     """
     shift = _snap_shift(rate_map.angles, separation)
     values = np.diagonal(rate_map.values, offset=shift).copy()
-    return RateProfile(angles=_cut_angles(rate_map.angles, shift), values=values)
-
-
-def blurred_diagonal(rate_map: RateMap, width: float, separation: float = 0.0) -> RateProfile:
-    """diagonal_profile(blur(rate_map, width), separation) without the blurred map.
-
-    Sums w_a*w_b*R[(i+a) mod n, (i+s+b) mod n] over all kernel offsets
-    a, b: taps**2 gathers of one cut's length instead of 2*taps full
-    n x n copies.  Every term is nonnegative, so the tails keep full
-    relative precision.  Width and separation are checked as by blur
-    and diagonal_profile.
-    """
-    kernel = _blur_kernel(width, rate_map.angles)
-    shift = _snap_shift(rate_map.angles, separation)
-    n = rate_map.grid.n
-    rows = np.arange(max(0, -shift), min(n, n - shift))
-    offsets = np.arange(kernel.size) - kernel.size // 2
-    first = (rows + offsets[:, None]) % n
-    second = (rows + shift + offsets[:, None]) % n
-    # One (taps, len) gather per first-detector tap: a single (taps, taps,
-    # len) gather is 16 MB at n = 2048 and raises the process's peak memory.
-    values = np.zeros(rows.size)
-    for weight, first_rows in zip(kernel, first):
-        values += weight * (kernel @ rate_map.values[first_rows, second])
     return RateProfile(angles=_cut_angles(rate_map.angles, shift), values=values)
 
 
@@ -206,3 +191,51 @@ def blur(obj, width: float):
         values = _smooth_axis(values, kernel, axis)
     values.setflags(write=False)
     return replace(obj, values=values)
+
+
+def support_profiles(pair, support, grid: SpatialGrid, wavelength: float, width: float,
+                     separation: float = 0.0) -> tuple[RateProfile, RateProfile]:
+    """Blurred diagonal and singles cuts of the far field of a pair amplitude on `support`.
+
+    pair is the m x m block on the grid indices `support` of an n x n
+    joint amplitude P that vanishes elsewhere.  The result equals
+    diagonal_profile(blur(R, width), separation) and
+    blur(singles_profile(R), width) for R = coincidence_map(
+    to_far_field(P, grid), grid, wavelength), up to rounding, and is
+    computed through the identities in the module docstring in
+    O(n*m*(log(n) + taps)) time and O(n*(m + taps)) memory.  Width and
+    separation are checked as by blur and diagonal_profile.
+    """
+    support = np.asarray(support)
+    if np.shape(pair) != (support.size, support.size):
+        raise ParameterError(
+            f"pair must have shape ({support.size}, {support.size}) to match the "
+            f"support, got {np.shape(pair)}")
+    n = grid.n
+    angles = angles_of(grid, wavelength)
+    kernel = _blur_kernel(width, angles)
+    shift = _snap_shift(angles, separation)
+    reach = kernel.size // 2
+
+    padded = np.zeros((n, support.size), dtype=complex)
+    padded[support] = pair
+    first = np.fft.fftshift(np.fft.fft(np.fft.ifftshift(padded, axes=0), axis=0), axes=0)
+    first *= grid.dx ** 2 / TWO_PI
+
+    roots = np.exp(np.arange(n) * (-1j * TWO_PI / n))
+    centred = support - n // 2
+    columns = roots[np.outer(np.arange(n) - n // 2, centred) % n]
+    shifts = np.arange(shift - 2 * reach, shift + 2 * reach + 1)
+    # band[p, c] = R[p, (p + shifts[c]) mod n]
+    band = np.abs((first * columns) @ roots[np.outer(centred, shifts) % n]) ** 2
+
+    # first-detector offset a - reach reads second-detector offsets
+    # b - reach at band column b - a + 2*reach
+    rows = np.arange(max(0, -shift), min(n, n - shift))
+    diagonal = np.zeros(rows.size)
+    for a, weight in enumerate(kernel):
+        diagonal += weight * (band[(rows + a - reach) % n, 2 * reach - a:4 * reach - a + 1]
+                              @ kernel)
+    singles = n * grid.dk * np.sum(np.abs(first) ** 2, axis=1)
+    return (RateProfile(angles=_cut_angles(angles, shift), values=diagonal),
+            blur(RateProfile(angles=angles, values=singles), width))

@@ -5,6 +5,17 @@ defaults reproduce the reference setup used throughout: 780 nm photons,
 25 um grating period blazed for 500 nm, 29 um spot imaged from the pair
 source (near mode), 10 mrad detector resolution, 512 samples over a
 600 um window.
+
+Two evaluators share the grid, the transmission A and the pair
+amplitude builder.  rate_map_for runs the full chain on the n x n grid
+(pair amplitude, 2D FFT, |F|**2, 2D blur) for the map that simulate
+writes.  profiles_for, which every fit and sweep evaluation calls,
+builds the pair amplitude only on the spot's support S, where |A|
+exceeds SUPPORT_FLOOR times its peak (155 samples at the default 29 um
+spot and 1.17 um spacing, whatever n is), and takes the blurred
+diagonal and singles through propagation.support_profiles: a centered
+1D FFT along the first axis of the support block, the diagonal band
+read through a column phase, and the singles through Parseval.
 """
 
 from __future__ import annotations
@@ -18,11 +29,16 @@ from .biphoton import two_photon_amplitude
 from .errors import ConfigError
 from .lattice import SpatialGrid, make_grid
 from .optics import transmission
-from .propagation import (RateMap, RateProfile, blur, blurred_diagonal,
-                          coincidence_map, singles_profile, to_far_field)
+from .propagation import (RateMap, RateProfile, blur, coincidence_map, support_profiles,
+                          to_far_field)
 
-# The forward chain holds several n x n complex128 arrays at once.
+# The full-map chain holds several n x n complex128 arrays at once.
 MAX_GRID_N = 4096
+
+# Samples where |A| is below this fraction of its peak are left out of
+# profiles_for's pair amplitude.  Their terms sit far below rounding: the
+# profiles agree with the cuts of rate_map_for to ~3e-14 relative.
+SUPPORT_FLOOR = 1e-17
 
 # How parse_config reads a value for each field annotation of ScenarioConfig,
 # and what a value that fails to read must be.
@@ -59,6 +75,9 @@ class ScenarioConfig:
         for name in ("detector_separation_mrad", "angle_offset_mrad"):
             if not np.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite")
+        if not self.output_prefix.strip():
+            raise ConfigError(
+                f"output_prefix must name the output files, got {self.output_prefix!r}")
         if self.illumination not in ("near", "far"):
             raise ConfigError(
                 f"illumination must be 'near' or 'far', got {self.illumination!r}")
@@ -135,18 +154,13 @@ def transmission_for(config: ScenarioConfig, grid: SpatialGrid | None = None) ->
                         config.wavelength_um, config.spot_diameter_um)
 
 
-def _coincidence_map_for(config: ScenarioConfig, sigma_um: float | None) -> RateMap:
-    """Unblurred rate map: grid, transmission, pair amplitude, far field, |F|**2."""
+def rate_map_for(config: ScenarioConfig, sigma_um: float | None = None) -> RateMap:
+    """Run the full forward chain on the n x n grid; sigma_um overrides the configured width."""
     grid = grid_for(config)
     amp = transmission_for(config, grid)
     sigma = config.sigma_corr_um if sigma_um is None else float(sigma_um)
-    far = to_far_field(two_photon_amplitude(amp, sigma, config.illumination, grid), grid)
-    return coincidence_map(far, grid, config.wavelength_um)
-
-
-def rate_map_for(config: ScenarioConfig, sigma_um: float | None = None) -> RateMap:
-    """Run the full forward chain; sigma_um overrides the configured width."""
-    rmap = _coincidence_map_for(config, sigma_um)
+    pair = two_photon_amplitude(amp, sigma, config.illumination, grid.x, grid.dx)
+    rmap = coincidence_map(to_far_field(pair, grid), grid, config.wavelength_um)
     if config.resolution_mrad > 0.0:
         rmap = blur(rmap, config.resolution_mrad * 1e-3)
     return rmap
@@ -156,10 +170,18 @@ def profiles_for(config: ScenarioConfig,
                  sigma_um: float | None = None) -> tuple[RateProfile, RateProfile]:
     """Diagonal (at the configured detector separation) and singles profiles.
 
-    Both are the cuts of rate_map_for's blurred map, taken from the
-    unblurred map without building the blurred one (see propagation).
+    Both are the cuts of rate_map_for's blurred map up to rounding,
+    computed on the spot's support from n x m arrays in place of n x n
+    ones (see the module docstring).
     """
-    rmap = _coincidence_map_for(config, sigma_um)
-    width = config.resolution_mrad * 1e-3
-    diagonal = blurred_diagonal(rmap, width, config.detector_separation_mrad * 1e-3)
-    return diagonal, blur(singles_profile(rmap), width)
+    grid = grid_for(config)
+    amp = transmission_for(config, grid)
+    magnitude = np.abs(amp)
+    inside = np.flatnonzero(magnitude > SUPPORT_FLOOR * magnitude.max())
+    support = np.arange(inside[0], inside[-1] + 1)
+    sigma = config.sigma_corr_um if sigma_um is None else float(sigma_um)
+    pair = two_photon_amplitude(amp[support], sigma, config.illumination,
+                                grid.x[support], grid.dx)
+    return support_profiles(pair, support, grid, config.wavelength_um,
+                            config.resolution_mrad * 1e-3,
+                            config.detector_separation_mrad * 1e-3)

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from pairgrating import correlation_factor, make_grid, transmission, two_photon_amplitude
+from pairgrating import (ScenarioConfig, correlation_factor, make_grid, profiles_for,
+                         rate_map_for, transmission, two_photon_amplitude)
 from pairgrating.errors import DegenerateInputError, ParameterError, SamplingWarning
 
 from conftest import BLAZE, PERIOD, WAVELENGTH
@@ -39,12 +40,12 @@ def small_amp(small_grid):
 
 @pytest.mark.parametrize("mode", ["near", "far"])
 def test_joint_amplitude_exchange_symmetric(small_grid, small_amp, mode):
-    f = two_photon_amplitude(small_amp, 9.0, mode, small_grid)
+    f = two_photon_amplitude(small_amp, 9.0, mode, small_grid.x, small_grid.dx)
     np.testing.assert_array_equal(f, f.T)
 
 
 def test_joint_amplitude_normalized(small_grid, small_amp):
-    f = two_photon_amplitude(small_amp, 9.0, "near", small_grid)
+    f = two_photon_amplitude(small_amp, 9.0, "near", small_grid.x, small_grid.dx)
     total = np.sum(np.abs(f) ** 2) * small_grid.dx ** 2
     assert total == pytest.approx(1.0, abs=1e-12)
 
@@ -54,16 +55,16 @@ def test_weak_correlation_gives_separable_amplitude(small_grid, small_amp):
     # with itself; the residual shrinks like 1/sigma**2
     outer = small_amp[:, None] * small_amp[None, :]
     outer = outer / np.sqrt(np.sum(np.abs(outer) ** 2) * small_grid.dx ** 2)
-    f7 = two_photon_amplitude(small_amp, 1e7, "near", small_grid)
+    f7 = two_photon_amplitude(small_amp, 1e7, "near", small_grid.x, small_grid.dx)
     assert np.max(np.abs(f7 - outer)) <= 1e-12
-    f6 = two_photon_amplitude(small_amp, 1e6, "near", small_grid)
+    f6 = two_photon_amplitude(small_amp, 1e6, "near", small_grid.x, small_grid.dx)
     assert np.max(np.abs(f6 - outer)) <= 5e-12
 
 
 def test_strong_correlation_gives_diagonal_matrix(small_grid, small_amp):
     sigma = 0.01 * small_grid.dx
     with pytest.warns(SamplingWarning):
-        f = two_photon_amplitude(small_amp, sigma, "near", small_grid)
+        f = two_photon_amplitude(small_amp, sigma, "near", small_grid.x, small_grid.dx)
     # one grid spacing away the Gaussian weight is exp(-5000), which
     # underflows to exactly zero
     for offset in (1, 2, 5):
@@ -75,20 +76,35 @@ def test_sampling_warning_threshold(small_grid, small_amp):
     import warnings
     with warnings.catch_warnings():
         warnings.simplefilter("error", SamplingWarning)
-        two_photon_amplitude(small_amp, small_grid.dx, "near", small_grid)
+        two_photon_amplitude(small_amp, small_grid.dx, "near", small_grid.x, small_grid.dx)
     with pytest.warns(SamplingWarning):
-        two_photon_amplitude(small_amp, 0.4 * small_grid.dx, "near", small_grid)
+        two_photon_amplitude(small_amp, 0.4 * small_grid.dx, "near", small_grid.x, small_grid.dx)
+
+
+@pytest.mark.parametrize("entry", ["two_photon_amplitude", "profiles_for", "rate_map_for"])
+def test_sampling_warning_names_the_calling_line(small_grid, small_amp, entry):
+    config = ScenarioConfig(grid_n=128, window_um=300.0)
+    sigma = 0.4 * small_grid.dx
+    with pytest.warns(SamplingWarning) as caught:
+        if entry == "two_photon_amplitude":
+            two_photon_amplitude(small_amp, sigma, "near", small_grid.x, small_grid.dx)
+        elif entry == "profiles_for":
+            profiles_for(config, sigma_um=sigma)
+        else:
+            rate_map_for(config, sigma_um=sigma)
+    assert [w.filename for w in caught] == [__file__]
 
 
 def test_zero_amplitude_rejected(small_grid):
     with pytest.raises(DegenerateInputError):
-        two_photon_amplitude(np.zeros(small_grid.n, dtype=complex), 9.0, "near", small_grid)
+        two_photon_amplitude(np.zeros(small_grid.n, dtype=complex), 9.0, "near",
+                             small_grid.x, small_grid.dx)
 
 
 def test_amplitude_shape_checked(small_grid):
     with pytest.raises(ParameterError):
         two_photon_amplitude(np.ones(small_grid.n + 2, dtype=complex), 9.0, "near",
-                             small_grid)
+                             small_grid.x, small_grid.dx)
 
 
 def test_mode_duality_for_symmetric_envelope():
@@ -96,8 +112,8 @@ def test_mode_duality_for_symmetric_envelope():
     # near-mode matrix with the second coordinate mirrored
     grid = make_grid(64, 200.0)
     envelope = np.exp(-((grid.x / 30.0) ** 2)).astype(complex)
-    near = two_photon_amplitude(envelope, 10.0, "near", grid)
-    far = two_photon_amplitude(envelope, 10.0, "far", grid)
+    near = two_photon_amplitude(envelope, 10.0, "near", grid.x, grid.dx)
+    far = two_photon_amplitude(envelope, 10.0, "far", grid.x, grid.dx)
     # x -> -x maps index l to n - l for l >= 1; index 0 has no partner
     np.testing.assert_array_equal(far[:, 1:], near[:, :0:-1])
 
@@ -108,13 +124,13 @@ def test_mass_near_diagonal_grows_with_correlation(grid512, amp_spot100):
     band = np.abs(grid512.x[:, None] - grid512.x[None, :]) <= 25.0
     fractions = []
     for sigma in (100.0, 31.0, 9.0, 3.0, 1.0):
-        f = two_photon_amplitude(amp_spot100, sigma, "near", grid512)
+        f = two_photon_amplitude(amp_spot100, sigma, "near", grid512.x, grid512.dx)
         weight = np.abs(f) ** 2
         fractions.append(float(weight[band].sum() / weight.sum()))
     assert all(b >= a - 1e-12 for a, b in zip(fractions, fractions[1:]))
 
 
 def test_values_read_only(small_grid, small_amp):
-    f = two_photon_amplitude(small_amp, 9.0, "near", small_grid)
+    f = two_photon_amplitude(small_amp, 9.0, "near", small_grid.x, small_grid.dx)
     with pytest.raises(ValueError):
         f[0, 0] = 0.0

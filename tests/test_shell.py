@@ -55,6 +55,7 @@ def test_comments_and_blank_lines(tmp_path):
     ("grid_n=64\n", "coarse"),          # dx = 9.375 um > period/4
     ("spot_diameter_um\n", "key=value"),
     ("grid_n = 512\n# smaller\ngrid_n = 256\n", "line 3: key 'grid_n' repeats the one on line 1"),
+    ("output_prefix =\n", "output_prefix"),
 ])
 def test_config_errors(tmp_path, text, fragment):
     with pytest.raises(ConfigError, match=fragment):
@@ -77,6 +78,12 @@ def test_grid_n_memory_guard():
     assert ScenarioConfig(grid_n=4096).grid_n == 4096
     with pytest.raises(ConfigError, match=r"grid_n .* 4098x4098 complex128 array is 268697664 bytes"):
         ScenarioConfig(grid_n=4098)
+
+
+@pytest.mark.parametrize("prefix", ["", "   "])
+def test_output_prefix_must_not_be_blank(prefix):
+    with pytest.raises(ConfigError, match="output_prefix"):
+        ScenarioConfig(output_prefix=prefix)
 
 
 def test_every_key_parses(tmp_path):
@@ -212,6 +219,10 @@ def test_cli_exit_codes(tmp_path, monkeypatch):
     assert main(["sweep", str(cfg), "1,abc"]) == 2
     assert main(["sweep", str(cfg), "1,-3"]) == 2
     assert main(["sweep", str(cfg), ","]) == 2                    # no widths
+
+    blank = _config(tmp_path, FAST + "output_prefix =\n", name="blank.cfg")
+    assert main(["simulate", str(blank)]) == 2                    # no file name
+    assert not (tmp_path / "_map.csv").exists()
 
     unwritable = _config(tmp_path, FAST + "output_prefix=/no/such/dir/run\n",
                          name="unwritable.cfg")
