@@ -292,9 +292,10 @@ def fit_sigma(measurement: Measurement, scenario: ScenarioConfig) -> FitResult:
     where the model is the blurred forward profile (matching the
     measurement channel) interpolated to the scan angles.  The width
     search is a 25-point logarithmic grid over [0.5, 200] um followed by
-    golden-section refinement to a relative width of 1e-3.  Fully
-    deterministic; a flat landscape or a boundary minimum yields a
-    non-converged result with diagnostics rather than a silent answer.
+    golden-section refinement to a relative width of 1e-3, evaluating
+    each width once.  Fully deterministic; a flat landscape or a
+    boundary minimum yields a non-converged result at the coarse-grid
+    best, with diagnostics rather than a silent answer.
     """
     rates = measurement.rates
     if measurement.rate_errors is not None:
@@ -302,69 +303,57 @@ def fit_sigma(measurement: Measurement, scenario: ScenarioConfig) -> FitResult:
     else:
         weights = np.ones_like(rates)
 
-    evaluations = 0
+    evaluations: list[tuple[float, float, float, float]] = []
 
-    def objective(sigma: float) -> tuple[float, float, float]:
-        nonlocal evaluations
-        evaluations += 1
-        with warnings.catch_warnings():
-            # the search grid probes widths below the sampling limit by
-            # design; warning on every probe would only be noise
-            warnings.simplefilter("ignore", SamplingWarning)
-            model = forward_on_angles(scenario, sigma, measurement.angles,
-                                      channel=measurement.channel)
+    def objective(sigma: float) -> float:
+        model = forward_on_angles(scenario, sigma, measurement.angles,
+                                  channel=measurement.channel)
         scale, background = _scale_and_background(model, rates, weights)
         residual = rates - (scale * model + background)
-        return float(np.sum(weights * residual * residual)), scale, background
+        sse = float(np.sum(weights * residual * residual))
+        evaluations.append((sigma, sse, scale, background))
+        return sse
 
     coarse = np.geomspace(SIGMA_RANGE[0], SIGMA_RANGE[1], COARSE_POINTS)
-    coarse_sse = np.array([objective(s)[0] for s in coarse])
-
-    best = int(np.argmin(coarse_sse))
-    sse_spread = float(coarse_sse.max() - coarse_sse.min())
-    # Flatness is judged against the data scale, not against the SSE values
-    # themselves: data the model fits exactly for every width (for example a
-    # constant rate) leave only rounding noise in the landscape.
-    data_scale = float(np.sum(weights * rates * rates))
-    if sse_spread <= FLAT_LANDSCAPE_REL * max(float(coarse_sse.max()), data_scale):
-        sse, scale, background = objective(float(coarse[best]))
-        return FitResult(
-            sigma_corr=float(coarse[best]), scale=scale, background=background,
-            residual_sse=sse, n_evaluations=evaluations, converged=False,
-            message="flat objective: the data do not constrain the correlation width")
-    if best in (0, COARSE_POINTS - 1):
-        sse, scale, background = objective(float(coarse[best]))
-        return FitResult(
-            sigma_corr=float(coarse[best]), scale=scale, background=background,
-            residual_sse=sse, n_evaluations=evaluations, converged=False,
-            message=f"minimum at the search boundary sigma = {coarse[best]:.6g} um "
-                    f"(range {SIGMA_RANGE[0]} to {SIGMA_RANGE[1]} um)")
-
-    # Golden-section refinement inside the bracketing coarse interval.
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    lo, hi = float(coarse[best - 1]), float(coarse[best + 1])
-    c = hi - inv_phi * (hi - lo)
-    d = lo + inv_phi * (hi - lo)
-    f_c = objective(c)[0]
-    f_d = objective(d)[0]
-    while hi - lo > REFINE_REL_WIDTH * 0.5 * (lo + hi):
-        if f_c <= f_d:
-            hi, d, f_d = d, c, f_c
-            c = hi - inv_phi * (hi - lo)
-            f_c = objective(c)[0]
+    message = ""
+    with warnings.catch_warnings():
+        # the search grid probes widths below the sampling limit by design;
+        # warning on every probe would only be noise
+        warnings.simplefilter("ignore", SamplingWarning)
+        coarse_sse = np.array([objective(float(s)) for s in coarse])
+        best = int(np.argmin(coarse_sse))
+        sse_spread = float(coarse_sse.max() - coarse_sse.min())
+        # Flatness is judged against the data scale, not against the SSE values
+        # themselves: data the model fits exactly for every width (for example a
+        # constant rate) leave only rounding noise in the landscape.
+        data_scale = float(np.sum(weights * rates * rates))
+        if sse_spread <= FLAT_LANDSCAPE_REL * max(float(coarse_sse.max()), data_scale):
+            message = "flat objective: the data do not constrain the correlation width"
+        elif best in (0, COARSE_POINTS - 1):
+            message = (f"minimum at the search boundary sigma = {coarse[best]:.6g} um "
+                       f"(range {SIGMA_RANGE[0]} to {SIGMA_RANGE[1]} um)")
         else:
-            lo, c, f_c = c, d, f_d
+            # Golden-section refinement inside the bracketing coarse interval.
+            inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+            lo, hi = float(coarse[best - 1]), float(coarse[best + 1])
+            c = hi - inv_phi * (hi - lo)
             d = lo + inv_phi * (hi - lo)
-            f_d = objective(d)[0]
+            f_c = objective(c)
+            f_d = objective(d)
+            while hi - lo > REFINE_REL_WIDTH * 0.5 * (lo + hi):
+                if f_c <= f_d:
+                    hi, d, f_d = d, c, f_c
+                    c = hi - inv_phi * (hi - lo)
+                    f_c = objective(c)
+                else:
+                    lo, c, f_c = c, d, f_d
+                    d = lo + inv_phi * (hi - lo)
+                    f_d = objective(d)
+            objective(0.5 * (lo + hi))
 
-    sigma_best = 0.5 * (lo + hi)
-    sse, scale, background = objective(sigma_best)
-    if not (scale > 0.0) or not math.isfinite(sse):
-        return FitResult(
-            sigma_corr=sigma_best, scale=scale, background=background,
-            residual_sse=sse, n_evaluations=evaluations, converged=False,
-            message=f"degenerate solution at sigma = {sigma_best:.6g} um: "
-                    f"scale = {scale:.6g}")
-    return FitResult(
-        sigma_corr=sigma_best, scale=scale, background=background,
-        residual_sse=sse, n_evaluations=evaluations, converged=True)
+    # A non-converged search reports its coarse best, a refined one its last evaluation.
+    sigma, sse, scale, background = evaluations[best] if message else evaluations[-1]
+    if not message and (not (scale > 0.0) or not math.isfinite(sse)):
+        message = f"degenerate solution at sigma = {sigma:.6g} um: scale = {scale:.6g}"
+    return FitResult(sigma_corr=sigma, scale=scale, background=background, residual_sse=sse,
+                     n_evaluations=len(evaluations), converged=not message, message=message)

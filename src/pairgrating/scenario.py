@@ -161,9 +161,7 @@ def rate_map_for(config: ScenarioConfig, sigma_um: float | None = None) -> RateM
     sigma = config.sigma_corr_um if sigma_um is None else float(sigma_um)
     pair = two_photon_amplitude(amp, sigma, config.illumination, grid.x, grid.dx)
     rmap = coincidence_map(to_far_field(pair, grid), grid, config.wavelength_um)
-    if config.resolution_mrad > 0.0:
-        rmap = blur(rmap, config.resolution_mrad * 1e-3)
-    return rmap
+    return blur(rmap, config.resolution_mrad * 1e-3)
 
 
 def profiles_for(config: ScenarioConfig,

@@ -6,13 +6,15 @@ configuration.  Emitted rates are normalized to unit peak for plotting
 comparability, angles are written in mrad.
 
 Exit codes: 0 success, 2 config or parse error, 3 I/O error, 4 fit did
-not converge.
+not converge.  Each distinct warning a command raises is printed once to
+stderr as `warning: <message>`.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 
 import numpy as np
 
@@ -34,9 +36,10 @@ def _unit_peak(values: np.ndarray) -> np.ndarray:
     return values / peak if peak > 0.0 else values
 
 
-def _write_profile_csv(path: str, profile) -> None:
-    data = np.column_stack([profile.angles * 1e3, _unit_peak(profile.values)])
-    np.savetxt(path, data, delimiter=",", header="angle_mrad,rate", comments="", fmt="%.10g")
+def _write_csv(path: str, header: str, columns) -> None:
+    """Comma-separated columns under a one-line header, 10 significant digits."""
+    np.savetxt(path, np.column_stack(columns), delimiter=",", header=header, comments="",
+               fmt="%.10g")
 
 
 def run_simulate(config: ScenarioConfig) -> list[str]:
@@ -50,16 +53,13 @@ def run_simulate(config: ScenarioConfig) -> list[str]:
     singles_path = f"{prefix}_singles.csv"
     map_path = f"{prefix}_map.csv"
 
-    _write_profile_csv(diagonal_path, diagonal)
-    _write_profile_csv(singles_path, singles)
+    for path, profile in ((diagonal_path, diagonal), (singles_path, singles)):
+        _write_csv(path, "angle_mrad,rate", [profile.angles * 1e3, _unit_peak(profile.values)])
 
     angles_mrad = rmap.angles * 1e3
-    first = np.repeat(angles_mrad, angles_mrad.size)
-    second = np.tile(angles_mrad, angles_mrad.size)
-    np.savetxt(map_path,
-               np.column_stack([first, second, _unit_peak(rmap.values).ravel()]),
-               delimiter=",", header="angle1_mrad,angle2_mrad,rate", comments="",
-               fmt="%.10g")
+    _write_csv(map_path, "angle1_mrad,angle2_mrad,rate",
+               [np.repeat(angles_mrad, angles_mrad.size), np.tile(angles_mrad, angles_mrad.size),
+                _unit_peak(rmap.values).ravel()])
 
     for path in (diagonal_path, singles_path, map_path):
         print(f"wrote {path}")
@@ -83,8 +83,7 @@ def run_fit(config: ScenarioConfig, data_path: str) -> FitResult:
                               channel=measurement.channel)
     curve = result.scale * model + result.background
     path = f"{config.output_prefix}_fitcurve.csv"
-    np.savetxt(path, np.column_stack([measurement.angles * 1e3, curve]),
-               delimiter=",", header="angle_mrad,rate", comments="", fmt="%.10g")
+    _write_csv(path, "angle_mrad,rate", [measurement.angles * 1e3, curve])
     print(f"wrote {path}")
     return result
 
@@ -104,8 +103,7 @@ def run_sweep(config: ScenarioConfig, sigmas: list[float]) -> list[tuple[float, 
         print(f"sigma = {sigma:10.4g} um   od_ratio = {ratio:10.4g}   "
               f"singles_visibility = {vis:8.4g}")
     path = f"{config.output_prefix}_sweep.csv"
-    np.savetxt(path, np.asarray(rows), delimiter=",",
-               header="sigma_um,od_ratio,singles_visibility", comments="", fmt="%.10g")
+    _write_csv(path, "sigma_um,od_ratio,singles_visibility", np.transpose(rows))
     print(f"wrote {path}")
     return rows
 
@@ -139,23 +137,34 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    try:
-        config = parse_config(args.config)
-        if args.command == "simulate":
-            run_simulate(config)
-            return EXIT_OK
-        if args.command == "fit":
-            result = run_fit(config, args.data)
-            return EXIT_OK if result.converged else EXIT_NOT_CONVERGED
-        if args.command == "sweep":
-            run_sweep(config, _parse_sigma_list(args.sigmas))
-            return EXIT_OK
-    except (ConfigError, MeasurementFormatError, ParameterError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as exc:
-        print(f"I/O error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    shown: set[str] = set()
+
+    def show_once(message, *_) -> None:
+        # one command may raise the same warning in every forward evaluation,
+        # and the line it names is no use to a command-line user
+        if str(message) not in shown:
+            shown.add(str(message))
+            print(f"warning: {message}", file=sys.stderr)
+
+    with warnings.catch_warnings():
+        warnings.showwarning = show_once
+        try:
+            config = parse_config(args.config)
+            if args.command == "simulate":
+                run_simulate(config)
+                return EXIT_OK
+            if args.command == "fit":
+                result = run_fit(config, args.data)
+                return EXIT_OK if result.converged else EXIT_NOT_CONVERGED
+            if args.command == "sweep":
+                run_sweep(config, _parse_sigma_list(args.sigmas))
+                return EXIT_OK
+        except (ConfigError, MeasurementFormatError, ParameterError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
+        except OSError as exc:
+            print(f"I/O error: {exc}", file=sys.stderr)
+            return EXIT_IO
     raise AssertionError(f"unhandled command {args.command!r}")
 
 

@@ -1,11 +1,15 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from pairgrating import (Measurement, ScenarioConfig, fit_sigma,
                          forward_on_angles, load_measurement, od_ratio,
                          visibility)
+from pairgrating import inference
 from pairgrating.propagation import RateProfile
-from pairgrating.errors import MeasurementFormatError, ParameterError
+from pairgrating.errors import (BinSnapWarning, MeasurementFormatError, ParameterError,
+                                SamplingWarning)
 
 from conftest import PERIOD, WAVELENGTH
 
@@ -236,18 +240,70 @@ def test_fit_scale_equivariance(fast_config):
     assert odd.sigma_corr == pytest.approx(base.sigma_corr, rel=1e-9)
 
 
+def _quiet_model(config, sigma):
+    """forward_on_angles on SCAN, also at widths below the grid's sampling limit."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", SamplingWarning)
+        return forward_on_angles(config, sigma, SCAN)
+
+
+def _assert_coarse_best(result, rates, config):
+    """A non-converged fit reports the coarse grid's best point, evaluated once each."""
+    assert result.n_evaluations == inference.COARSE_POINTS
+    landscape = []  # (sigma, sse, scale, background) at each coarse width, by hand
+    for sigma in np.geomspace(*inference.SIGMA_RANGE, inference.COARSE_POINTS):
+        model = _quiet_model(config, sigma)
+        weights = np.ones_like(rates)
+        scale, background = inference._scale_and_background(model, rates, weights)
+        residual = rates - (scale * model + background)
+        landscape.append((sigma, float(np.sum(weights * residual * residual)), scale, background))
+    best = min(landscape, key=lambda point: point[1])
+    assert (result.sigma_corr, result.residual_sse, result.scale, result.background) == best
+
+
 def test_fit_flat_data_not_converged(fast_config):
-    result = fit_sigma(Measurement(angles=SCAN, rates=np.full(SCAN.size, 7.0)),
-                       fast_config)
+    rates = np.full(SCAN.size, 7.0)
+    filters = list(warnings.filters)
+    result = fit_sigma(Measurement(angles=SCAN, rates=rates), fast_config)
+    assert warnings.filters == filters
     assert not result.converged
     assert "flat" in result.message
+    _assert_coarse_best(result, rates, fast_config)
 
 
 def test_fit_boundary_not_converged(fast_config):
-    model = forward_on_angles(fast_config, 0.4, SCAN)  # below the search range
+    with pytest.warns(SamplingWarning):
+        model = forward_on_angles(fast_config, 0.4, SCAN)  # below the search range
     result = fit_sigma(Measurement(angles=SCAN, rates=900.0 * model), fast_config)
     assert not result.converged
     assert "boundary" in result.message
+    _assert_coarse_best(result, 900.0 * model, fast_config)
+
+
+@pytest.mark.parametrize("sigma", [0.4, 13.0])  # a boundary and a refined fit
+def test_fit_evaluates_each_width_once(fast_config, monkeypatch, sigma):
+    model = _quiet_model(fast_config, sigma)
+    widths = []
+
+    def recording(config, sigma_um, *args, **kwargs):
+        widths.append(sigma_um)
+        return forward_on_angles(config, sigma_um, *args, **kwargs)
+
+    monkeypatch.setattr(inference, "forward_on_angles", recording)
+    result = fit_sigma(Measurement(angles=SCAN, rates=900.0 * model), fast_config)
+    assert result.n_evaluations == len(widths) == len(set(widths))
+
+
+def test_fit_warns_once_per_location():
+    # 4 mrad is not a whole number of 2.6 mrad bins, so every evaluation snaps
+    config = ScenarioConfig(grid_n=256, window_um=300.0, detector_separation_mrad=4.0)
+    with pytest.warns(BinSnapWarning):
+        model = forward_on_angles(config, 13.0, SCAN)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("default")  # Python's own action for a UserWarning
+        result = fit_sigma(Measurement(angles=SCAN, rates=900.0 * model), config)
+    assert result.converged
+    assert [w.category for w in caught] == [BinSnapWarning]
 
 
 @pytest.mark.parametrize("keys", [

@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 import pairgrating
-from pairgrating import ScenarioConfig, load_measurement, parse_config, visibility
-from pairgrating.errors import ConfigError
+from pairgrating import (ScenarioConfig, forward_on_angles, load_measurement, parse_config,
+                         visibility)
+from pairgrating.errors import BinSnapWarning, ConfigError, SamplingWarning
 from pairgrating.scenario import MAX_GRID_N
 from pairgrating.propagation import RateProfile
 from pairgrating.shell import main, run_fit, run_simulate, run_sweep
@@ -170,7 +171,8 @@ def test_emitted_diagonal_round_trips_through_fit(tmp_path, monkeypatch):
 def test_sweep_rows_and_anticorrelation(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     config = parse_config(_config(tmp_path, FAST + "output_prefix=sw\n"))
-    rows = run_sweep(config, [0.5, 9.0, 100.0])
+    with pytest.warns(SamplingWarning):  # 0.5 um is below half the 1.17 um grid spacing
+        rows = run_sweep(config, [0.5, 9.0, 100.0])
     table = np.loadtxt(tmp_path / "sw_sweep.csv", delimiter=",", skiprows=1)
     assert (tmp_path / "sw_sweep.csv").read_text().splitlines()[0] == \
         "sigma_um,od_ratio,singles_visibility"
@@ -236,15 +238,46 @@ def test_cli_fit_round_trip_exit_zero(tmp_path, monkeypatch):
     assert main(["fit", str(cfg), "cli_diagonal.csv"]) == 0
 
 
-def test_module_entry_point(tmp_path):
-    cfg = _config(tmp_path, FAST + "output_prefix=mod\n")
+def _run_module(tmp_path, *args):
+    """Run `python -m pairgrating *args` in tmp_path."""
     # The child runs in tmp_path, where a relative PYTHONPATH entry such as
     # `src` no longer resolves; hand it the absolute directory that holds the
     # package imported here, ahead of whatever PYTHONPATH already lists.
     env = os.environ.copy()
     package_root = str(Path(pairgrating.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-m", "pairgrating", "simulate", str(cfg)],
+    return subprocess.run([sys.executable, "-m", "pairgrating", *args],
                           cwd=tmp_path, capture_output=True, text=True, env=env)
+
+
+def test_module_entry_point(tmp_path):
+    cfg = _config(tmp_path, FAST + "output_prefix=mod\n")
+    proc = _run_module(tmp_path, "simulate", str(cfg))
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "mod_diagonal.csv").exists()
+
+
+def test_cli_prints_a_sweep_warning_once(tmp_path):
+    cfg = _config(tmp_path, FAST + "output_prefix=sw\n")
+    proc = _run_module(tmp_path, "sweep", str(cfg), "0.1,9")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("warning: correlation width 0.1 um ")
+    assert "runpy" not in proc.stderr
+
+
+def test_cli_prints_a_fit_warning_once(tmp_path):
+    # 4 mrad is not a whole number of 2.6 mrad bins, so every forward evaluation snaps
+    cfg = _config(tmp_path, FAST + "detector_separation_mrad=4\noutput_prefix=snap\n")
+    config = parse_config(cfg)
+    angles = np.linspace(-60.0, 60.0, 121)
+    with pytest.warns(BinSnapWarning):
+        rates = 900.0 * forward_on_angles(config, 13.0, angles * 1e-3)
+    scan = tmp_path / "scan.csv"
+    rows = "".join(f"{a},{r:.17g}\n" for a, r in zip(angles, rates))
+    scan.write_text("angle_mrad,rate\n" + rows, encoding="utf-8")
+    proc = _run_module(tmp_path, "fit", str(cfg), str(scan))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.splitlines() == [
+        "warning: detector separation 0.004 rad is not a multiple of the 0.0026 rad "
+        "angular bin; snapped to 2 bins"]
