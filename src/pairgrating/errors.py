@@ -1,8 +1,10 @@
-"""Exception and warning types shared across the package, and the warning helper."""
+"""Exception and warning types shared across the package, the warning helper,
+and the text-file reader that turns a decoding failure into one of the errors."""
 
 import os
 import sys
 import warnings
+from pathlib import Path
 
 _PACKAGE_DIR = os.path.dirname(__file__) + os.sep
 
@@ -45,3 +47,18 @@ def warn_caller(message: str, category: type) -> None:
     while frame is not None and frame.f_code.co_filename.startswith(_PACKAGE_DIR):
         frame, level = frame.f_back, level + 1
     warnings.warn(message, category, stacklevel=level)
+
+
+def read_lines(path, error: type[Exception]) -> list[str]:
+    """Lines of a UTF-8 text file; a leading byte-order mark is dropped.
+
+    A byte that is not UTF-8 raises `error` naming the file and the line
+    that holds it, in place of a UnicodeDecodeError.
+    """
+    try:
+        return Path(path).read_bytes().decode("utf-8-sig").splitlines()
+    except UnicodeDecodeError as exc:
+        # exc.object is the input after any byte-order mark, as exc.start counts it
+        line_no = exc.object.count(b"\n", 0, exc.start) + 1
+        raise error(f"{path}: line {line_no}: byte 0x{exc.object[exc.start]:02x} "
+                    f"is not UTF-8 text ({exc.reason})") from None

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import MeasurementFormatError, ParameterError, SamplingWarning
+from .errors import MeasurementFormatError, ParameterError, SamplingWarning, read_lines
 from .scenario import ScenarioConfig, profiles_for
 
 # Angular window used for visibility summaries (rad): the central region
@@ -92,12 +92,12 @@ class FitResult:
 def load_measurement(path, channel: str = "coincidences") -> Measurement:
     """Read an angular scan from a comma-separated text file.
 
-    Format: UTF-8, lines beginning with '#' are comments, first data
-    line must be the header `angle_mrad,rate` or
-    `angle_mrad,rate,rate_err`, then one sample per line with angles in
-    mrad (converted to rad here).  Comments of the form `# key: value`
-    are collected into metadata; a `channel` entry overrides the
-    argument.
+    Format: UTF-8 (a leading byte-order mark is dropped), lines
+    beginning with '#' are comments, first data line must be the header
+    `angle_mrad,rate` or `angle_mrad,rate,rate_err`, then one sample per
+    line with angles in mrad (converted to rad here).  Comments of the
+    form `# key: value` are collected into metadata; a `channel` entry
+    overrides the argument.
     """
     p = Path(path)
     if not p.is_file():
@@ -108,7 +108,7 @@ def load_measurement(path, channel: str = "coincidences") -> Measurement:
     rates: list[float] = []
     errors: list[float] = []
     row_lines: list[int] = []
-    for line_no, raw in enumerate(p.read_text(encoding="utf-8").splitlines(), start=1):
+    for line_no, raw in enumerate(read_lines(p, MeasurementFormatError), start=1):
         line = raw.strip()
         if not line:
             continue

@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .biphoton import two_photon_amplitude
-from .errors import ConfigError
+from .errors import ConfigError, read_lines
 from .lattice import SpatialGrid, make_grid
 from .optics import transmission
 from .propagation import (RateMap, RateProfile, blur, coincidence_map, support_profiles,
@@ -107,11 +107,11 @@ class ScenarioConfig:
 
 
 def parse_config(path) -> ScenarioConfig:
-    """Parse a key=value config file; '#' starts a comment.
+    """Parse a key=value config file of UTF-8 text; '#' starts a comment.
 
     Unspecified keys take the documented defaults.  Unknown or repeated
     keys, non-numeric values, and invariant violations raise ConfigError
-    naming the key.
+    naming the key; a byte that is not UTF-8 raises it naming the line.
     """
     p = Path(path)
     if not p.is_file():
@@ -119,7 +119,7 @@ def parse_config(path) -> ScenarioConfig:
     kinds = {field.name: field.type for field in fields(ScenarioConfig)}
     values: dict = {}
     key_lines: dict = {}
-    for line_no, raw in enumerate(p.read_text(encoding="utf-8").splitlines(), start=1):
+    for line_no, raw in enumerate(read_lines(p, ConfigError), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

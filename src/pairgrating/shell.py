@@ -36,10 +36,35 @@ def _unit_peak(values: np.ndarray) -> np.ndarray:
     return values / peak if peak > 0.0 else values
 
 
+# Every number in the CSV files, 10 significant digits.
+_NUMBER = "%.10g"
+
+
 def _write_csv(path: str, header: str, columns) -> None:
     """Comma-separated columns under a one-line header, 10 significant digits."""
-    np.savetxt(path, np.column_stack(columns), delimiter=",", header=header, comments="",
-               fmt="%.10g")
+    values = np.column_stack(columns)
+    row = ",".join([_NUMBER] * values.shape[1]) + "\n"
+    with open(path, "w", encoding="utf-8") as out:
+        out.write(header + "\n")
+        out.write(row * values.shape[0] % tuple(values.ravel().tolist()))
+
+
+def _write_map_csv(path: str, angles_mrad: np.ndarray, rates: np.ndarray) -> None:
+    """The n x n map as angle1,angle2,rate rows, angle1 outer, in _write_csv's format.
+
+    Each angle is formatted once, into the labels of a one-map-row
+    template, so each map row costs one format call on its n rates and
+    no n**2-row array is built.
+    """
+    labels = [_NUMBER % angle for angle in angles_mrad.tolist()]
+    template = "".join(f"%s,{label},{_NUMBER}\n" for label in labels)
+    pairs = [None] * (2 * len(labels))
+    with open(path, "w", encoding="utf-8") as out:
+        out.write("angle1_mrad,angle2_mrad,rate\n")
+        for label, row in zip(labels, rates):
+            pairs[0::2] = [label] * len(labels)
+            pairs[1::2] = row.tolist()
+            out.write(template % tuple(pairs))
 
 
 def run_simulate(config: ScenarioConfig) -> list[str]:
@@ -56,10 +81,7 @@ def run_simulate(config: ScenarioConfig) -> list[str]:
     for path, profile in ((diagonal_path, diagonal), (singles_path, singles)):
         _write_csv(path, "angle_mrad,rate", [profile.angles * 1e3, _unit_peak(profile.values)])
 
-    angles_mrad = rmap.angles * 1e3
-    _write_csv(map_path, "angle1_mrad,angle2_mrad,rate",
-               [np.repeat(angles_mrad, angles_mrad.size), np.tile(angles_mrad, angles_mrad.size),
-                _unit_peak(rmap.values).ravel()])
+    _write_map_csv(map_path, rmap.angles * 1e3, _unit_peak(rmap.values))
 
     for path in (diagonal_path, singles_path, map_path):
         print(f"wrote {path}")

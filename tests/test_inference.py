@@ -111,6 +111,20 @@ def test_load_empty_data(tmp_path):
         load_measurement(path)
 
 
+def test_load_drops_byte_order_mark(tmp_path):
+    path = tmp_path / "scan.csv"
+    path.write_bytes(b"\xef\xbb\xbfangle_mrad,rate\n0,1\n1,2\n")
+    np.testing.assert_allclose(load_measurement(path).rates, [1.0, 2.0])
+
+
+def test_load_non_utf8_byte_names_line(tmp_path):
+    path = tmp_path / "scan.csv"
+    path.write_bytes(b"# temperature: 20\xb0C\nangle_mrad,rate\n0,1\n")
+    with pytest.raises(MeasurementFormatError,
+                       match=r"scan\.csv: line 1: byte 0xb0 is not UTF-8 text"):
+        load_measurement(path)
+
+
 def test_load_missing_file(tmp_path):
     with pytest.raises(MeasurementFormatError, match="not found"):
         load_measurement(tmp_path / "absent.csv")

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import fields
 from pathlib import Path
 
@@ -9,11 +10,11 @@ import pytest
 
 import pairgrating
 from pairgrating import (ScenarioConfig, forward_on_angles, load_measurement, parse_config,
-                         visibility)
+                         rate_map_for, visibility)
 from pairgrating.errors import BinSnapWarning, ConfigError, SamplingWarning
 from pairgrating.scenario import MAX_GRID_N
-from pairgrating.propagation import RateProfile
-from pairgrating.shell import main, run_fit, run_simulate, run_sweep
+from pairgrating.propagation import RateProfile, diagonal_profile, singles_profile
+from pairgrating.shell import _write_csv, _write_map_csv, main, run_fit, run_simulate, run_sweep
 
 from conftest import matched_deviation
 
@@ -21,8 +22,12 @@ FAST = "grid_n=256\nwindow_um=300\n"
 
 
 def _config(tmp_path, text="", name="scenario.cfg"):
+    """Write text as UTF-8, or bytes as they are, to tmp_path/name."""
     path = tmp_path / name
-    path.write_text(text, encoding="utf-8")
+    if isinstance(text, bytes):
+        path.write_bytes(text)
+    else:
+        path.write_text(text, encoding="utf-8")
     return path
 
 
@@ -57,6 +62,8 @@ def test_comments_and_blank_lines(tmp_path):
     ("spot_diameter_um\n", "key=value"),
     ("grid_n = 512\n# smaller\ngrid_n = 256\n", "line 3: key 'grid_n' repeats the one on line 1"),
     ("output_prefix =\n", "output_prefix"),
+    ("\ufeffgrid_n=7\n", "grid_n must be even"),     # the byte-order mark is not in the key
+    (b"grid_n=256\n# 90\xb0 turn\n", r"scenario\.cfg: line 2: byte 0xb0 is not UTF-8"),
 ])
 def test_config_errors(tmp_path, text, fragment):
     with pytest.raises(ConfigError, match=fragment):
@@ -100,6 +107,11 @@ def test_every_key_parses(tmp_path):
     assert config == expected
     assert ([type(getattr(config, f.name)) for f in fields(ScenarioConfig)]
             == [type(getattr(expected, f.name)) for f in fields(ScenarioConfig)])
+
+
+def test_byte_order_mark_is_dropped(tmp_path):
+    config = parse_config(_config(tmp_path, "\ufeffgrid_n=256\nwindow_um=300\n"))
+    assert config == ScenarioConfig(grid_n=256, window_um=300.0)
 
 
 def test_missing_config_file(tmp_path):
@@ -192,6 +204,93 @@ def test_sweep_singleton(tmp_path, monkeypatch):
     assert table.shape == (3,)
 
 
+# ------------------------------------------------------------- CSV writers
+
+# numpy.savetxt with fmt="%.10g" is the writers' reference, byte for byte, on -0.0,
+# the smallest subnormal, extremes, values with no short binary form, and values
+# that round at the 10th significant digit.
+EDGE_VALUES = np.array([-0.0, 5e-324, 1e-300, 1e300, 0.1, 1.0, 123456789012.0, 1.0 / 3.0,
+                        0.99999999995, 1.234567890500001, 9.9999999995e-5, -12345678905.0,
+                        2.5e-7, -1.00000000049])
+
+
+def _savetxt_bytes(path, header, columns) -> bytes:
+    np.savetxt(path, np.column_stack(columns), delimiter=",", header=header, comments="",
+               fmt="%.10g")
+    return path.read_bytes()
+
+
+def _map_savetxt_bytes(path, angles_mrad, rates) -> bytes:
+    n = angles_mrad.size
+    return _savetxt_bytes(path, "angle1_mrad,angle2_mrad,rate",
+                          [np.repeat(angles_mrad, n), np.tile(angles_mrad, n), rates.ravel()])
+
+
+@pytest.mark.parametrize("columns", [
+    [EDGE_VALUES],
+    [EDGE_VALUES, EDGE_VALUES[::-1]],
+    [EDGE_VALUES, -EDGE_VALUES, EDGE_VALUES[::-1]],
+    [EDGE_VALUES[:1], EDGE_VALUES[1:2], EDGE_VALUES[2:3]],      # one row, as a singleton sweep
+])
+def test_write_csv_matches_savetxt(tmp_path, columns):
+    _write_csv(tmp_path / "written.csv", "a,b", columns)
+    assert (tmp_path / "written.csv").read_bytes() == \
+        _savetxt_bytes(tmp_path / "reference.csv", "a,b", columns)
+
+
+def test_write_map_csv_matches_savetxt(tmp_path):
+    n = EDGE_VALUES.size
+    # every row a different cyclic shift, so each value meets each angle label
+    rates = EDGE_VALUES[(3 * np.arange(n)[:, None] + np.arange(n)) % n]
+    _write_map_csv(tmp_path / "written.csv", EDGE_VALUES, rates)
+    assert (tmp_path / "written.csv").read_bytes() == \
+        _map_savetxt_bytes(tmp_path / "reference.csv", EDGE_VALUES, rates)
+
+
+@pytest.mark.parametrize("grid_n,window_um", [(64, 75.0), (256, 300.0)])
+@pytest.mark.parametrize("extra", [
+    "",
+    "illumination=far\n",
+    "detector_separation_mrad={two_bins}\n",   # a whole number of bins: no BinSnapWarning
+    "resolution_mrad=0\n",
+])
+def test_simulate_files_match_savetxt(tmp_path, monkeypatch, grid_n, window_um, extra):
+    monkeypatch.chdir(tmp_path)
+    text = f"grid_n={grid_n}\nwindow_um={window_um}\noutput_prefix=run\n"
+    text += extra.format(two_bins=2e3 * 0.78 / window_um)     # one bin is wavelength/window
+    config = parse_config(_config(tmp_path, text))
+    paths = run_simulate(config)
+
+    rmap = rate_map_for(config)
+    diagonal = diagonal_profile(rmap, config.detector_separation_mrad * 1e-3)
+    singles = singles_profile(rmap)
+    references = [
+        _savetxt_bytes(tmp_path / "ref_diagonal.csv", "angle_mrad,rate",
+                       [diagonal.angles * 1e3, diagonal.values / diagonal.values.max()]),
+        _savetxt_bytes(tmp_path / "ref_singles.csv", "angle_mrad,rate",
+                       [singles.angles * 1e3, singles.values / singles.values.max()]),
+        _map_savetxt_bytes(tmp_path / "ref_map.csv", rmap.angles * 1e3,
+                           rmap.values / rmap.values.max()),
+    ]
+    for path, reference in zip(paths, references):
+        assert (tmp_path / path).read_bytes() == reference, path
+
+
+def test_map_writer_builds_no_full_map_array(tmp_path):
+    # one n x n float64 array at n = 1024 is 8 MiB; an n**2 x 3 column stack
+    # of the map, as numpy.savetxt takes it, is three of them
+    n = 1024
+    angles_mrad = np.linspace(-341.0, 341.0, n)
+    rates = np.random.default_rng(5).random((n, n))
+    tracemalloc.start()
+    try:
+        _write_map_csv(tmp_path / "map.csv", angles_mrad, rates)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * n ** 2
+
+
 # ------------------------------------------------------------- CLI exit codes
 
 def test_cli_simulate_ok(tmp_path, monkeypatch):
@@ -200,7 +299,7 @@ def test_cli_simulate_ok(tmp_path, monkeypatch):
     assert main(["simulate", str(cfg)]) == 0
 
 
-def test_cli_exit_codes(tmp_path, monkeypatch):
+def test_cli_exit_codes(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     cfg = _config(tmp_path, FAST)
     bad_cfg = _config(tmp_path, "grid_n=7\n", name="bad.cfg")
@@ -221,6 +320,21 @@ def test_cli_exit_codes(tmp_path, monkeypatch):
     assert main(["sweep", str(cfg), "1,abc"]) == 2
     assert main(["sweep", str(cfg), "1,-3"]) == 2
     assert main(["sweep", str(cfg), ","]) == 2                    # no widths
+
+    bom_cfg = _config(tmp_path, "\ufeff" + FAST, name="bom.cfg")
+    bom_const = tmp_path / "bom_const.csv"
+    bom_const.write_bytes(b"\xef\xbb\xbf" + const.read_bytes())
+    assert main(["fit", str(bom_cfg), str(bom_const)]) == 4       # both parse
+    latin_cfg = _config(tmp_path, b"grid_n=256\n# 90\xb0 turn\n", name="latin.cfg")
+    latin_scan = tmp_path / "latin.csv"
+    latin_scan.write_bytes(b"# 20\xb0C\nangle_mrad,rate\n0,5.0\n")
+    capsys.readouterr()
+    assert main(["simulate", str(latin_cfg)]) == 2                # not UTF-8
+    assert main(["fit", str(cfg), str(latin_scan)]) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == [
+        f"error: {latin_cfg}: line 2: byte 0xb0 is not UTF-8 text (invalid start byte)",
+        f"error: {latin_scan}: line 1: byte 0xb0 is not UTF-8 text (invalid start byte)"]
 
     blank = _config(tmp_path, FAST + "output_prefix =\n", name="blank.cfg")
     assert main(["simulate", str(blank)]) == 2                    # no file name
