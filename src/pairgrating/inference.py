@@ -119,7 +119,8 @@ def load_measurement(path, channel: str = "coincidences") -> Measurement:
                 key, value = key.strip(), value.strip()
                 if key == "channel" and value not in CHANNELS:
                     raise MeasurementFormatError(
-                        f"line {line_no}: channel must be one of {CHANNELS}, got {value!r}")
+                        f"{path}: line {line_no}: channel must be one of {CHANNELS}, "
+                        f"got {value!r}")
                 metadata[key] = value
             continue
         if n_columns == 0:
@@ -129,25 +130,25 @@ def load_measurement(path, channel: str = "coincidences") -> Measurement:
                 n_columns = 3
             else:
                 raise MeasurementFormatError(
-                    f"line {line_no}: expected header 'angle_mrad,rate' or "
+                    f"{path}: line {line_no}: expected header 'angle_mrad,rate' or "
                     f"'angle_mrad,rate,rate_err', got {raw!r}")
             continue
         parts = [s.strip() for s in line.split(",")]
         if len(parts) != n_columns:
             raise MeasurementFormatError(
-                f"line {line_no}: expected {n_columns} columns, got {len(parts)}")
+                f"{path}: line {line_no}: expected {n_columns} columns, got {len(parts)}")
         try:
             numbers = [float(s) for s in parts]
         except ValueError:
             raise MeasurementFormatError(
-                f"line {line_no}: non-numeric value in {raw!r}") from None
+                f"{path}: line {line_no}: non-numeric value in {raw!r}") from None
         if not all(math.isfinite(x) for x in numbers):
-            raise MeasurementFormatError(f"line {line_no}: non-finite value in {raw!r}")
+            raise MeasurementFormatError(f"{path}: line {line_no}: non-finite value in {raw!r}")
         if numbers[1] < 0.0:
-            raise MeasurementFormatError(f"line {line_no}: negative rate {numbers[1]!r}")
+            raise MeasurementFormatError(f"{path}: line {line_no}: negative rate {numbers[1]!r}")
         if n_columns == 3 and numbers[2] <= 0.0:
             raise MeasurementFormatError(
-                f"line {line_no}: rate_err must be positive, got {numbers[2]!r}")
+                f"{path}: line {line_no}: rate_err must be positive, got {numbers[2]!r}")
         angles.append(numbers[0])
         rates.append(numbers[1])
         if n_columns == 3:
@@ -162,7 +163,7 @@ def load_measurement(path, channel: str = "coincidences") -> Measurement:
     if np.any(steps <= 0.0):
         bad = int(np.argmax(steps <= 0.0)) + 1
         raise MeasurementFormatError(
-            f"line {row_lines[bad]}: angles must be strictly increasing")
+            f"{path}: line {row_lines[bad]}: angles must be strictly increasing")
     return Measurement(
         angles=angle_arr * 1e-3,
         rates=np.asarray(rates, dtype=float),

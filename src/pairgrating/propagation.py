@@ -12,21 +12,28 @@ kernel w of reach t.  The blurred diagonal at a shift of s bins is
 D[i] = sum_a sum_b w_a w_b R[(i+a) mod n, (i+s+b) mod n], and the
 blurred singles are the 1D blur of the row sums of R.
 
-When P vanishes outside S x S for a set S of m grid samples (the
-spot's support), support_profiles takes both cuts from n x m arrays
-in place of n x n ones, through three identities:
+When P vanishes outside S x S for a set S of m distinct grid samples
+(the spot's support), support_profiles takes both cuts from m x n
+arrays in place of n x n ones.  With B the m x m block of P on S,
+S'_l = S_l - n/2, p' = p - n/2 and omega = exp(-2*pi*i/n):
 
-- first axis: C = W_S B, with B the m x m block of P and W_S the m
-  columns of W on S, is one centered 1D FFT of B zero-padded to n x m;
-- diagonal band: shifting the row of W by c bins multiplies column l
-  of W_S by the phase exp(-2*pi*i*c*(S_l - n/2)/n), so
-  R[p, (p+c) mod n] = |((C o W_S) Phi)[p, c]|**2 for the 4t+1 shifts
-  c = s-2t..s+2t that D reads, with Phi[l, c] that phase;
-- singles: Parseval along the second axis gives
-  sum_q R[p, q] = n * sum_l |C[p, l]|**2.
+- skew: T[l, (S_j + S_l) mod n] = B[j, l] fills an m x n array, each
+  row without collisions since S has no repeats;
+- one row FFT: G = fft(T, axis=1) gives
+  G[l, p' mod n] = C[p, l] * omega**(p'*S'_l), where C = W_S B is the
+  first-axis transform (W_S the m columns of W on S) and the phase is
+  the one that row p of W puts on column l in the second-axis transform;
+- band: shifting that row by c bins adds the phase omega**(c*S'_l), so
+  R[p, (p+c) mod n] = |(Phi G)[c, p' mod n]|**2 with
+  Phi[c, l] = omega**(c*S'_l), one (4t+1) x m by m x n product for the
+  shifts c = s-2t..s+2t that D reads;
+- singles: Parseval along the second axis, with |G[l, k]| = |C[p, l]|,
+  gives sum_q R[p, q] = n * sum_l |G[l, p' mod n]|**2.
 
-Every phase is read from the table of the n roots of unity at an exact
-integer index, so no precision is lost to large arguments.
+An fftshift of the two small results maps p' mod n back to p, and the
+factor (dx**2/(2*pi))**2 is applied once to them.  Every phase of Phi
+is taken at its integer exponent reduced mod n, so no precision is lost
+to large arguments.
 """
 
 from __future__ import annotations
@@ -198,44 +205,46 @@ def support_profiles(pair, support, grid: SpatialGrid, wavelength: float, width:
     """Blurred diagonal and singles cuts of the far field of a pair amplitude on `support`.
 
     pair is the m x m block on the grid indices `support` of an n x n
-    joint amplitude P that vanishes elsewhere.  The result equals
+    joint amplitude P that vanishes elsewhere; the indices must be
+    distinct integers in [0, n), in any order.  The result equals
     diagonal_profile(blur(R, width), separation) and
     blur(singles_profile(R), width) for R = coincidence_map(
-    to_far_field(P, grid), grid, wavelength), up to rounding, and is
-    computed through the identities in the module docstring in
+    to_far_field(P, grid), grid, wavelength), up to rounding.  It is
+    computed through the identities in the module docstring (skew, one
+    row FFT, the Phi G band and Parseval on G) in
     O(n*m*(log(n) + taps)) time and O(n*(m + taps)) memory.  Width and
     separation are checked as by blur and diagonal_profile.
     """
     support = np.asarray(support)
+    n = grid.n
+    if (support.ndim != 1 or support.dtype.kind not in "iu" or not np.all(support >= 0)
+            or not np.all(support < n) or np.any(np.diff(np.sort(support)) == 0)):
+        raise ParameterError(
+            f"support must be distinct integer grid indices in [0, {n}), got {support!r}")
     if np.shape(pair) != (support.size, support.size):
         raise ParameterError(
             f"pair must have shape ({support.size}, {support.size}) to match the "
             f"support, got {np.shape(pair)}")
-    n = grid.n
     angles = angles_of(grid, wavelength)
     kernel = _blur_kernel(width, angles)
     shift = _snap_shift(angles, separation)
     reach = kernel.size // 2
 
-    padded = np.zeros((n, support.size), dtype=complex)
-    padded[support] = pair
-    first = np.fft.fftshift(np.fft.fft(np.fft.ifftshift(padded, axes=0), axis=0), axes=0)
-    first *= grid.dx ** 2 / TWO_PI
+    skewed = np.zeros((support.size, n), dtype=complex)
+    skewed[np.arange(support.size), np.add.outer(support, support) % n] = pair
+    rows = np.fft.fft(skewed, axis=1)
 
-    roots = np.exp(np.arange(n) * (-1j * TWO_PI / n))
-    centred = support - n // 2
-    columns = roots[np.outer(np.arange(n) - n // 2, centred) % n]
     shifts = np.arange(shift - 2 * reach, shift + 2 * reach + 1)
-    # band[p, c] = R[p, (p + shifts[c]) mod n]
-    band = np.abs((first * columns) @ roots[np.outer(centred, shifts) % n]) ** 2
+    phases = np.exp(np.outer(shifts, support - n // 2) % n * (-1j * TWO_PI / n))
+    # band[c, p] = R[p, (p + shifts[c]) mod n] / scale
+    band = np.fft.fftshift(np.abs(phases @ rows) ** 2, axes=1)
+    scale = (grid.dx ** 2 / TWO_PI) ** 2
 
-    # first-detector offset a - reach reads second-detector offsets
-    # b - reach at band column b - a + 2*reach
-    rows = np.arange(max(0, -shift), min(n, n - shift))
-    diagonal = np.zeros(rows.size)
-    for a, weight in enumerate(kernel):
-        diagonal += weight * (band[(rows + a - reach) % n, 2 * reach - a:4 * reach - a + 1]
-                              @ kernel)
-    singles = n * grid.dk * np.sum(np.abs(first) ** 2, axis=1)
+    # first-detector offset a - reach reads second-detector offsets b - reach
+    # at band row b - a + 2*reach
+    diagonal = sum(weight * np.roll(kernel @ band[2 * reach - a:4 * reach - a + 1], reach - a)
+                   for a, weight in enumerate(kernel))
+    diagonal = diagonal[max(0, -shift):min(n, n - shift)] * scale
+    singles = np.fft.fftshift(np.sum(np.abs(rows) ** 2, axis=0)) * (n * grid.dk * scale)
     return (RateProfile(angles=_cut_angles(angles, shift), values=diagonal),
             blur(RateProfile(angles=angles, values=singles), width))

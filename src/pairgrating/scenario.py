@@ -13,9 +13,10 @@ writes.  profiles_for, which every fit and sweep evaluation calls,
 builds the pair amplitude only on the spot's support S, where |A|
 exceeds SUPPORT_FLOOR times its peak (155 samples at the default 29 um
 spot and 1.17 um spacing, whatever n is), and takes the blurred
-diagonal and singles through propagation.support_profiles: a centered
-1D FFT along the first axis of the support block, the diagonal band
-read through a column phase, and the singles through Parseval.
+diagonal and singles through propagation.support_profiles: the support
+block skewed into an m x n array by the position sum, one FFT along its
+rows, the diagonal band as the product of a small phase matrix Phi with
+that FFT, and the singles through Parseval on the same FFT.
 """
 
 from __future__ import annotations
@@ -111,7 +112,8 @@ def parse_config(path) -> ScenarioConfig:
 
     Unspecified keys take the documented defaults.  Unknown or repeated
     keys, non-numeric values, and invariant violations raise ConfigError
-    naming the key; a byte that is not UTF-8 raises it naming the line.
+    naming the key; errors about one line, a byte that is not UTF-8
+    among them, name the file and the line.
     """
     p = Path(path)
     if not p.is_file():
@@ -124,21 +126,22 @@ def parse_config(path) -> ScenarioConfig:
         if not line:
             continue
         if "=" not in line:
-            raise ConfigError(f"line {line_no}: expected key=value, got {raw!r}")
+            raise ConfigError(f"{path}: line {line_no}: expected key=value, got {raw!r}")
         key, _, text = line.partition("=")
         key = key.strip()
         text = text.strip()
         if key not in kinds:
-            raise ConfigError(f"line {line_no}: unknown key {key!r}")
+            raise ConfigError(f"{path}: line {line_no}: unknown key {key!r}")
         if key in key_lines:
             raise ConfigError(
-                f"line {line_no}: key {key!r} repeats the one on line {key_lines[key]}")
+                f"{path}: line {line_no}: key {key!r} repeats the one on line {key_lines[key]}")
         key_lines[key] = line_no
         read, expected = _READERS[kinds[key]]
         try:
             values[key] = read(text)
         except ValueError:
-            raise ConfigError(f"line {line_no}: {key} must be {expected}, got {text!r}") from None
+            raise ConfigError(
+                f"{path}: line {line_no}: {key} must be {expected}, got {text!r}") from None
     return ScenarioConfig(**values)
 
 

@@ -11,6 +11,7 @@ from pairgrating import (ScenarioConfig, angles_of, blur, coincidence_map,
                          to_far_field, two_photon_amplitude)
 from pairgrating.propagation import RateMap, RateProfile, support_profiles
 from pairgrating.errors import BinSnapWarning, ParameterError, SamplingWarning
+from pairgrating.scenario import SUPPORT_FLOOR, transmission_for
 
 from conftest import WAVELENGTH, matched_deviation
 
@@ -247,6 +248,54 @@ def test_blurred_diagonal_checks_like_blur_and_cut():
         support_profiles(np.ones((2, 3)), [7, 8], grid, 1.0, 0.0)
 
 
+# top-hats written out by hand: full widths of 0, 2.6 and 7.7 bins
+HAND_KERNELS = {0.0: [1.0],
+                2.6: [0.8, 1.0, 0.8],
+                7.7: [0.35, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 0.35]}
+
+
+@pytest.mark.parametrize("width_bins", sorted(HAND_KERNELS))
+@pytest.mark.parametrize("n,shifts", [(32, [0, -3, 29]), (64, [0, 5, -61])])
+def test_support_profiles_match_extended_precision_sums(n, shifts, width_bins):
+    # each R[p, q] as the direct double sum W_S B W_S^T in np.clongdouble with
+    # the centred DFT matrix, then blurred by hand: nothing here goes through
+    # an FFT; the last shift of each n makes the band of the blur wrap
+    rng = np.random.default_rng(n)
+    grid = make_grid(n, float(n))
+    m = n // 3
+    support = rng.choice(n, size=m, replace=False)     # scattered and unsorted
+    pair = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+    exponents = np.outer(np.arange(n) - n // 2, support - n // 2) % n
+    pi = 4 * np.arctan(np.longdouble(1))
+    dft = np.exp(exponents * (-2j * pi / n))
+    far = dft @ pair.astype(np.clongdouble) @ dft.T * (grid.dx ** 2 / (2 * pi))
+    rates = np.abs(far) ** 2
+    assert rates.dtype == np.longdouble
+
+    kernel = np.array(HAND_KERNELS[width_bins], dtype=np.longdouble)
+    kernel /= kernel.sum()
+    offsets = np.arange(kernel.size) - kernel.size // 2
+    rows = np.arange(n)
+    row_sums = rates.sum(axis=1) * grid.dk
+    singles = sum(wa * row_sums[(rows + a) % n] for a, wa in zip(offsets, kernel))
+    bin_width = np.diff(angles_of(grid, 1.0))[0]
+    for shift in shifts:
+        diagonal = sum(wa * wb * rates[(rows + a) % n, (rows + shift + b) % n]
+                       for a, wa in zip(offsets, kernel) for b, wb in zip(offsets, kernel))
+        got = support_profiles(pair, support, grid, 1.0, width_bins * bin_width,
+                               shift * bin_width)
+        for profile, want in zip(got, (diagonal[max(0, -shift):n - max(0, shift)], singles)):
+            np.testing.assert_allclose(profile.values, want.astype(float), rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("support", [[-1, 3], [3, 3], [3, 16], [3.0, 4.0]])
+def test_support_profiles_reject_bad_support(support):
+    # a negative index would wrap, a repeat would drop mass, an index past
+    # the grid would fail inside numpy, and a float is no index at all
+    with pytest.raises(ParameterError, match="support must be distinct integer"):
+        support_profiles(np.ones((2, 2)), support, make_grid(16, 16.0), 1.0, 0.0)
+
+
 @pytest.mark.parametrize("keys,snaps", [
     (dict(), 0),
     (dict(illumination="far"), 0),
@@ -290,6 +339,21 @@ def test_profiles_for_builds_no_full_grid_array():
     finally:
         tracemalloc.stop()
     assert peak < 16 * config.grid_n ** 2
+
+
+def test_profiles_for_peak_memory_is_below_four_support_arrays():
+    # four n x m complex128 arrays, m the support size (155 at the default spot)
+    config = ScenarioConfig(grid_n=2048, window_um=2400.0)
+    magnitude = np.abs(transmission_for(config))
+    inside = np.flatnonzero(magnitude > SUPPORT_FLOOR * magnitude.max())
+    m = inside[-1] - inside[0] + 1
+    tracemalloc.start()
+    try:
+        profiles_for(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * config.grid_n * m * 16
 
 
 @pytest.mark.parametrize("sigma", [0.0, -1.0, float("nan"), float("inf")])

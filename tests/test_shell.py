@@ -312,7 +312,13 @@ def test_cli_exit_codes(tmp_path, monkeypatch, capsys):
     assert main(["fit", str(cfg), str(const)]) == 4               # not converged
     nan_scan = tmp_path / "nan.csv"
     nan_scan.write_text("angle_mrad,rate\n0,5.0\n1,nan\n", encoding="utf-8")
+    capsys.readouterr()
     assert main(["fit", str(cfg), str(nan_scan)]) == 2            # non-finite rate
+    assert capsys.readouterr().err == f"error: {nan_scan}: line 3: non-finite value in '1,nan'\n"
+    unknown_cfg = _config(tmp_path, FAST + "grating_pitch=25\n", name="unknown.cfg")
+    assert main(["simulate", str(unknown_cfg)]) == 2              # unknown key
+    assert (capsys.readouterr().err
+            == f"error: {unknown_cfg}: line 3: unknown key 'grating_pitch'\n")
     wide = tmp_path / "wide.csv"
     wide.write_text("angle_mrad,rate\n" + "".join(f"{a},5.0\n" for a in range(0, 400, 10)),
                     encoding="utf-8")
