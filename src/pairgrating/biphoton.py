@@ -6,6 +6,13 @@ factor tying their transverse positions together.  Exchange symmetry of
 the pair is automatic for the product of identical scalar amplitudes; a
 future extension with two distinct amplitudes would have to symmetrize
 explicitly.
+
+The amplitude is built in two steps.  pair_base computes what does not
+depend on the correlation width (the symmetrized product A_j*A_l and
+the exponent numerator -(x_j -+ x_l)**2); weigh_pair applies one width
+(the Gaussian weight, the sampling warning and the normalization).
+two_photon_amplitude runs both; scenario.profiles_for keeps pair_base's
+factors across evaluations that differ only in the width.
 """
 
 from __future__ import annotations
@@ -13,6 +20,17 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DegenerateInputError, ParameterError, SamplingWarning, warn_caller
+
+
+def _check_width(sigma_corr: float) -> None:
+    if not np.isfinite(sigma_corr) or not (sigma_corr > 0.0):
+        raise ParameterError(
+            f"correlation width must be positive and finite, got {sigma_corr!r}")
+
+
+def _check_mode(mode: str) -> None:
+    if mode not in ("near", "far"):
+        raise ParameterError(f"correlation mode must be 'near' or 'far', got {mode!r}")
 
 
 def correlation_factor(x1, x2, sigma_corr: float, mode: str):
@@ -26,13 +44,62 @@ def correlation_factor(x1, x2, sigma_corr: float, mode: str):
     perfectly correlated limits are reached asymptotically, not by
     special values.
     """
-    if not np.isfinite(sigma_corr) or not (sigma_corr > 0.0):
-        raise ParameterError(
-            f"correlation width must be positive and finite, got {sigma_corr!r}")
-    if mode not in ("near", "far"):
-        raise ParameterError(f"correlation mode must be 'near' or 'far', got {mode!r}")
+    _check_width(sigma_corr)
+    _check_mode(mode)
     s = np.asarray(x1, dtype=float) - x2 if mode == "near" else np.asarray(x1, dtype=float) + x2
     return np.exp(-np.square(s) / (2.0 * sigma_corr ** 2))
+
+
+def pair_base(amplitude, mode: str, x) -> tuple[np.ndarray, np.ndarray]:
+    """The sigma-independent factors of two_photon_amplitude at positions x.
+
+    Returns the exchange-symmetrized product (A_j*A_l + A_l*A_j)/2 and
+    the exponent numerator -(x_j - x_l)**2 (near) or -(x_j + x_l)**2
+    (far), both len(x) x len(x) and read-only; weigh_pair turns them
+    into the joint amplitude for one correlation width.
+    """
+    a = np.asarray(amplitude, dtype=complex)
+    x = np.asarray(x, dtype=float)
+    if a.ndim != 1 or a.shape != x.shape:
+        raise ParameterError(
+            f"amplitude must have shape {x.shape} to match the positions, got {a.shape}")
+    _check_mode(mode)
+    product = a[:, None] * a[None, :]
+    # explicit exchange symmetrization: a rounding-level no-op for identical
+    # amplitudes, but it pins F == F.T bitwise.  Here and below the arithmetic
+    # runs in place where it can, so that a full-grid call holds few n x n
+    # temporaries at once.
+    product = product + product.T
+    product *= 0.5
+    exponent = x[:, None] - x[None, :] if mode == "near" else x[:, None] + x[None, :]
+    np.square(exponent, out=exponent)
+    np.negative(exponent, out=exponent)
+    product.setflags(write=False)
+    exponent.setflags(write=False)
+    return product, exponent
+
+
+def weigh_pair(product, exponent, sigma_corr: float, dx: float) -> np.ndarray:
+    """Joint amplitude product*exp(exponent/(2*sigma_corr**2)), unit square sum.
+
+    product and exponent are pair_base's factors.  Checks the width,
+    warns as two_photon_amplitude does, and normalizes so that
+    sum(|F|**2)*dx**2 = 1.  The result is a new read-only array.
+    """
+    _check_width(sigma_corr)
+    joint = product * np.exp(exponent / (2.0 * sigma_corr ** 2))
+    if sigma_corr < dx / 2.0:
+        warn_caller(
+            f"correlation width {sigma_corr:.4g} um is below half the grid "
+            f"spacing {dx:.4g} um; the pair weight is under-resolved and "
+            f"degenerates to its diagonal",
+            SamplingWarning)
+    total = np.sum(np.abs(joint) ** 2) * dx ** 2
+    if total == 0.0:
+        raise DegenerateInputError("joint amplitude is identically zero")
+    joint /= np.sqrt(total)
+    joint.setflags(write=False)
+    return joint
 
 
 def two_photon_amplitude(amplitude, sigma_corr: float, mode: str, x,
@@ -46,28 +113,8 @@ def two_photon_amplitude(amplitude, sigma_corr: float, mode: str, x,
     correlation-width sweeps.  Widths below half the grid spacing dx
     leave the weight matrix effectively diagonal, which is the
     perfect-correlation limit; that is acceptable but flagged with a
-    SamplingWarning.
+    SamplingWarning.  This is pair_base followed by weigh_pair; callers
+    that vary only the width, like scenario.profiles_for, keep
+    pair_base's factors and call weigh_pair once per width.
     """
-    a = np.asarray(amplitude, dtype=complex)
-    x = np.asarray(x, dtype=float)
-    if a.ndim != 1 or a.shape != x.shape:
-        raise ParameterError(
-            f"amplitude must have shape {x.shape} to match the positions, got {a.shape}")
-    product = a[:, None] * a[None, :]
-    # explicit exchange symmetrization: a rounding-level no-op for identical
-    # amplitudes, but it pins F == F.T bitwise
-    joint = 0.5 * (product + product.T)
-    joint *= correlation_factor(x[:, None], x[None, :], sigma_corr, mode)
-    # after the weight, which checks sigma_corr, so a bad width raises unwarned
-    if sigma_corr < dx / 2.0:
-        warn_caller(
-            f"correlation width {sigma_corr:.4g} um is below half the grid "
-            f"spacing {dx:.4g} um; the pair weight is under-resolved and "
-            f"degenerates to its diagonal",
-            SamplingWarning)
-    total = np.sum(np.abs(joint) ** 2) * dx ** 2
-    if total == 0.0:
-        raise DegenerateInputError("joint amplitude is identically zero")
-    joint /= np.sqrt(total)
-    joint.setflags(write=False)
-    return joint
+    return weigh_pair(*pair_base(amplitude, mode, x), sigma_corr, dx)

@@ -204,8 +204,12 @@ def od_ratio(profile, wavelength: float, period: float,
     wavelength/period.  The default half width is half an angular bin,
     which reads off the sample at each order position; wider windows
     mix in the shoulders of neighboring orders when the spot is small.
-    Returns +inf when the red peak is exactly zero.
+    Returns +inf when the red peak is exactly zero.  The profile needs
+    at least 2 samples.
     """
+    count = np.size(profile.angles)
+    if count < 2:
+        raise ParameterError(f"order ratio needs a profile of at least 2 samples, got {count}")
     if peak_halfwidth is None:
         bins = np.diff(profile.angles)
         peak_halfwidth = 0.5 * float(bins.min())
@@ -296,9 +300,14 @@ def fit_sigma(measurement: Measurement, scenario: ScenarioConfig) -> FitResult:
     golden-section refinement to a relative width of 1e-3, evaluating
     each width once.  Fully deterministic; a flat landscape or a
     boundary minimum yields a non-converged result at the coarse-grid
-    best, with diagnostics rather than a silent answer.
+    best, with diagnostics rather than a silent answer.  The scan needs
+    at least 3 samples, one per fitted parameter.
     """
     rates = measurement.rates
+    if rates.size < 3:
+        raise ParameterError(
+            f"fit needs at least 3 scan samples for width, scale and background, "
+            f"got {rates.size}")
     if measurement.rate_errors is not None:
         weights = 1.0 / np.square(measurement.rate_errors)
     else:

@@ -34,6 +34,13 @@ An fftshift of the two small results maps p' mod n back to p, and the
 factor (dx**2/(2*pi))**2 is applied once to them.  Every phase of Phi
 is taken at its integer exponent reduced mod n, so no precision is lost
 to large arguments.
+
+SupportPlan splits this into the part that depends only on S, the grid
+and the detectors (the checks, the angles, the kernel, the snapped
+shift, the skew index, Phi, the scale factors and a gather table that
+stands in for np.roll in both blurs) and the part that depends on the
+pair block (the skew, the row FFT, the band, the cuts and the blurs).
+support_profiles builds a plan and applies it once.
 """
 
 from __future__ import annotations
@@ -103,20 +110,21 @@ def coincidence_map(far, grid: SpatialGrid, wavelength: float) -> RateMap:
     return RateMap(grid=grid, angles=angles_of(grid, wavelength), values=values)
 
 
-def _snap_shift(angles: np.ndarray, separation: float) -> int:
-    """Detector separation in whole angle bins, warning when it had to round."""
+def _snap_shift(angles: np.ndarray, separation: float) -> tuple[int, str]:
+    """Detector separation in whole angle bins, and the BinSnapWarning text if it had to round.
+
+    The text is empty when the separation is already a whole number of bins.
+    """
     bin_width = angles[1] - angles[0]
     shift_exact = separation / bin_width
     shift = int(round(shift_exact))
-    if abs(shift_exact - shift) > 1e-9:
-        warn_caller(
-            f"detector separation {separation:.6g} rad is not a multiple of the "
-            f"{bin_width:.6g} rad angular bin; snapped to {shift} bins",
-            BinSnapWarning)
     if abs(shift) >= angles.size:
         raise ParameterError(
             f"detector separation {separation:.6g} rad exceeds the angular window")
-    return shift
+    if abs(shift_exact - shift) <= 1e-9:
+        return shift, ""
+    return shift, (f"detector separation {separation:.6g} rad is not a multiple of the "
+                   f"{bin_width:.6g} rad angular bin; snapped to {shift} bins")
 
 
 def _cut_angles(angles: np.ndarray, shift: int) -> np.ndarray:
@@ -133,7 +141,9 @@ def diagonal_profile(rate_map: RateMap, separation: float = 0.0) -> RateProfile:
     diagonal.  The profile is labeled by the first detector's angle, so
     a shift of s bins drops |s| edge entries.
     """
-    shift = _snap_shift(rate_map.angles, separation)
+    shift, notice = _snap_shift(rate_map.angles, separation)
+    if notice:
+        warn_caller(notice, BinSnapWarning)
     values = np.diagonal(rate_map.values, offset=shift).copy()
     return RateProfile(angles=_cut_angles(rate_map.angles, shift), values=values)
 
@@ -200,6 +210,82 @@ def blur(obj, width: float):
     return replace(obj, values=values)
 
 
+class SupportPlan:
+    """The pair-independent part of support_profiles for one support, grid and detector setup.
+
+    Construction checks the support, the blur width and the separation
+    (raising as support_profiles does) and keeps what every pair on this
+    support reuses, all read-only: the angles, the kernel and the
+    snapped shift with the text of its BinSnapWarning; the flat skew
+    index (m x m), the phase matrix Phi ((4t+1) x m) and the scale
+    factors; and a (2t+1) x n gather table whose row a lists
+    (i - t + a) mod n, so that v[table[a]] is np.roll(v, t - a) and
+    v[table[2t - a]] is np.roll(v, a - t).  Calling the plan with an
+    m x m pair block returns the two blurred cuts, raising the snap
+    warning, if any, on every call.
+    """
+
+    def __init__(self, support, grid: SpatialGrid, wavelength: float, width: float,
+                 separation: float = 0.0):
+        support = np.asarray(support)
+        n = grid.n
+        if (support.ndim != 1 or support.dtype.kind not in "iu" or not np.all(support >= 0)
+                or not np.all(support < n) or np.any(np.diff(np.sort(support)) == 0)):
+            raise ParameterError(
+                f"support must be distinct integer grid indices in [0, {n}), got {support!r}")
+        angles = angles_of(grid, wavelength)
+        kernel = _blur_kernel(width, angles)
+        shift, self._notice = _snap_shift(angles, separation)
+        reach = kernel.size // 2
+        m = support.size
+
+        # T[l, (S_j + S_l) mod n] = B[j, l], as one flat index into the m x n array
+        skew = np.arange(m) * n + np.add.outer(support, support) % n
+        shifts = np.arange(shift - 2 * reach, shift + 2 * reach + 1)
+        phases = np.exp(np.outer(shifts, support - n // 2) % n * (-1j * TWO_PI / n))
+        rolls = (np.arange(n) + np.arange(-reach, reach + 1)[:, None]) % n
+        cut_angles = _cut_angles(angles, shift)
+        for array in (angles, kernel, skew, phases, rolls, cut_angles):
+            array.setflags(write=False)
+        self._n, self._m, self._reach = n, m, reach
+        self._angles, self._kernel, self._cut_angles = angles, kernel, cut_angles
+        self._skew, self._phases, self._rolls = skew, phases, rolls
+        # the table's columns for the rows of the diagonal that the shift keeps
+        self._kept_rolls = rolls[:, max(0, -shift):min(n, n - shift)]
+        self._scale = (grid.dx ** 2 / TWO_PI) ** 2
+        self._singles_scale = n * grid.dk * self._scale
+
+    def __call__(self, pair) -> tuple[RateProfile, RateProfile]:
+        """Blurred diagonal and singles cuts for the m x m pair block on the plan's support."""
+        n, m, reach, kernel, rolls = self._n, self._m, self._reach, self._kernel, self._rolls
+        if np.shape(pair) != (m, m):
+            raise ParameterError(
+                f"pair must have shape ({m}, {m}) to match the support, got {np.shape(pair)}")
+        if self._notice:
+            warn_caller(self._notice, BinSnapWarning)
+
+        skewed = np.zeros((m, n), dtype=complex)
+        skewed.reshape(-1)[self._skew] = pair
+        rows = np.fft.fft(skewed, axis=1)
+        # band[c, p] = R[p, (p + shifts[c]) mod n] / scale
+        band = np.fft.fftshift(np.abs(self._phases @ rows) ** 2, axes=1)
+
+        # first-detector offset a - reach reads second-detector offsets b - reach
+        # at band row b - a + 2*reach, rolled by reach - a
+        kept = self._kept_rolls
+        diagonal = sum(weight * (kernel @ band[2 * reach - a:4 * reach - a + 1])[kept[a]]
+                       for a, weight in enumerate(kernel)) * self._scale
+        singles = np.fft.fftshift(np.sum(np.abs(rows) ** 2, axis=0)) * self._singles_scale
+        if reach:
+            # the 1D blur: the sum over offsets i - reach of w_i*np.roll(singles, i - reach)
+            singles = sum(weight * singles[rolls[2 * reach - i]]
+                          for i, weight in enumerate(kernel))
+        diagonal.setflags(write=False)
+        singles.setflags(write=False)
+        return (RateProfile(angles=self._cut_angles, values=diagonal),
+                RateProfile(angles=self._angles, values=singles))
+
+
 def support_profiles(pair, support, grid: SpatialGrid, wavelength: float, width: float,
                      separation: float = 0.0) -> tuple[RateProfile, RateProfile]:
     """Blurred diagonal and singles cuts of the far field of a pair amplitude on `support`.
@@ -213,38 +299,8 @@ def support_profiles(pair, support, grid: SpatialGrid, wavelength: float, width:
     computed through the identities in the module docstring (skew, one
     row FFT, the Phi G band and Parseval on G) in
     O(n*m*(log(n) + taps)) time and O(n*(m + taps)) memory.  Width and
-    separation are checked as by blur and diagonal_profile.
+    separation are checked as by blur and diagonal_profile.  This is
+    SupportPlan(support, grid, wavelength, width, separation)(pair);
+    callers with many pairs on one support keep the plan.
     """
-    support = np.asarray(support)
-    n = grid.n
-    if (support.ndim != 1 or support.dtype.kind not in "iu" or not np.all(support >= 0)
-            or not np.all(support < n) or np.any(np.diff(np.sort(support)) == 0)):
-        raise ParameterError(
-            f"support must be distinct integer grid indices in [0, {n}), got {support!r}")
-    if np.shape(pair) != (support.size, support.size):
-        raise ParameterError(
-            f"pair must have shape ({support.size}, {support.size}) to match the "
-            f"support, got {np.shape(pair)}")
-    angles = angles_of(grid, wavelength)
-    kernel = _blur_kernel(width, angles)
-    shift = _snap_shift(angles, separation)
-    reach = kernel.size // 2
-
-    skewed = np.zeros((support.size, n), dtype=complex)
-    skewed[np.arange(support.size), np.add.outer(support, support) % n] = pair
-    rows = np.fft.fft(skewed, axis=1)
-
-    shifts = np.arange(shift - 2 * reach, shift + 2 * reach + 1)
-    phases = np.exp(np.outer(shifts, support - n // 2) % n * (-1j * TWO_PI / n))
-    # band[c, p] = R[p, (p + shifts[c]) mod n] / scale
-    band = np.fft.fftshift(np.abs(phases @ rows) ** 2, axes=1)
-    scale = (grid.dx ** 2 / TWO_PI) ** 2
-
-    # first-detector offset a - reach reads second-detector offsets b - reach
-    # at band row b - a + 2*reach
-    diagonal = sum(weight * np.roll(kernel @ band[2 * reach - a:4 * reach - a + 1], reach - a)
-                   for a, weight in enumerate(kernel))
-    diagonal = diagonal[max(0, -shift):min(n, n - shift)] * scale
-    singles = np.fft.fftshift(np.sum(np.abs(rows) ** 2, axis=0)) * (n * grid.dk * scale)
-    return (RateProfile(angles=_cut_angles(angles, shift), values=diagonal),
-            blur(RateProfile(angles=angles, values=singles), width))
+    return SupportPlan(support, grid, wavelength, width, separation)(pair)

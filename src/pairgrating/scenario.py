@@ -7,31 +7,48 @@ source (near mode), 10 mrad detector resolution, 512 samples over a
 600 um window.
 
 Two evaluators share the grid, the transmission A and the pair
-amplitude builder.  rate_map_for runs the full chain on the n x n grid
+amplitude builder (biphoton.pair_base and weigh_pair).  rate_map_for runs the full chain on the n x n grid
 (pair amplitude, 2D FFT, |F|**2, 2D blur) for the map that simulate
 writes.  profiles_for, which every fit and sweep evaluation calls,
 builds the pair amplitude only on the spot's support S, where |A|
 exceeds SUPPORT_FLOOR times its peak (155 samples at the default 29 um
 spot and 1.17 um spacing, whatever n is), and takes the blurred
-diagonal and singles through propagation.support_profiles: the support
+diagonal and singles through a propagation.SupportPlan: the support
 block skewed into an m x n array by the position sum, one FFT along its
 rows, the diagonal band as the product of a small phase matrix Phi with
 that FFT, and the singles through Parseval on the same FFT.
+
+Each profiles_for evaluation is split into a plan and an apply step.
+The plan holds everything that does not depend on the correlation
+width: the grid, A and S, biphoton.pair_base's product A_j*A_l and
+exponent -(x_j -+ x_l)**2 on S, and the propagation.SupportPlan (the
+angles, the kernel, the snapped shift, the skew index, Phi and the
+gather table of the blur).  It is built once per optics configuration,
+that is per value of every config field except sigma_corr_um,
+angle_offset_mrad and output_prefix, and kept in a one-entry cache, so
+the evaluations of a fit or a sweep share it.  It retains about
+32*m**2 bytes for the m x m arrays (0.7 MiB at the default spot) plus
+O(n*taps) for the gather table.  The apply step is
+biphoton.weigh_pair for the width, then the plan's skew, row FFT,
+band, cuts and blur; every array operation is the one a plan-free
+evaluation would run, so the profiles are bitwise the same.
+rate_map_for builds everything afresh on every call and stays the
+independent full-map reference.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
 
-from .biphoton import two_photon_amplitude
+from .biphoton import pair_base, two_photon_amplitude, weigh_pair
 from .errors import ConfigError, read_lines
 from .lattice import SpatialGrid, make_grid
 from .optics import transmission
-from .propagation import (RateMap, RateProfile, blur, coincidence_map, support_profiles,
-                          to_far_field)
+from .propagation import RateMap, RateProfile, SupportPlan, blur, coincidence_map, to_far_field
 
 # The full-map chain holds several n x n complex128 arrays at once.
 MAX_GRID_N = 4096
@@ -167,22 +184,42 @@ def rate_map_for(config: ScenarioConfig, sigma_um: float | None = None) -> RateM
     return blur(rmap, config.resolution_mrad * 1e-3)
 
 
+# The fields of ScenarioConfig that profiles_for's plan does not read.
+_NOT_PLANNED = ("sigma_corr_um", "angle_offset_mrad", "output_prefix")
+_PLANNED = tuple(field.name for field in fields(ScenarioConfig)
+                 if field.name not in _NOT_PLANNED)
+
+
+@lru_cache(maxsize=1)
+def _support_plan(optics: tuple) -> tuple[np.ndarray, np.ndarray, float, SupportPlan]:
+    """The sigma-independent part of profiles_for for the _PLANNED field values `optics`.
+
+    Returns pair_base's product and exponent on the support, the grid
+    spacing and the propagation SupportPlan, all read-only.  One plan is
+    kept: a fit's evaluations share it, and a different optics
+    configuration replaces it.
+    """
+    config = ScenarioConfig(**dict(zip(_PLANNED, optics)))
+    grid = grid_for(config)
+    amp = transmission_for(config, grid)
+    magnitude = np.abs(amp)
+    inside = np.flatnonzero(magnitude > SUPPORT_FLOOR * magnitude.max())
+    support = np.arange(inside[0], inside[-1] + 1)
+    product, exponent = pair_base(amp[support], config.illumination, grid.x[support])
+    cuts = SupportPlan(support, grid, config.wavelength_um, config.resolution_mrad * 1e-3,
+                       config.detector_separation_mrad * 1e-3)
+    return product, exponent, grid.dx, cuts
+
+
 def profiles_for(config: ScenarioConfig,
                  sigma_um: float | None = None) -> tuple[RateProfile, RateProfile]:
     """Diagonal (at the configured detector separation) and singles profiles.
 
     Both are the cuts of rate_map_for's blurred map up to rounding,
     computed on the spot's support from n x m arrays in place of n x n
-    ones (see the module docstring).
+    ones (see the module docstring).  The returned arrays are read-only.
     """
-    grid = grid_for(config)
-    amp = transmission_for(config, grid)
-    magnitude = np.abs(amp)
-    inside = np.flatnonzero(magnitude > SUPPORT_FLOOR * magnitude.max())
-    support = np.arange(inside[0], inside[-1] + 1)
+    product, exponent, dx, cuts = _support_plan(
+        tuple(getattr(config, name) for name in _PLANNED))
     sigma = config.sigma_corr_um if sigma_um is None else float(sigma_um)
-    pair = two_photon_amplitude(amp[support], sigma, config.illumination,
-                                grid.x[support], grid.dx)
-    return support_profiles(pair, support, grid, config.wavelength_um,
-                            config.resolution_mrad * 1e-3,
-                            config.detector_separation_mrad * 1e-3)
+    return cuts(weigh_pair(product, exponent, sigma, dx))

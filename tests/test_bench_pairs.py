@@ -1,0 +1,56 @@
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+_spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "tools" / "bench_pairs.py")
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+
+
+def test_quartiles_use_the_inclusive_method():
+    # inclusive: positions (len - 1)/4 and 3*(len - 1)/4, interpolated
+    assert bench_pairs.quartiles([4.0, 1.0, 3.0, 2.0]) == {"median": 2.5, "q1": 1.75, "q3": 3.25}
+    assert bench_pairs.quartiles([1.0, 2.0, 3.0, 4.0, 5.0]) == {"median": 3.0, "q1": 2.0,
+                                                                 "q3": 4.0}
+
+
+def test_summary_counts_ties_for_neither_side():
+    parent = [1.0, 2.0, 3.0, 5.0]
+    change = [1.0, 1.0, 4.0, 2.0]    # a tie, a drop, a rise, a drop
+    lower = bench_pairs.summarize(parent, change, "lower")
+    higher = bench_pairs.summarize(parent, change, "higher")
+    assert (lower["change_wins"], higher["change_wins"]) == (2, 1)
+    assert lower["pairs"] == 4
+    assert lower["parent"] == {"median": 2.5, "q1": 1.75, "q3": 3.5}
+    assert lower["parent_iqr"] == 1.75
+    assert lower["median_ratio_change_over_parent"] == pytest.approx(1.5 / 2.5)
+    with pytest.raises(ValueError):
+        bench_pairs.summarize(parent, change, "faster")
+    with pytest.raises(ValueError):
+        bench_pairs.summarize(parent, change[:3], "lower")
+
+
+def test_direction_comes_from_the_benchmark_declaration():
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    better = bench_pairs.directions(benchmark)
+    assert better == {"setup_s": "lower", "command_s": "lower",
+                      "forward_evals_per_s": "higher", "peak_rss_mb": "lower"}
+    runs = [{"side": side, "pair": pair, "seed": pair,
+             "result": {"correct": True, "attempted": 10, "failed": failed,
+                        "metrics": {name: {"value": value} for name in better}}}
+            for pair, (side, value, failed) in enumerate(
+                [("parent", 2.0, 0), ("change", 3.0, 1)], start=1)]
+    runs += [{**run, "pair": 2, "seed": 2} for run in runs]
+    record = bench_pairs.workload_record(runs, better)
+    wins = {name: summary["change_wins"] for name, summary in record["summary"].items()}
+    assert wins == {"setup_s": 0, "command_s": 0, "forward_evals_per_s": 2, "peak_rss_mb": 0}
+    assert record["failed_ops"] == {"parent": 0, "change": 2}
+    assert record["attempted_ops"] == {"parent": 20, "change": 20}
+
+
+@pytest.mark.parametrize("text,seeds", [("101-104", [101, 102, 103, 104]), ("7-8", [7, 8])])
+def test_seed_ranges_are_inclusive(text, seeds):
+    assert bench_pairs.parse_seeds(text) == seeds

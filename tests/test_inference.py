@@ -6,7 +6,7 @@ import pytest
 from pairgrating import (Measurement, ScenarioConfig, fit_sigma,
                          forward_on_angles, load_measurement, od_ratio,
                          visibility)
-from pairgrating import inference
+from pairgrating import inference, scenario
 from pairgrating.propagation import RateProfile
 from pairgrating.errors import (BinSnapWarning, MeasurementFormatError, ParameterError,
                                 SamplingWarning)
@@ -209,6 +209,14 @@ def test_od_ratio_window_validation():
         od_ratio(narrow, WAVELENGTH, PERIOD)                         # out of range
 
 
+@pytest.mark.parametrize("count", [0, 1])
+def test_od_ratio_needs_two_samples(count):
+    # no bin width to read, and no two peaks to compare
+    profile = RateProfile(angles=SCAN[:count], values=np.ones(count))
+    with pytest.raises(ParameterError, match=f"at least 2 samples, got {count}"):
+        od_ratio(profile, WAVELENGTH, PERIOD)
+
+
 # ---------------------------------------------------------------- fitting
 
 def test_fit_round_trip_noise_free(fast_config):
@@ -292,6 +300,36 @@ def test_fit_boundary_not_converged(fast_config):
     assert not result.converged
     assert "boundary" in result.message
     _assert_coarse_best(result, 900.0 * model, fast_config)
+
+
+@pytest.mark.parametrize("count", [0, 1, 2])
+def test_fit_needs_three_samples(fast_config, monkeypatch, count):
+    # one sample per fitted parameter: width, scale and background
+    monkeypatch.setattr(inference, "forward_on_angles", None)   # no evaluation is spent
+    measurement = Measurement(angles=SCAN[:count], rates=np.ones(count))
+    with pytest.raises(ParameterError, match=f"at least 3 scan samples .*got {count}$"):
+        fit_sigma(measurement, fast_config)
+
+
+def test_fit_builds_the_grid_and_transmission_once(monkeypatch):
+    config = ScenarioConfig()
+    model = _quiet_model(config, 9.0)
+    calls = {"make_grid": 0, "transmission": 0}
+
+    def counting(name):
+        original = getattr(scenario, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(scenario, name, counting(name))
+    scenario._support_plan.cache_clear()
+    result = fit_sigma(Measurement(angles=SCAN, rates=900.0 * model), config)
+    assert result.converged and result.n_evaluations > 30
+    assert calls == {"make_grid": 1, "transmission": 1}
 
 
 @pytest.mark.parametrize("sigma", [0.4, 13.0])  # a boundary and a refined fit

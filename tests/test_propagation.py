@@ -1,6 +1,6 @@
 import tracemalloc
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -11,6 +11,7 @@ from pairgrating import (ScenarioConfig, angles_of, blur, coincidence_map,
                          to_far_field, two_photon_amplitude)
 from pairgrating.propagation import RateMap, RateProfile, support_profiles
 from pairgrating.errors import BinSnapWarning, ParameterError, SamplingWarning
+from pairgrating import scenario
 from pairgrating.scenario import SUPPORT_FLOOR, transmission_for
 
 from conftest import WAVELENGTH, matched_deviation
@@ -296,7 +297,7 @@ def test_support_profiles_reject_bad_support(support):
         support_profiles(np.ones((2, 2)), support, make_grid(16, 16.0), 1.0, 0.0)
 
 
-@pytest.mark.parametrize("keys,snaps", [
+PROFILE_CONFIGS = [
     (dict(), 0),
     (dict(illumination="far"), 0),
     (dict(detector_separation_mrad=13.0), 0),    # bins are 1.3 mrad wide
@@ -309,7 +310,10 @@ def test_support_profiles_reject_bad_support(support):
     (dict(sigma_corr_um=0.1), 0),
     (dict(sigma_corr_um=1e4), 0),
     (dict(detector_separation_mrad=-390.0), 0),  # 300 of 512 bins: the band wraps
-])
+]
+
+
+@pytest.mark.parametrize("keys,snaps", PROFILE_CONFIGS)
 def test_profiles_for_matches_cuts_of_rate_map_for(keys, snaps):
     config = ScenarioConfig(**keys)
     separation = config.detector_separation_mrad * 1e-3
@@ -326,6 +330,77 @@ def test_profiles_for_matches_cuts_of_rate_map_for(keys, snaps):
         np.testing.assert_array_equal(got.angles, want.angles)
         np.testing.assert_allclose(got.values, want.values, rtol=1e-12, atol=0.0)
         assert np.all(got.values >= 0.0)
+
+
+@pytest.mark.parametrize("keys,snaps", PROFILE_CONFIGS)
+def test_profiles_for_cold_and_warm_plans_agree(keys, snaps):
+    # a plan built for this call and one reused after another width
+    # give the same arrays, bit for bit
+    config = ScenarioConfig(**keys)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", BinSnapWarning)
+        warnings.simplefilter("ignore", SamplingWarning)
+        scenario._support_plan.cache_clear()
+        cold = profiles_for(config)
+        profiles_for(config, sigma_um=31.0)
+        warm = profiles_for(config)
+    assert scenario._support_plan.cache_info().misses == 1
+    for got, want in zip(warm, cold):
+        assert np.array_equal(got.values, want.values)
+        assert np.array_equal(got.angles, want.angles)
+
+
+def test_profiles_for_plans_once_per_optics_configuration():
+    base = ScenarioConfig(grid_n=256, window_um=300.0)     # bins are 2.6 mrad wide
+    unplanned = dict(sigma_corr_um=3.0, angle_offset_mrad=1.5, output_prefix="other")
+    optics = dict(wavelength_nm=800.0, grating_period_um=30.0, blaze_wavelength_nm=600.0,
+                  spot_diameter_um=40.0, illumination="far", resolution_mrad=5.0,
+                  detector_separation_mrad=5.2, grid_n=128, window_um=290.0)
+    assert sorted({**unplanned, **optics}) == sorted(f.name for f in fields(ScenarioConfig))
+    scenario._support_plan.cache_clear()
+    profiles_for(base)
+    for name, value in unplanned.items():
+        profiles_for(replace(base, **{name: value}))
+        assert scenario._support_plan.cache_info().misses == 1, name
+    for misses, (name, value) in enumerate(optics.items(), start=2):
+        profiles_for(replace(base, **{name: value}))
+        assert scenario._support_plan.cache_info().misses == misses, name
+
+
+def test_profiles_for_returns_read_only_arrays():
+    for profile in profiles_for(ScenarioConfig(grid_n=256, window_um=300.0)):
+        for array in (profile.values, profile.angles):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1.0
+
+
+def test_profiles_for_warns_and_raises_on_every_call():
+    config = ScenarioConfig(grid_n=256, window_um=300.0)
+    snapping = replace(config, detector_separation_mrad=4.0)   # 1.54 bins
+    profiles_for(config)
+    for forward, category in ((lambda: profiles_for(snapping), BinSnapWarning),
+                              (lambda: profiles_for(config, sigma_um=0.5), SamplingWarning)):
+        for _ in range(2):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                forward()
+            assert [(w.category, w.filename) for w in caught] == [(category, __file__)]
+    with pytest.raises(ParameterError, match="correlation width"):
+        profiles_for(config, sigma_um=-1.0)
+
+
+def test_profiles_for_plan_holds_under_two_mib():
+    # the plan keeps the m x m pair factors and skew index (about 32*m**2
+    # bytes, m = 155), Phi, the angles and a (2t+1) x n gather table
+    config = ScenarioConfig(grid_n=2048, window_um=2400.0)
+    scenario._support_plan.cache_clear()
+    tracemalloc.start()
+    try:
+        profiles_for(config)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 2 * 2 ** 20
 
 
 def test_profiles_for_builds_no_full_grid_array():

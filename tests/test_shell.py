@@ -323,6 +323,12 @@ def test_cli_exit_codes(tmp_path, monkeypatch, capsys):
     wide.write_text("angle_mrad,rate\n" + "".join(f"{a},5.0\n" for a in range(0, 400, 10)),
                     encoding="utf-8")
     assert main(["fit", str(cfg), str(wide)]) == 2                # beyond the model's angles
+    one_row = tmp_path / "one_row.csv"
+    one_row.write_text("angle_mrad,rate\n0,5.0\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["fit", str(cfg), str(one_row)]) == 2             # too few samples to fit
+    assert capsys.readouterr().err == (
+        "error: fit needs at least 3 scan samples for width, scale and background, got 1\n")
     assert main(["sweep", str(cfg), "1,abc"]) == 2
     assert main(["sweep", str(cfg), "1,-3"]) == 2
     assert main(["sweep", str(cfg), ","]) == 2                    # no widths
