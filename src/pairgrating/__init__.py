@@ -7,7 +7,7 @@ the correlation width to measured angular scans.
 """
 
 from . import errors
-from .biphoton import correlation_factor, two_photon_amplitude
+from .biphoton import two_photon_amplitude
 from .inference import (FitResult, Measurement, fit_sigma, forward_on_angles,
                         load_measurement, od_ratio, visibility)
 from .lattice import SpatialGrid, angles_of, make_grid
@@ -32,7 +32,6 @@ __all__ = [
     "blaze_phase",
     "blur",
     "coincidence_map",
-    "correlation_factor",
     "delta_correlated_profiles",
     "diagonal_profile",
     "errors",

@@ -33,23 +33,6 @@ def _check_mode(mode: str) -> None:
         raise ParameterError(f"correlation mode must be 'near' or 'far', got {mode!r}")
 
 
-def correlation_factor(x1, x2, sigma_corr: float, mode: str):
-    """Gaussian pair weight in (0, 1]; broadcasts over array inputs.
-
-    mode "near": exp(-(x1 - x2)**2/(2*sigma_corr**2)), positions
-    correlated (the pair source plane is imaged onto the grating).
-    mode "far": exp(-(x1 + x2)**2/(2*sigma_corr**2)), positions
-    anti-correlated (the source's momentum plane sits on the grating).
-    sigma_corr must be positive and finite; the uncorrelated and
-    perfectly correlated limits are reached asymptotically, not by
-    special values.
-    """
-    _check_width(sigma_corr)
-    _check_mode(mode)
-    s = np.asarray(x1, dtype=float) - x2 if mode == "near" else np.asarray(x1, dtype=float) + x2
-    return np.exp(-np.square(s) / (2.0 * sigma_corr ** 2))
-
-
 def pair_base(amplitude, mode: str, x) -> tuple[np.ndarray, np.ndarray]:
     """The sigma-independent factors of two_photon_amplitude at positions x.
 
@@ -106,15 +89,18 @@ def two_photon_amplitude(amplitude, sigma_corr: float, mode: str, x,
                          dx: float) -> np.ndarray:
     """Joint amplitude F(x_j, x_l) = A(x_j)*A(x_l)*G(x_j, x_l) at positions x, unit square sum.
 
-    G is correlation_factor(x_j, x_l, sigma_corr, mode).  x is the whole
-    grid or any subset of it outside which A vanishes (the spot's
-    support); F is then len(x) x len(x).  Normalization happens here
-    (sum(|F|**2)*dx**2 = 1) so downstream rates stay comparable across
-    correlation-width sweeps.  Widths below half the grid spacing dx
-    leave the weight matrix effectively diagonal, which is the
-    perfect-correlation limit; that is acceptable but flagged with a
-    SamplingWarning.  This is pair_base followed by weigh_pair; callers
-    that vary only the width, like scenario.profiles_for, keep
+    G = exp(-(x_j -+ x_l)**2/(2*sigma_corr**2)) correlates the positions
+    in mode "near" (minus: the source plane is imaged onto the grating)
+    and anti-correlates them in mode "far" (plus: the source's momentum
+    plane sits on the grating); sigma_corr must be positive and finite.
+    x is the whole grid or any subset of it outside which A vanishes
+    (the spot's support); F is then len(x) x len(x).  Normalization
+    happens here (sum(|F|**2)*dx**2 = 1) so downstream rates stay
+    comparable across correlation-width sweeps.  Widths below half the
+    grid spacing dx leave the weight matrix effectively diagonal, which
+    is the perfect-correlation limit; that is acceptable but flagged
+    with a SamplingWarning.  This is pair_base followed by weigh_pair;
+    callers that vary only the width, like scenario.profiles_for, keep
     pair_base's factors and call weigh_pair once per width.
     """
     return weigh_pair(*pair_base(amplitude, mode, x), sigma_corr, dx)

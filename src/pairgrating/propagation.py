@@ -13,8 +13,8 @@ D[i] = sum_a sum_b w_a w_b R[(i+a) mod n, (i+s+b) mod n], and the
 blurred singles are the 1D blur of the row sums of R.
 
 When P vanishes outside S x S for a set S of m distinct grid samples
-(the spot's support), support_profiles takes both cuts from m x n
-arrays in place of n x n ones.  With B the m x m block of P on S,
+(the spot's support), SupportPlan takes both cuts from m x n arrays in
+place of n x n ones.  With B the m x m block of P on S,
 S'_l = S_l - n/2, p' = p - n/2 and omega = exp(-2*pi*i/n):
 
 - skew: T[l, (S_j + S_l) mod n] = B[j, l] fills an m x n array, each
@@ -38,9 +38,9 @@ to large arguments.
 SupportPlan splits this into the part that depends only on S, the grid
 and the detectors (the checks, the angles, the kernel, the snapped
 shift, the skew index, Phi, the scale factors and a gather table that
-stands in for np.roll in both blurs) and the part that depends on the
-pair block (the skew, the row FFT, the band, the cuts and the blurs).
-support_profiles builds a plan and applies it once.
+stands in for np.roll in both blurs, as it does in blur) and the part
+that depends on the pair block (the skew, the row FFT, the band, the
+cuts and the blurs).
 """
 
 from __future__ import annotations
@@ -170,16 +170,18 @@ def _box_kernel(width: float, bin_width: float) -> np.ndarray:
     return weights / weights.sum()
 
 
-def _smooth_axis(values: np.ndarray, kernel: np.ndarray, axis: int) -> np.ndarray:
+def _gather_table(reach: int, n: int) -> np.ndarray:
+    """Row a lists (i - reach + a) mod n, so v[table[2*reach - a]] is np.roll(v, a - reach)."""
+    return (np.arange(n) + np.arange(-reach, reach + 1)[:, None]) % n
+
+
+def _circular_blur(values: np.ndarray, kernel: np.ndarray, table: np.ndarray,
+                   axis: int = 0) -> np.ndarray:
+    """Sum of kernel[i]*np.roll(values, i - reach, axis) in kernel order, as a new array."""
     # Circular convolution: the discrete far field is periodic, and wrapping
     # conserves total mass exactly for a unit-sum kernel.
-    if kernel.size == 1:
-        return values.copy()
-    reach = kernel.size // 2
-    out = np.zeros_like(values)
-    for i, w in enumerate(kernel):
-        out += w * np.roll(values, i - reach, axis=axis)
-    return out
+    return sum(weight * np.take(values, table[kernel.size - 1 - i], axis)
+               for i, weight in enumerate(kernel))
 
 
 def _blur_kernel(width: float, angles: np.ndarray) -> np.ndarray:
@@ -203,26 +205,28 @@ def blur(obj, width: float):
     decrease.  Returns the same type as the input.
     """
     kernel = _blur_kernel(width, obj.angles)
+    table = _gather_table(kernel.size // 2, obj.angles.size)
     values = obj.values
     for axis in range(values.ndim):
-        values = _smooth_axis(values, kernel, axis)
+        values = _circular_blur(values, kernel, table, axis)
     values.setflags(write=False)
     return replace(obj, values=values)
 
 
 class SupportPlan:
-    """The pair-independent part of support_profiles for one support, grid and detector setup.
+    """Blurred diagonal and singles cuts of far-field pair amplitudes on one support.
 
-    Construction checks the support, the blur width and the separation
-    (raising as support_profiles does) and keeps what every pair on this
-    support reuses, all read-only: the angles, the kernel and the
-    snapped shift with the text of its BinSnapWarning; the flat skew
-    index (m x m), the phase matrix Phi ((4t+1) x m) and the scale
-    factors; and a (2t+1) x n gather table whose row a lists
-    (i - t + a) mod n, so that v[table[a]] is np.roll(v, t - a) and
-    v[table[2t - a]] is np.roll(v, a - t).  Calling the plan with an
-    m x m pair block returns the two blurred cuts, raising the snap
-    warning, if any, on every call.
+    The support S must be distinct integer grid indices in [0, n), in
+    any order; width and separation are checked as by blur and
+    diagonal_profile.  Called with the m x m block on S of an n x n pair
+    P that vanishes elsewhere, the plan returns diagonal_profile(blur(R,
+    width), separation) and blur(singles_profile(R), width) for R =
+    coincidence_map(to_far_field(P, grid), grid, wavelength), up to
+    rounding, in O(n*m*(log(n) + taps)) time, raising the snap warning,
+    if any, on every call.  Construction keeps what every pair on S
+    reuses, all read-only: the angles, the kernel, the snapped shift,
+    the skew index, Phi, the scale factors and one gather table that
+    serves both blurs.
     """
 
     def __init__(self, support, grid: SpatialGrid, wavelength: float, width: float,
@@ -243,21 +247,21 @@ class SupportPlan:
         skew = np.arange(m) * n + np.add.outer(support, support) % n
         shifts = np.arange(shift - 2 * reach, shift + 2 * reach + 1)
         phases = np.exp(np.outer(shifts, support - n // 2) % n * (-1j * TWO_PI / n))
-        rolls = (np.arange(n) + np.arange(-reach, reach + 1)[:, None]) % n
+        table = _gather_table(reach, n)
         cut_angles = _cut_angles(angles, shift)
-        for array in (angles, kernel, skew, phases, rolls, cut_angles):
+        for array in (angles, kernel, skew, phases, table, cut_angles):
             array.setflags(write=False)
         self._n, self._m, self._reach = n, m, reach
         self._angles, self._kernel, self._cut_angles = angles, kernel, cut_angles
-        self._skew, self._phases, self._rolls = skew, phases, rolls
+        self._skew, self._phases, self._table = skew, phases, table
         # the table's columns for the rows of the diagonal that the shift keeps
-        self._kept_rolls = rolls[:, max(0, -shift):min(n, n - shift)]
+        self._kept_table = table[:, max(0, -shift):min(n, n - shift)]
         self._scale = (grid.dx ** 2 / TWO_PI) ** 2
         self._singles_scale = n * grid.dk * self._scale
 
     def __call__(self, pair) -> tuple[RateProfile, RateProfile]:
         """Blurred diagonal and singles cuts for the m x m pair block on the plan's support."""
-        n, m, reach, kernel, rolls = self._n, self._m, self._reach, self._kernel, self._rolls
+        n, m, reach, kernel = self._n, self._m, self._reach, self._kernel
         if np.shape(pair) != (m, m):
             raise ParameterError(
                 f"pair must have shape ({m}, {m}) to match the support, got {np.shape(pair)}")
@@ -272,35 +276,12 @@ class SupportPlan:
 
         # first-detector offset a - reach reads second-detector offsets b - reach
         # at band row b - a + 2*reach, rolled by reach - a
-        kept = self._kept_rolls
+        kept = self._kept_table
         diagonal = sum(weight * (kernel @ band[2 * reach - a:4 * reach - a + 1])[kept[a]]
                        for a, weight in enumerate(kernel)) * self._scale
         singles = np.fft.fftshift(np.sum(np.abs(rows) ** 2, axis=0)) * self._singles_scale
-        if reach:
-            # the 1D blur: the sum over offsets i - reach of w_i*np.roll(singles, i - reach)
-            singles = sum(weight * singles[rolls[2 * reach - i]]
-                          for i, weight in enumerate(kernel))
+        singles = _circular_blur(singles, kernel, self._table)
         diagonal.setflags(write=False)
         singles.setflags(write=False)
         return (RateProfile(angles=self._cut_angles, values=diagonal),
                 RateProfile(angles=self._angles, values=singles))
-
-
-def support_profiles(pair, support, grid: SpatialGrid, wavelength: float, width: float,
-                     separation: float = 0.0) -> tuple[RateProfile, RateProfile]:
-    """Blurred diagonal and singles cuts of the far field of a pair amplitude on `support`.
-
-    pair is the m x m block on the grid indices `support` of an n x n
-    joint amplitude P that vanishes elsewhere; the indices must be
-    distinct integers in [0, n), in any order.  The result equals
-    diagonal_profile(blur(R, width), separation) and
-    blur(singles_profile(R), width) for R = coincidence_map(
-    to_far_field(P, grid), grid, wavelength), up to rounding.  It is
-    computed through the identities in the module docstring (skew, one
-    row FFT, the Phi G band and Parseval on G) in
-    O(n*m*(log(n) + taps)) time and O(n*(m + taps)) memory.  Width and
-    separation are checked as by blur and diagonal_profile.  This is
-    SupportPlan(support, grid, wavelength, width, separation)(pair);
-    callers with many pairs on one support keep the plan.
-    """
-    return SupportPlan(support, grid, wavelength, width, separation)(pair)

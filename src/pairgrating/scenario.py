@@ -28,7 +28,9 @@ that is per value of every config field except sigma_corr_um,
 angle_offset_mrad and output_prefix, and kept in a one-entry cache, so
 the evaluations of a fit or a sweep share it.  It retains about
 32*m**2 bytes for the m x m arrays (0.7 MiB at the default spot) plus
-O(n*taps) for the gather table.  The apply step is
+O(n*taps) for the gather table.  A plan whose pair factors exceed
+MAX_KEPT_PLAN_BYTES (a spot that covers most of a large grid) is not
+kept: it serves the one call that built it.  The apply step is
 biphoton.weigh_pair for the width, then the plan's skew, row FFT,
 band, cuts and blur; every array operation is the one a plan-free
 evaluation would run, so the profiles are bitwise the same.
@@ -38,7 +40,7 @@ independent full-map reference.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from functools import lru_cache
 from pathlib import Path
 
@@ -57,6 +59,10 @@ MAX_GRID_N = 4096
 # profiles_for's pair amplitude.  Their terms sit far below rounding: the
 # profiles agree with the cuts of rate_map_for to ~3e-14 relative.
 SUPPORT_FLOOR = 1e-17
+
+# profiles_for keeps its plan only while pair_base's m x m factors (24*m**2
+# bytes, so m up to 1,672) fit in this many; a larger plan serves one call.
+MAX_KEPT_PLAN_BYTES = 64 * 2 ** 20
 
 # How parse_config reads a value for each field annotation of ScenarioConfig,
 # and what a value that fails to read must be.
@@ -184,22 +190,15 @@ def rate_map_for(config: ScenarioConfig, sigma_um: float | None = None) -> RateM
     return blur(rmap, config.resolution_mrad * 1e-3)
 
 
-# The fields of ScenarioConfig that profiles_for's plan does not read.
-_NOT_PLANNED = ("sigma_corr_um", "angle_offset_mrad", "output_prefix")
-_PLANNED = tuple(field.name for field in fields(ScenarioConfig)
-                 if field.name not in _NOT_PLANNED)
-
-
 @lru_cache(maxsize=1)
-def _support_plan(optics: tuple) -> tuple[np.ndarray, np.ndarray, float, SupportPlan]:
-    """The sigma-independent part of profiles_for for the _PLANNED field values `optics`.
+def _support_plan(config: ScenarioConfig) -> tuple[np.ndarray, np.ndarray, float, SupportPlan]:
+    """The sigma-independent part of profiles_for for one optics configuration.
 
     Returns pair_base's product and exponent on the support, the grid
     spacing and the propagation SupportPlan, all read-only.  One plan is
     kept: a fit's evaluations share it, and a different optics
     configuration replaces it.
     """
-    config = ScenarioConfig(**dict(zip(_PLANNED, optics)))
     grid = grid_for(config)
     amp = transmission_for(config, grid)
     magnitude = np.abs(amp)
@@ -220,6 +219,8 @@ def profiles_for(config: ScenarioConfig,
     ones (see the module docstring).  The returned arrays are read-only.
     """
     product, exponent, dx, cuts = _support_plan(
-        tuple(getattr(config, name) for name in _PLANNED))
+        replace(config, sigma_corr_um=1.0, angle_offset_mrad=0.0, output_prefix="out"))
+    if product.nbytes + exponent.nbytes > MAX_KEPT_PLAN_BYTES:
+        _support_plan.cache_clear()
     sigma = config.sigma_corr_um if sigma_um is None else float(sigma_um)
     return cuts(weigh_pair(product, exponent, sigma, dx))

@@ -18,7 +18,6 @@ import warnings
 
 import numpy as np
 
-from .biphoton import correlation_factor
 from .errors import ConfigError, MeasurementFormatError, ParameterError
 from .inference import (VISIBILITY_WINDOW, FitResult, fit_sigma, forward_on_angles,
                         load_measurement, od_ratio, visibility)
@@ -114,14 +113,12 @@ def run_sweep(config: ScenarioConfig, sigmas: list[float]) -> list[tuple[float, 
     """Tabulate order ratio and singles visibility over correlation widths."""
     if not sigmas:
         raise ParameterError("no correlation widths given")
-    for sigma in sigmas:  # reject a bad width before the first row is computed
-        correlation_factor(0.0, 0.0, sigma, config.illumination)
     rows = []
-    for sigma in sigmas:
+    for sigma in sigmas:  # every row before the first is printed: a bad width prints none
         diagonal, singles = profiles_for(config, sigma_um=sigma)
-        ratio = od_ratio(diagonal, config.wavelength_um, config.grating_period_um)
-        vis = visibility(singles, VISIBILITY_WINDOW)
-        rows.append((sigma, ratio, vis))
+        rows.append((sigma, od_ratio(diagonal, config.wavelength_um, config.grating_period_um),
+                     visibility(singles, VISIBILITY_WINDOW)))
+    for sigma, ratio, vis in rows:
         print(f"sigma = {sigma:10.4g} um   od_ratio = {ratio:10.4g}   "
               f"singles_visibility = {vis:8.4g}")
     path = f"{config.output_prefix}_sweep.csv"

@@ -1,31 +1,42 @@
 import numpy as np
 import pytest
 
-from pairgrating import (ScenarioConfig, correlation_factor, make_grid, profiles_for,
-                         rate_map_for, transmission, two_photon_amplitude)
+from pairgrating import (ScenarioConfig, make_grid, profiles_for, rate_map_for, transmission,
+                         two_photon_amplitude)
+from pairgrating.biphoton import pair_base, weigh_pair
 from pairgrating.errors import DegenerateInputError, ParameterError, SamplingWarning
 
 from conftest import BLAZE, PERIOD, WAVELENGTH
 
 
+def _pair_weights(x, sigma, mode):
+    # with a unit amplitude the joint amplitude is the Gaussian weight G
+    # times one normalization, so ratios of its entries are ratios of G
+    return weigh_pair(*pair_base(np.ones(len(x)), mode, x), sigma, 1.0)
+
+
 def test_correlation_factor_on_diagonal():
-    assert correlation_factor(7.3, 7.3, 5.0, "near") == 1.0
+    weights = _pair_weights([7.3, 0.0], 5.0, "near")
+    assert weights[0, 0] / weights[1, 1] == 1.0
 
 
 def test_correlation_factor_on_antidiagonal():
-    assert correlation_factor(5.0, -5.0, 5.0, "far") == 1.0
+    weights = _pair_weights([5.0, -5.0, 0.0], 5.0, "far")
+    assert weights[0, 1] / weights[2, 2] == 1.0
 
 
 def test_correlation_factor_one_width_away():
-    assert correlation_factor(0.0, 5.0, 5.0, "near") == pytest.approx(np.exp(-0.5), rel=1e-15)
-    assert correlation_factor(0.0, 5.0, 5.0, "near") == pytest.approx(0.6065, abs=1e-4)
+    weights = _pair_weights([0.0, 5.0], 5.0, "near")
+    ratio = (weights[0, 1] / weights[0, 0]).real
+    assert ratio == pytest.approx(np.exp(-0.5), rel=1e-15)
+    assert ratio == pytest.approx(0.6065, abs=1e-4)
 
 
 @pytest.mark.parametrize("sigma,mode", [(0.0, "near"), (-1.0, "near"),
                                         (float("nan"), "near"), (9.0, "diagonal")])
 def test_correlation_model_validation(sigma, mode):
     with pytest.raises(ParameterError):
-        correlation_factor(0.0, 0.0, sigma, mode)
+        two_photon_amplitude(np.ones(2), sigma, mode, [0.0, 1.0], 1.0)
 
 
 @pytest.fixture(scope="module")

@@ -9,7 +9,7 @@ from pairgrating import (ScenarioConfig, angles_of, blur, coincidence_map,
                          diagonal_profile, fourier_1d,
                          make_grid, profiles_for, rate_map_for, singles_profile,
                          to_far_field, two_photon_amplitude)
-from pairgrating.propagation import RateMap, RateProfile, support_profiles
+from pairgrating.propagation import RateMap, RateProfile, SupportPlan, _box_kernel
 from pairgrating.errors import BinSnapWarning, ParameterError, SamplingWarning
 from pairgrating import scenario
 from pairgrating.scenario import SUPPORT_FLOOR, transmission_for
@@ -199,6 +199,28 @@ def test_blur_never_increases_contrast():
             assert visibility(blur(profile, width), window) <= reference + 1e-12
 
 
+@pytest.mark.parametrize("width_bins,taps", [(0.5, 1), (4.2, 5), (8.4, 9)])
+@pytest.mark.parametrize("ndim", [1, 2])
+def test_blur_is_bitwise_the_roll_sum(width_bins, taps, ndim):
+    # the circular convolution written as a sum of np.roll terms in kernel
+    # order, one axis after the other
+    grid = make_grid(512, 512.0)
+    angles = angles_of(grid, 1.0)
+    values = np.random.default_rng(taps + ndim).random((512,) * ndim)
+    obj = (RateMap(grid=grid, angles=angles, values=values) if ndim == 2
+           else RateProfile(angles=angles, values=values))
+    width = width_bins * (angles[1] - angles[0])
+    kernel = _box_kernel(width, angles[1] - angles[0])
+    assert kernel.size == taps
+    expected = values
+    for axis in range(ndim):
+        rolled = np.zeros_like(expected)
+        for i, weight in enumerate(kernel):
+            rolled += weight * np.roll(expected, i - taps // 2, axis=axis)
+        expected = rolled
+    assert np.array_equal(blur(obj, width).values, expected)
+
+
 def test_blur_width_validation(far_map):
     with pytest.raises(ParameterError):
         blur(far_map, -0.001)
@@ -223,8 +245,7 @@ def test_blurred_diagonal_matches_cut_of_blurred_map(width_bins, shift):
     width, separation = width_bins * bin_width, shift * bin_width
     expected = (diagonal_profile(blur(rate_map, width), separation),
                 blur(singles_profile(rate_map), width))
-    for got, want in zip(support_profiles(pair, support, grid, 1.0, width, separation),
-                         expected):
+    for got, want in zip(SupportPlan(support, grid, 1.0, width, separation)(pair), expected):
         np.testing.assert_array_equal(got.angles, want.angles)
         np.testing.assert_allclose(got.values, want.values, rtol=1e-12, atol=0.0)
 
@@ -244,9 +265,9 @@ def test_blurred_diagonal_checks_like_blur_and_cut():
     grid = make_grid(16, 16.0)
     for width in (-0.001, np.nan):
         with pytest.raises(ParameterError, match="blur width"):
-            support_profiles(np.ones((2, 2)), [7, 8], grid, 1.0, width)
+            SupportPlan([7, 8], grid, 1.0, width)
     with pytest.raises(ParameterError, match="shape"):
-        support_profiles(np.ones((2, 3)), [7, 8], grid, 1.0, 0.0)
+        SupportPlan([7, 8], grid, 1.0, 0.0)(np.ones((2, 3)))
 
 
 # top-hats written out by hand: full widths of 0, 2.6 and 7.7 bins
@@ -283,8 +304,7 @@ def test_support_profiles_match_extended_precision_sums(n, shifts, width_bins):
     for shift in shifts:
         diagonal = sum(wa * wb * rates[(rows + a) % n, (rows + shift + b) % n]
                        for a, wa in zip(offsets, kernel) for b, wb in zip(offsets, kernel))
-        got = support_profiles(pair, support, grid, 1.0, width_bins * bin_width,
-                               shift * bin_width)
+        got = SupportPlan(support, grid, 1.0, width_bins * bin_width, shift * bin_width)(pair)
         for profile, want in zip(got, (diagonal[max(0, -shift):n - max(0, shift)], singles)):
             np.testing.assert_allclose(profile.values, want.astype(float), rtol=1e-12, atol=0.0)
 
@@ -294,7 +314,7 @@ def test_support_profiles_reject_bad_support(support):
     # a negative index would wrap, a repeat would drop mass, an index past
     # the grid would fail inside numpy, and a float is no index at all
     with pytest.raises(ParameterError, match="support must be distinct integer"):
-        support_profiles(np.ones((2, 2)), support, make_grid(16, 16.0), 1.0, 0.0)
+        SupportPlan(support, make_grid(16, 16.0), 1.0, 0.0)
 
 
 PROFILE_CONFIGS = [
@@ -401,6 +421,24 @@ def test_profiles_for_plan_holds_under_two_mib():
     finally:
         tracemalloc.stop()
     assert held < 2 * 2 ** 20
+
+
+def test_profiles_for_drops_a_plan_over_the_byte_cap():
+    # a spot far wider than the window puts the whole grid in the support:
+    # pair_base's factors alone are 24*n**2 bytes, 96 MiB at n = 2048
+    config = ScenarioConfig(grid_n=2048, window_um=2400.0, spot_diameter_um=1e5)
+    magnitude = np.abs(transmission_for(config))
+    assert magnitude.min() > SUPPORT_FLOOR * magnitude.max()
+    assert 24 * config.grid_n ** 2 > scenario.MAX_KEPT_PLAN_BYTES
+    scenario._support_plan.cache_clear()
+    tracemalloc.start()
+    try:
+        profiles_for(config)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 2 * 2 ** 20
+    assert scenario._support_plan.cache_info().currsize == 0
 
 
 def test_profiles_for_builds_no_full_grid_array():

@@ -330,7 +330,12 @@ def test_cli_exit_codes(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().err == (
         "error: fit needs at least 3 scan samples for width, scale and background, got 1\n")
     assert main(["sweep", str(cfg), "1,abc"]) == 2
-    assert main(["sweep", str(cfg), "1,-3"]) == 2
+    capsys.readouterr()
+    assert main(["sweep", str(cfg), "1,-3"]) == 2                 # the second width is bad
+    captured = capsys.readouterr()
+    assert captured.out == ""                                     # not even the first row
+    assert captured.err == "error: correlation width must be positive and finite, got -3.0\n"
+    assert not (tmp_path / "out_sweep.csv").exists()
     assert main(["sweep", str(cfg), ","]) == 2                    # no widths
 
     bom_cfg = _config(tmp_path, "\ufeff" + FAST, name="bom.cfg")
