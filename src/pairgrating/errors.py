@@ -52,9 +52,12 @@ def warn_caller(message: str, category: type) -> None:
 def read_lines(path, error: type[Exception]) -> list[str]:
     """Lines of a UTF-8 text file; a leading byte-order mark is dropped.
 
-    A byte that is not UTF-8 raises `error` naming the file and the line
-    that holds it, in place of a UnicodeDecodeError.
+    A path that is not a file raises `error` saying so.  A byte that is
+    not UTF-8 raises `error` naming the file and the line that holds it,
+    in place of a UnicodeDecodeError.
     """
+    if not Path(path).is_file():
+        raise error(f"{path}: file not found")
     try:
         return Path(path).read_bytes().decode("utf-8-sig").splitlines()
     except UnicodeDecodeError as exc:

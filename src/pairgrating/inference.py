@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,47 +28,64 @@ COARSE_POINTS = 25
 REFINE_REL_WIDTH = 1e-3
 FLAT_LANDSCAPE_REL = 1e-9
 CHANNELS = ("coincidences", "singles")
+# load_measurement's header lines and the number of columns each announces
+_HEADERS = {"angle_mrad,rate": 2, "angle_mrad,rate,rate_err": 3}
+_SAMPLE_FAULTS = ("non-finite value", "negative rate", "non-positive rate_err")
+
+
+def _check_channel(channel: str) -> None:
+    if channel not in CHANNELS:
+        raise ParameterError(f"channel must be one of {CHANNELS}, got {channel!r}")
+
+
+def _first_fault(angles, rates, rate_errors) -> tuple[int, str] | None:
+    """Index and fault of the first sample a scan may not hold, or None.
+
+    The per-sample faults come first, in scan order; a sample with several
+    reports the first of: a non-finite value in any column, a negative
+    rate, a rate_err that is not positive.  Then comes the angle order:
+    the first angle that is not above the one before it.
+    """
+    errors = np.ones_like(rates) if rate_errors is None else rate_errors
+    faults = np.stack([~np.isfinite([angles, rates, errors]).all(axis=0),
+                       rates < 0.0, errors <= 0.0])
+    bad = np.flatnonzero(faults.any(axis=0))
+    if bad.size:
+        return int(bad[0]), _SAMPLE_FAULTS[int(np.argmax(faults[:, bad[0]]))]
+    falls = np.flatnonzero(np.diff(angles) <= 0.0)
+    return (int(falls[0]) + 1, "non-increasing angle") if falls.size else None
 
 
 @dataclass(frozen=True)
 class Measurement:
     """One angular scan: strictly increasing angles (rad) and count rates.
 
-    rate_errors, when present, are one-sigma uncertainties used as
-    inverse-variance weights by the fit.  metadata carries free-form
-    acquisition context (wavelength, spot, grating, ...).
+    Every value is finite, the rates are nonnegative, and rate_errors,
+    when present, are positive one-sigma uncertainties that the fit uses
+    as inverse-variance weights.  A sample that breaks a rule raises
+    ParameterError naming its index.
     """
 
     angles: np.ndarray
     rates: np.ndarray
     rate_errors: np.ndarray | None = None
     channel: str = "coincidences"
-    metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
         angles = np.asarray(self.angles, dtype=float)
         rates = np.asarray(self.rates, dtype=float)
+        errors = None if self.rate_errors is None else np.asarray(self.rate_errors, dtype=float)
         object.__setattr__(self, "angles", angles)
         object.__setattr__(self, "rates", rates)
+        object.__setattr__(self, "rate_errors", errors)
         if angles.ndim != 1 or angles.shape != rates.shape:
             raise ParameterError("angles and rates must be 1D arrays of equal length")
-        if not (np.all(np.isfinite(angles)) and np.all(np.isfinite(rates))):
-            raise ParameterError("angles and rates must be finite")
-        if angles.size and np.any(np.diff(angles) <= 0.0):
-            raise ParameterError("angles must be strictly increasing")
-        if np.any(rates < 0.0):
-            raise ParameterError("rates must be nonnegative")
-        if self.rate_errors is not None:
-            errors = np.asarray(self.rate_errors, dtype=float)
-            object.__setattr__(self, "rate_errors", errors)
-            if errors.shape != rates.shape:
-                raise ParameterError("rate_errors must match rates in length")
-            if not np.all(np.isfinite(errors)):
-                raise ParameterError("rate_errors must be finite")
-            if np.any(errors <= 0.0):
-                raise ParameterError("rate_errors must be positive")
-        if self.channel not in CHANNELS:
-            raise ParameterError(f"channel must be one of {CHANNELS}, got {self.channel!r}")
+        if errors is not None and errors.shape != rates.shape:
+            raise ParameterError("rate_errors must match rates in length")
+        fault = _first_fault(angles, rates, errors)
+        if fault:
+            raise ParameterError(f"{fault[1]} at sample {fault[0]}")
+        _check_channel(self.channel)
 
 
 @dataclass(frozen=True)
@@ -95,81 +111,52 @@ def load_measurement(path, channel: str = "coincidences") -> Measurement:
     Format: UTF-8 (a leading byte-order mark is dropped), lines
     beginning with '#' are comments, first data line must be the header
     `angle_mrad,rate` or `angle_mrad,rate,rate_err`, then one sample per
-    line with angles in mrad (converted to rad here).  Comments of the
-    form `# key: value` are collected into metadata; a `channel` entry
-    overrides the argument.
+    line with angles in mrad (converted to rad here).  A `# channel:
+    <name>` comment overrides the argument; other comments are ignored.
+    A sample that breaks a rule of Measurement raises
+    MeasurementFormatError naming its line, after every line has parsed.
     """
-    p = Path(path)
-    if not p.is_file():
-        raise MeasurementFormatError(f"measurement file not found: {path}")
-    metadata: dict = {}
     n_columns = 0
-    angles: list[float] = []
-    rates: list[float] = []
-    errors: list[float] = []
-    row_lines: list[int] = []
-    for line_no, raw in enumerate(read_lines(p, MeasurementFormatError), start=1):
+    rows: list[tuple[int, str, list[float]]] = []  # line number, raw line, numbers
+    for line_no, raw in enumerate(read_lines(path, MeasurementFormatError), start=1):
         line = raw.strip()
         if not line:
             continue
         if line.startswith("#"):
-            body = line.lstrip("#").strip()
-            if ":" in body:
-                key, _, value = body.partition(":")
-                key, value = key.strip(), value.strip()
-                if key == "channel" and value not in CHANNELS:
+            key, colon, value = line.lstrip("#").partition(":")
+            if colon and key.strip() == "channel":
+                channel = value.strip()
+                if channel not in CHANNELS:
                     raise MeasurementFormatError(
                         f"{path}: line {line_no}: channel must be one of {CHANNELS}, "
-                        f"got {value!r}")
-                metadata[key] = value
+                        f"got {channel!r}")
             continue
         if n_columns == 0:
-            if line == "angle_mrad,rate":
-                n_columns = 2
-            elif line == "angle_mrad,rate,rate_err":
-                n_columns = 3
-            else:
+            if line not in _HEADERS:
                 raise MeasurementFormatError(
-                    f"{path}: line {line_no}: expected header 'angle_mrad,rate' or "
-                    f"'angle_mrad,rate,rate_err', got {raw!r}")
+                    f"{path}: line {line_no}: expected header "
+                    f"{' or '.join(map(repr, _HEADERS))}, got {raw!r}")
+            n_columns = _HEADERS[line]
             continue
-        parts = [s.strip() for s in line.split(",")]
+        parts = line.split(",")
         if len(parts) != n_columns:
             raise MeasurementFormatError(
                 f"{path}: line {line_no}: expected {n_columns} columns, got {len(parts)}")
         try:
-            numbers = [float(s) for s in parts]
+            rows.append((line_no, raw, [float(s) for s in parts]))
         except ValueError:
             raise MeasurementFormatError(
                 f"{path}: line {line_no}: non-numeric value in {raw!r}") from None
-        if not all(math.isfinite(x) for x in numbers):
-            raise MeasurementFormatError(f"{path}: line {line_no}: non-finite value in {raw!r}")
-        if numbers[1] < 0.0:
-            raise MeasurementFormatError(f"{path}: line {line_no}: negative rate {numbers[1]!r}")
-        if n_columns == 3 and numbers[2] <= 0.0:
-            raise MeasurementFormatError(
-                f"{path}: line {line_no}: rate_err must be positive, got {numbers[2]!r}")
-        angles.append(numbers[0])
-        rates.append(numbers[1])
-        if n_columns == 3:
-            errors.append(numbers[2])
-        row_lines.append(line_no)
-    if n_columns == 0:
-        raise MeasurementFormatError(f"{path}: no header line found")
-    if not angles:
-        raise MeasurementFormatError(f"{path}: no data rows")
-    angle_arr = np.asarray(angles, dtype=float)
-    steps = np.diff(angle_arr)
-    if np.any(steps <= 0.0):
-        bad = int(np.argmax(steps <= 0.0)) + 1
-        raise MeasurementFormatError(
-            f"{path}: line {row_lines[bad]}: angles must be strictly increasing")
-    return Measurement(
-        angles=angle_arr * 1e-3,
-        rates=np.asarray(rates, dtype=float),
-        rate_errors=np.asarray(errors, dtype=float) if errors else None,
-        channel=metadata.get("channel", channel),
-        metadata=metadata)
+    if not rows:
+        raise MeasurementFormatError(f"{path}: no data rows" if n_columns
+                                     else f"{path}: no header line found")
+    columns = np.array([numbers for _, _, numbers in rows]).T
+    errors = columns[2] if n_columns == 3 else None
+    fault = _first_fault(columns[0], columns[1], errors)
+    if fault:
+        line_no, raw, _ = rows[fault[0]]
+        raise MeasurementFormatError(f"{path}: line {line_no}: {fault[1]} in {raw!r}")
+    return Measurement(columns[0] * 1e-3, columns[1], rate_errors=errors, channel=channel)
 
 
 def visibility(profile, window) -> float:
@@ -248,8 +235,7 @@ def forward_on_angles(scenario: ScenarioConfig, sigma_um: float, angles,
     raise ParameterError instead of being clamped to the edge values.
     channel is "coincidences" (the diagonal) or "singles".
     """
-    if channel not in CHANNELS:
-        raise ParameterError(f"channel must be one of {CHANNELS}, got {channel!r}")
+    _check_channel(channel)
     diagonal, singles = profiles_for(scenario, sigma_um=sigma_um)
     profile = diagonal if channel == "coincidences" else singles
     model_angles = profile.angles + scenario.angle_offset_mrad * 1e-3

@@ -26,12 +26,12 @@ angles, the kernel, the snapped shift, the skew index, Phi and the
 gather table of the blur).  It is built once per optics configuration,
 that is per value of every config field except sigma_corr_um,
 angle_offset_mrad and output_prefix, and kept in a one-entry cache, so
-the evaluations of a fit or a sweep share it.  It retains about
-32*m**2 bytes for the m x m arrays (0.7 MiB at the default spot) plus
-O(n*taps) for the gather table.  A plan whose pair factors exceed
-MAX_KEPT_PLAN_BYTES (a spot that covers most of a large grid) is not
-kept: it serves the one call that built it.  The apply step is
-biphoton.weigh_pair for the width, then the plan's skew, row FFT,
+the evaluations of a fit or a sweep share it.  It retains 32*m**2
+bytes for the m x m arrays (0.7 MiB at the default spot) plus
+O(n*taps) for the gather table.  A plan whose m x m arrays exceed
+MAX_KEPT_PLAN_BYTES, m > 1,448 (a spot that covers most of a large
+grid), is not kept: it serves the one call that built it.  The apply
+step is biphoton.weigh_pair for the width, then the plan's skew, row FFT,
 band, cuts and blur; every array operation is the one a plan-free
 evaluation would run, so the profiles are bitwise the same.
 rate_map_for builds everything afresh on every call and stays the
@@ -42,7 +42,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
 from functools import lru_cache
-from pathlib import Path
 
 import numpy as np
 
@@ -60,8 +59,8 @@ MAX_GRID_N = 4096
 # profiles agree with the cuts of rate_map_for to ~3e-14 relative.
 SUPPORT_FLOOR = 1e-17
 
-# profiles_for keeps its plan only while pair_base's m x m factors (24*m**2
-# bytes, so m up to 1,672) fit in this many; a larger plan serves one call.
+# profiles_for keeps a plan only while its m x m arrays, pair_base's product and
+# exponent and SupportPlan's skew index (32*m**2 bytes, m <= 1,448), fit in this.
 MAX_KEPT_PLAN_BYTES = 64 * 2 ** 20
 
 # How parse_config reads a value for each field annotation of ScenarioConfig,
@@ -138,13 +137,10 @@ def parse_config(path) -> ScenarioConfig:
     naming the key; errors about one line, a byte that is not UTF-8
     among them, name the file and the line.
     """
-    p = Path(path)
-    if not p.is_file():
-        raise ConfigError(f"config file not found: {path}")
     kinds = {field.name: field.type for field in fields(ScenarioConfig)}
     values: dict = {}
     key_lines: dict = {}
-    for line_no, raw in enumerate(read_lines(p, ConfigError), start=1):
+    for line_no, raw in enumerate(read_lines(path, ConfigError), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -220,7 +216,7 @@ def profiles_for(config: ScenarioConfig,
     """
     product, exponent, dx, cuts = _support_plan(
         replace(config, sigma_corr_um=1.0, angle_offset_mrad=0.0, output_prefix="out"))
-    if product.nbytes + exponent.nbytes > MAX_KEPT_PLAN_BYTES:
+    if 32 * product.size > MAX_KEPT_PLAN_BYTES:  # 16 + 8 + 8 bytes per pair of samples on S
         _support_plan.cache_clear()
     sigma = config.sigma_corr_um if sigma_um is None else float(sigma_um)
     return cuts(weigh_pair(product, exponent, sigma, dx))

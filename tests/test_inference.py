@@ -47,11 +47,14 @@ def test_load_with_errors_column(tmp_path):
 
 
 def test_load_metadata_comments(tmp_path):
+    # `# channel:` sets the channel; any other `# key: value` comment is ignored
     path = _write(tmp_path,
                   "# channel: singles\n# spot_um: 29\nangle_mrad,rate\n0,1\n1,2\n")
     meas = load_measurement(path)
     assert meas.channel == "singles"
-    assert meas.metadata["spot_um"] == "29"
+    assert not hasattr(meas, "metadata")
+    np.testing.assert_array_equal(meas.angles, [0.0, 1e-3])
+    np.testing.assert_array_equal(meas.rates, [1.0, 2.0])
 
 
 def test_load_invalid_channel_comment_names_line(tmp_path):
@@ -97,6 +100,23 @@ def test_load_non_finite_value_names_line(tmp_path, text, line):
     path = _write(tmp_path, text)
     with pytest.raises(MeasurementFormatError, match=f"line {line}: non-finite"):
         load_measurement(path)
+
+
+def test_load_reports_sample_faults_before_the_angle_order(tmp_path):
+    # line 3 steps the angle back, line 5 holds a negative rate
+    path = _write(tmp_path, "angle_mrad,rate\n1.0,1\n0.5,2\n2.0,3\n3.0,-4\n")
+    with pytest.raises(MeasurementFormatError, match=r"line 5: negative rate in '3\.0,-4'$"):
+        load_measurement(path)
+
+
+def test_non_finite_comes_before_a_negative_rate(tmp_path):
+    path = _write(tmp_path, "angle_mrad,rate,rate_err\n0,1,1\n1,2,1\n2,3,1\n3,-1,nan\n")
+    with pytest.raises(MeasurementFormatError,
+                       match=r"line 5: non-finite value in '3,-1,nan'$"):
+        load_measurement(path)
+    with pytest.raises(ParameterError, match="^non-finite value at sample 3$"):
+        Measurement(angles=np.array([0.0, 1.0, 2.0, 3.0]), rates=np.array([1.0, 2.0, 3.0, -1.0]),
+                    rate_errors=np.array([1.0, 1.0, 1.0, np.nan]))
 
 
 def test_load_missing_header(tmp_path):

@@ -441,6 +441,24 @@ def test_profiles_for_drops_a_plan_over_the_byte_cap():
     assert scenario._support_plan.cache_info().currsize == 0
 
 
+def test_profiles_for_counts_the_skew_index_against_the_byte_cap():
+    # m = n = 1,664: pair_base's factors (24*m**2 bytes, 63.4 MiB) fit under
+    # the cap, and the skew index (8*m**2 bytes) takes the plan over it
+    config = ScenarioConfig(grid_n=1664, window_um=1950.0, spot_diameter_um=1e5)
+    magnitude = np.abs(transmission_for(config))
+    assert magnitude.min() > SUPPORT_FLOOR * magnitude.max()
+    assert 24 * config.grid_n ** 2 < scenario.MAX_KEPT_PLAN_BYTES < 32 * config.grid_n ** 2
+    scenario._support_plan.cache_clear()
+    tracemalloc.start()
+    try:
+        profiles_for(config)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < scenario.MAX_KEPT_PLAN_BYTES
+    assert scenario._support_plan.cache_info().currsize == 0
+
+
 def test_profiles_for_builds_no_full_grid_array():
     # one n x n complex128 array at n = 2048 is 64 MiB; the full-map chain
     # peaks at several of them
