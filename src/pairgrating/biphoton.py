@@ -2,10 +2,9 @@
 
 Both photons traverse the same grating, so the joint amplitude is the
 product of identical single-photon amplitudes weighted by a Gaussian
-factor tying their transverse positions together.  Exchange symmetry of
-the pair is automatic for the product of identical scalar amplitudes; a
-future extension with two distinct amplitudes would have to symmetrize
-explicitly.
+factor tying their transverse positions together.  pair_base
+symmetrizes the product under exchange explicitly: for identical scalar
+amplitudes that changes only rounding, and it makes F equal F.T bitwise.
 
 The amplitude is built in two steps.  pair_base computes what does not
 depend on the correlation width (the symmetrized product A_j*A_l and
@@ -26,6 +25,10 @@ def _check_width(sigma_corr: float) -> None:
     if not np.isfinite(sigma_corr) or not (sigma_corr > 0.0):
         raise ParameterError(
             f"correlation width must be positive and finite, got {sigma_corr!r}")
+    sigma = float(sigma_corr)  # unlike np.float64, a float product overflows with no warning
+    if not (0.0 < 2.0 * (sigma * sigma) < np.inf):
+        raise ParameterError(f"correlation width {sigma_corr!r} um is out of range: "
+                             "2*sigma**2 is not a positive finite double")
 
 
 def _check_mode(mode: str) -> None:
@@ -70,7 +73,8 @@ def weigh_pair(product, exponent, sigma_corr: float, dx: float) -> np.ndarray:
     sum(|F|**2)*dx**2 = 1.  The result is a new read-only array.
     """
     _check_width(sigma_corr)
-    joint = product * np.exp(exponent / (2.0 * sigma_corr ** 2))
+    with np.errstate(over="ignore"):  # a subnormal 2*sigma**2 sends far pairs to -inf: weight 0
+        joint = product * np.exp(exponent / (2.0 * sigma_corr ** 2))
     if sigma_corr < dx / 2.0:
         warn_caller(
             f"correlation width {sigma_corr:.4g} um is below half the grid "

@@ -1,5 +1,5 @@
-"""Exception and warning types shared across the package, the warning helper,
-and the text-file reader that turns a decoding failure into one of the errors."""
+"""Exception and warning types shared across the package, the warning helper, and
+the readers of text files (a decoding failure becomes one of the errors) and numbers."""
 
 import os
 import sys
@@ -65,3 +65,10 @@ def read_lines(path, error: type[Exception]) -> list[str]:
         line_no = exc.object.count(b"\n", 0, exc.start) + 1
         raise error(f"{path}: line {line_no}: byte 0x{exc.object[exc.start]:02x} "
                     f"is not UTF-8 text ({exc.reason})") from None
+
+
+def read_number(text: str, kind: type = float):
+    """kind(text), rejecting the '_' and non-ASCII digits that float and int accept."""
+    if "_" in text or not text.isascii():
+        raise ValueError(f"not a plain ASCII number: {text!r}")
+    return kind(text)

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MeasurementFormatError, ParameterError, SamplingWarning, read_lines
+from .errors import (MeasurementFormatError, ParameterError, SamplingWarning, read_lines,
+                     read_number)
 from .scenario import ScenarioConfig, profiles_for
 
 # Angular window used for visibility summaries (rad): the central region
@@ -31,6 +32,11 @@ CHANNELS = ("coincidences", "singles")
 # load_measurement's header lines and the number of columns each announces
 _HEADERS = {"angle_mrad,rate": 2, "angle_mrad,rate,rate_err": 3}
 _SAMPLE_FAULTS = ("non-finite value", "negative rate", "non-positive rate_err")
+
+
+def unit_peak(values: np.ndarray) -> np.ndarray:
+    peak = values.max()
+    return values / peak if peak > 0.0 else values
 
 
 def _check_channel(channel: str) -> None:
@@ -105,17 +111,18 @@ class FitResult:
     message: str = ""
 
 
-def load_measurement(path, channel: str = "coincidences") -> Measurement:
+def load_measurement(path) -> Measurement:
     """Read an angular scan from a comma-separated text file.
 
     Format: UTF-8 (a leading byte-order mark is dropped), lines
     beginning with '#' are comments, first data line must be the header
     `angle_mrad,rate` or `angle_mrad,rate,rate_err`, then one sample per
-    line with angles in mrad (converted to rad here).  A `# channel:
-    <name>` comment overrides the argument; other comments are ignored.
-    A sample that breaks a rule of Measurement raises
-    MeasurementFormatError naming its line, after every line has parsed.
+    line with angles in mrad (converted to rad here), read by read_number.
+    A `# channel: <name>` comment sets the channel (coincidences without
+    one); others are ignored.  A sample that breaks a rule of Measurement
+    raises MeasurementFormatError naming its line, after every line parsed.
     """
+    channel = "coincidences"
     n_columns = 0
     rows: list[tuple[int, str, list[float]]] = []  # line number, raw line, numbers
     for line_no, raw in enumerate(read_lines(path, MeasurementFormatError), start=1):
@@ -143,7 +150,7 @@ def load_measurement(path, channel: str = "coincidences") -> Measurement:
             raise MeasurementFormatError(
                 f"{path}: line {line_no}: expected {n_columns} columns, got {len(parts)}")
         try:
-            rows.append((line_no, raw, [float(s) for s in parts]))
+            rows.append((line_no, raw, [read_number(s) for s in parts]))
         except ValueError:
             raise MeasurementFormatError(
                 f"{path}: line {line_no}: non-numeric value in {raw!r}") from None
@@ -181,27 +188,22 @@ def visibility(profile, window) -> float:
     return (vmax - vmin) / (vmax + vmin)
 
 
-def od_ratio(profile, wavelength: float, period: float,
-             peak_halfwidth: float | None = None) -> float:
+def od_ratio(profile, wavelength: float, period: float) -> float:
     """Blue-to-red order ratio of a coincidence profile.
 
     Peak heights are the maximum sample inside a window of half width
-    peak_halfwidth around the half-wavelength first order at
-    wavelength/(2*period) and around the plain first order at
-    wavelength/period.  The default half width is half an angular bin,
-    which reads off the sample at each order position; wider windows
-    mix in the shoulders of neighboring orders when the spot is small.
+    half the smallest angular step around the half-wavelength first
+    order at wavelength/(2*period) and around the plain first order at
+    wavelength/period, which reads off the sample at each order
+    position.  Raises ParameterError when the windows overlap (a step
+    of wavelength/(2*period) or more) or leave the profile's range.
     Returns +inf when the red peak is exactly zero.  The profile needs
     at least 2 samples.
     """
     count = np.size(profile.angles)
     if count < 2:
         raise ParameterError(f"order ratio needs a profile of at least 2 samples, got {count}")
-    if peak_halfwidth is None:
-        bins = np.diff(profile.angles)
-        peak_halfwidth = 0.5 * float(bins.min())
-    if not (peak_halfwidth > 0.0):
-        raise ParameterError(f"peak_halfwidth must be positive, got {peak_halfwidth!r}")
+    peak_halfwidth = 0.5 * float(np.diff(profile.angles).min())
     blue_center = wavelength / (2.0 * period)
     red_center = wavelength / period
     if blue_center + peak_halfwidth >= red_center - peak_halfwidth:
@@ -248,9 +250,7 @@ def forward_on_angles(scenario: ScenarioConfig, sigma_um: float, angles,
         raise ParameterError(
             f"scan angle {angles[np.argmax(outside)] * 1e3:.6g} mrad lies outside the "
             f"model's range {model_angles[0] * 1e3:.6g} to {model_angles[-1] * 1e3:.6g} mrad")
-    model = np.interp(angles, model_angles, profile.values)
-    peak = model.max()
-    return model / peak if peak > 0.0 else model
+    return unit_peak(np.interp(angles, model_angles, profile.values))
 
 
 def _scale_and_background(model: np.ndarray, rates: np.ndarray,

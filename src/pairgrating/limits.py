@@ -41,20 +41,22 @@ def _unit_mass(values: np.ndarray, bin_width: float) -> np.ndarray:
     return values / total if total > 0.0 else values
 
 
+def _limit_profiles(grid: SpatialGrid, wavelength: float, diagonal, singles) -> LimitProfiles:
+    """Both profiles on the grid's angle lattice, each normalized to unit mass over it."""
+    angles = angles_of(grid, wavelength)
+    bin_width = float(angles[1] - angles[0])
+    return LimitProfiles(RateProfile(angles, _unit_mass(diagonal, bin_width)),
+                         RateProfile(angles.copy(), _unit_mass(singles, bin_width)))
+
+
 def uncorrelated_profiles(amplitude, grid: SpatialGrid, wavelength: float) -> LimitProfiles:
     """Limit of no correlation: diagonal ~ |FT[A]|**4, singles ~ |FT[A]|**2.
 
     Both profiles are normalized to unit mass over the angle lattice, so
     the diagonal equals the squared singles up to one global scale.
     """
-    at = fourier_1d(np.asarray(amplitude, dtype=complex), grid)
-    angles = angles_of(grid, wavelength)
-    bin_width = float(angles[1] - angles[0])
-    power = np.abs(at) ** 2
-    singles = _unit_mass(power, bin_width)
-    diagonal = _unit_mass(power ** 2, bin_width)
-    return LimitProfiles(diagonal=RateProfile(angles=angles, values=diagonal),
-                         singles=RateProfile(angles=angles.copy(), values=singles))
+    power = np.abs(fourier_1d(np.asarray(amplitude, dtype=complex), grid)) ** 2
+    return _limit_profiles(grid, wavelength, power ** 2, power)
 
 
 def delta_correlated_profiles(amplitude, grid: SpatialGrid, wavelength: float) -> LimitProfiles:
@@ -63,19 +65,9 @@ def delta_correlated_profiles(amplitude, grid: SpatialGrid, wavelength: float) -
     diagonal_j ~ |FT[A**2](2*k_j)|**2, evaluated by index doubling
     (exact on the lattice for even n); doubled indices beyond the window
     carry energy outside the angular range and are set to zero.  The
-    singles rate is constant.
+    singles rate is constant.  Both are normalized to unit mass.
     """
-    squared = np.asarray(amplitude, dtype=complex) ** 2
-    bt = fourier_1d(squared, grid)
-    power = np.abs(bt) ** 2
-    n = grid.n
-    doubled = 2 * np.arange(n) - n // 2
-    in_range = (doubled >= 0) & (doubled < n)
-    diagonal = np.zeros(n)
-    diagonal[in_range] = power[doubled[in_range]]
-    angles = angles_of(grid, wavelength)
-    bin_width = float(angles[1] - angles[0])
-    diagonal = _unit_mass(diagonal, bin_width)
-    singles = np.full(n, 1.0 / (n * bin_width))
-    return LimitProfiles(diagonal=RateProfile(angles=angles, values=diagonal),
-                         singles=RateProfile(angles=angles.copy(), values=singles))
+    power = np.abs(fourier_1d(np.asarray(amplitude, dtype=complex) ** 2, grid)) ** 2
+    doubled = 2 * np.arange(grid.n) - grid.n // 2
+    diagonal = np.where((doubled >= 0) & (doubled < grid.n), power[doubled % grid.n], 0.0)
+    return _limit_profiles(grid, wavelength, diagonal, np.ones(grid.n))

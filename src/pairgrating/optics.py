@@ -38,19 +38,20 @@ def transmission(grid: SpatialGrid, period: float, blaze_wavelength: float,
 
     A(x_j) = exp(-x_j**2/w0**2) * exp(i*blaze_phase(x_j)), normalized so
     that sum(|A|**2)*dx = 1.  spot_diameter is the 1/e^2 intensity full
-    width of the Gaussian spot, so w0 = spot_diameter/2.  The grid must
-    resolve the grating: dx <= period/4.
+    width of the Gaussian spot, so w0 = spot_diameter/2, which must be
+    positive.  The grid must resolve the grating: dx <= period/4.
     """
     # the phase first: it checks the period, which the dx check below divides
     phase = blaze_phase(grid.x, period, blaze_wavelength, wavelength)
-    if not (spot_diameter > 0.0):
-        raise ParameterError(f"spot diameter must be positive, got {spot_diameter!r}")
+    w0 = spot_diameter / 2.0
+    if not (w0 > 0.0):
+        raise ParameterError(f"half the spot diameter must be positive, got {spot_diameter!r}")
     if grid.dx > period / 4.0:
         raise ResolutionError(
             f"grid spacing {grid.dx:.6g} um under-resolves the {period:.6g} um "
             f"period; need dx <= period/4")
-    w0 = spot_diameter / 2.0
-    envelope = np.exp(-((grid.x / w0) ** 2))
+    with np.errstate(over="ignore"):  # x/w0 past sqrt(max double) is an envelope of 0
+        envelope = np.exp(-((grid.x / w0) ** 2))
     amp = envelope * np.exp(1j * phase)
     norm_sq = np.sum(np.abs(amp) ** 2) * grid.dx
     if norm_sq == 0.0:

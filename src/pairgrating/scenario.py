@@ -46,7 +46,7 @@ from functools import lru_cache
 import numpy as np
 
 from .biphoton import pair_base, two_photon_amplitude, weigh_pair
-from .errors import ConfigError, read_lines
+from .errors import ConfigError, read_lines, read_number
 from .lattice import SpatialGrid, make_grid
 from .optics import transmission
 from .propagation import RateMap, RateProfile, SupportPlan, blur, coincidence_map, to_far_field
@@ -132,10 +132,10 @@ class ScenarioConfig:
 def parse_config(path) -> ScenarioConfig:
     """Parse a key=value config file of UTF-8 text; '#' starts a comment.
 
-    Unspecified keys take the documented defaults.  Unknown or repeated
-    keys, non-numeric values, and invariant violations raise ConfigError
-    naming the key; errors about one line, a byte that is not UTF-8
-    among them, name the file and the line.
+    Unspecified keys take the documented defaults; read_number reads
+    numbers.  Unknown or repeated keys, non-numeric values, and invariant
+    violations raise ConfigError naming the key; errors about one line, a
+    byte that is not UTF-8 among them, name the file and the line.
     """
     kinds = {field.name: field.type for field in fields(ScenarioConfig)}
     values: dict = {}
@@ -157,7 +157,7 @@ def parse_config(path) -> ScenarioConfig:
         key_lines[key] = line_no
         read, expected = _READERS[kinds[key]]
         try:
-            values[key] = read(text)
+            values[key] = text if read is str else read_number(text, read)
         except ValueError:
             raise ConfigError(
                 f"{path}: line {line_no}: {key} must be {expected}, got {text!r}") from None
@@ -168,20 +168,17 @@ def grid_for(config: ScenarioConfig) -> SpatialGrid:
     return make_grid(config.grid_n, config.window_um)
 
 
-def transmission_for(config: ScenarioConfig, grid: SpatialGrid | None = None) -> np.ndarray:
-    """Single-photon amplitude for the configured grating and spot."""
-    if grid is None:
-        grid = grid_for(config)
+def transmission_for(config: ScenarioConfig, grid: SpatialGrid) -> np.ndarray:
+    """Single-photon amplitude for the configured grating and spot on grid (grid_for's)."""
     return transmission(grid, config.grating_period_um, config.blaze_wavelength_um,
                         config.wavelength_um, config.spot_diameter_um)
 
 
-def rate_map_for(config: ScenarioConfig, sigma_um: float | None = None) -> RateMap:
-    """Run the full forward chain on the n x n grid; sigma_um overrides the configured width."""
+def rate_map_for(config: ScenarioConfig) -> RateMap:
+    """Run the full forward chain on the n x n grid at config.sigma_corr_um."""
     grid = grid_for(config)
     amp = transmission_for(config, grid)
-    sigma = config.sigma_corr_um if sigma_um is None else float(sigma_um)
-    pair = two_photon_amplitude(amp, sigma, config.illumination, grid.x, grid.dx)
+    pair = two_photon_amplitude(amp, config.sigma_corr_um, config.illumination, grid.x, grid.dx)
     rmap = coincidence_map(to_far_field(pair, grid), grid, config.wavelength_um)
     return blur(rmap, config.resolution_mrad * 1e-3)
 

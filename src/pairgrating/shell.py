@@ -18,9 +18,9 @@ import warnings
 
 import numpy as np
 
-from .errors import ConfigError, MeasurementFormatError, ParameterError
+from .errors import ConfigError, MeasurementFormatError, ParameterError, read_number
 from .inference import (VISIBILITY_WINDOW, FitResult, fit_sigma, forward_on_angles,
-                        load_measurement, od_ratio, visibility)
+                        load_measurement, od_ratio, unit_peak, visibility)
 from .propagation import diagonal_profile, singles_profile
 from .scenario import ScenarioConfig, parse_config, profiles_for, rate_map_for
 
@@ -28,11 +28,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_NOT_CONVERGED = 4
-
-
-def _unit_peak(values: np.ndarray) -> np.ndarray:
-    peak = values.max()
-    return values / peak if peak > 0.0 else values
 
 
 # Every number in the CSV files, 10 significant digits.
@@ -78,9 +73,9 @@ def run_simulate(config: ScenarioConfig) -> list[str]:
     map_path = f"{prefix}_map.csv"
 
     for path, profile in ((diagonal_path, diagonal), (singles_path, singles)):
-        _write_csv(path, "angle_mrad,rate", [profile.angles * 1e3, _unit_peak(profile.values)])
+        _write_csv(path, "angle_mrad,rate", [profile.angles * 1e3, unit_peak(profile.values)])
 
-    _write_map_csv(map_path, rmap.angles * 1e3, _unit_peak(rmap.values))
+    _write_map_csv(map_path, rmap.angles * 1e3, unit_peak(rmap.values))
 
     for path in (diagonal_path, singles_path, map_path):
         print(f"wrote {path}")
@@ -129,7 +124,7 @@ def run_sweep(config: ScenarioConfig, sigmas: list[float]) -> list[tuple[float, 
 
 def _parse_sigma_list(text: str) -> list[float]:
     try:
-        return [float(token) for token in text.split(",") if token.strip()]
+        return [read_number(token) for token in text.split(",") if token.strip()]
     except ValueError:
         raise ParameterError(f"could not parse width list {text!r}") from None
 

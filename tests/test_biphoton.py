@@ -1,3 +1,6 @@
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -37,6 +40,28 @@ def test_correlation_factor_one_width_away():
 def test_correlation_model_validation(sigma, mode):
     with pytest.raises(ParameterError):
         two_photon_amplitude(np.ones(2), sigma, mode, [0.0, 1.0], 1.0)
+
+
+@pytest.mark.parametrize("sigma", [1e200, np.float64(1e200), 1e-170, np.float64(1e-170)])
+def test_width_whose_square_leaves_the_doubles_is_rejected(sigma):
+    # 2*sigma**2 overflows to inf or underflows to 0; neither may warn on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParameterError, match=r"2\*sigma\*\*2 is not a positive finite"):
+            two_photon_amplitude(np.ones(2), sigma, "near", [0.0, 1.0], 1.0)
+
+
+@pytest.mark.parametrize("mode", ["near", "far"])
+def test_subnormal_square_width_gives_the_strong_correlation_limit(small_grid, small_amp, mode):
+    # 2*sigma**2 = 2e-320 is a subnormal double: the exponent of every pair
+    # off the diagonal overflows to -inf, whose weight is exactly 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.warns(SamplingWarning):
+            tiny = two_photon_amplitude(small_amp, 1e-160, mode, small_grid.x, small_grid.dx)
+        with pytest.warns(SamplingWarning):
+            small = two_photon_amplitude(small_amp, 1e-3, mode, small_grid.x, small_grid.dx)
+    np.testing.assert_array_equal(tiny, small)
 
 
 @pytest.fixture(scope="module")
@@ -102,7 +127,7 @@ def test_sampling_warning_names_the_calling_line(small_grid, small_amp, entry):
         elif entry == "profiles_for":
             profiles_for(config, sigma_um=sigma)
         else:
-            rate_map_for(config, sigma_um=sigma)
+            rate_map_for(replace(config, sigma_corr_um=sigma))
     assert [w.filename for w in caught] == [__file__]
 
 

@@ -219,11 +219,11 @@ def test_od_ratio_zero_red_peak():
 
 
 def test_od_ratio_window_validation():
-    profile = _profile_with_order_values(1.0, 1.0)
-    with pytest.raises(ParameterError):
-        od_ratio(profile, WAVELENGTH, PERIOD, peak_halfwidth=0.01)   # overlap
-    with pytest.raises(ParameterError):
-        od_ratio(profile, WAVELENGTH, PERIOD, peak_halfwidth=0.0)
+    # a step of the order spacing lambda/period is twice the lambda/(2*period)
+    # at which windows of half a step start to touch
+    coarse = RateProfile(angles=np.arange(-4, 5) * WAVELENGTH / PERIOD, values=np.ones(9))
+    with pytest.raises(ParameterError, match="peak windows overlap"):
+        od_ratio(coarse, WAVELENGTH, PERIOD)
     narrow = RateProfile(angles=SCAN[:30], values=np.ones(30))
     with pytest.raises(ParameterError):
         od_ratio(narrow, WAVELENGTH, PERIOD)                         # out of range

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -41,10 +43,19 @@ def test_grating_spec_validation(grid512, period, blaze):
 @pytest.mark.parametrize("kwargs", [
     dict(wavelength=0.0, spot_diameter=100.0),
     dict(wavelength=0.78, spot_diameter=0.0),
+    dict(wavelength=0.78, spot_diameter=5e-324),    # positive, but half of it rounds to 0
 ])
 def test_illumination_validation(grid512, kwargs):
     with pytest.raises(ParameterError):
         transmission(grid512, PERIOD, BLAZE, **kwargs)
+
+
+def test_spot_far_below_the_grid_spacing_lights_one_sample(grid512):
+    # (x/w0)**2 overflows for every sample but x = 0: an envelope of exactly 0 there
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        amp = transmission(grid512, PERIOD, BLAZE, WAVELENGTH, 1e-300)
+    assert np.flatnonzero(amp).tolist() == [grid512.n // 2]
 
 
 def test_transmission_is_pure_phase_under_envelope(grid512, amp_spot100):

@@ -12,7 +12,7 @@ from pairgrating import (ScenarioConfig, angles_of, blur, coincidence_map,
 from pairgrating.propagation import RateMap, RateProfile, SupportPlan, _box_kernel
 from pairgrating.errors import BinSnapWarning, ParameterError, SamplingWarning
 from pairgrating import scenario
-from pairgrating.scenario import SUPPORT_FLOOR, transmission_for
+from pairgrating.scenario import SUPPORT_FLOOR, grid_for, transmission_for
 
 from conftest import WAVELENGTH, matched_deviation
 
@@ -427,7 +427,7 @@ def test_profiles_for_drops_a_plan_over_the_byte_cap():
     # a spot far wider than the window puts the whole grid in the support:
     # pair_base's factors alone are 24*n**2 bytes, 96 MiB at n = 2048
     config = ScenarioConfig(grid_n=2048, window_um=2400.0, spot_diameter_um=1e5)
-    magnitude = np.abs(transmission_for(config))
+    magnitude = np.abs(transmission_for(config, grid_for(config)))
     assert magnitude.min() > SUPPORT_FLOOR * magnitude.max()
     assert 24 * config.grid_n ** 2 > scenario.MAX_KEPT_PLAN_BYTES
     scenario._support_plan.cache_clear()
@@ -445,7 +445,7 @@ def test_profiles_for_counts_the_skew_index_against_the_byte_cap():
     # m = n = 1,664: pair_base's factors (24*m**2 bytes, 63.4 MiB) fit under
     # the cap, and the skew index (8*m**2 bytes) takes the plan over it
     config = ScenarioConfig(grid_n=1664, window_um=1950.0, spot_diameter_um=1e5)
-    magnitude = np.abs(transmission_for(config))
+    magnitude = np.abs(transmission_for(config, grid_for(config)))
     assert magnitude.min() > SUPPORT_FLOOR * magnitude.max()
     assert 24 * config.grid_n ** 2 < scenario.MAX_KEPT_PLAN_BYTES < 32 * config.grid_n ** 2
     scenario._support_plan.cache_clear()
@@ -475,7 +475,7 @@ def test_profiles_for_builds_no_full_grid_array():
 def test_profiles_for_peak_memory_is_below_four_support_arrays():
     # four n x m complex128 arrays, m the support size (155 at the default spot)
     config = ScenarioConfig(grid_n=2048, window_um=2400.0)
-    magnitude = np.abs(transmission_for(config))
+    magnitude = np.abs(transmission_for(config, grid_for(config)))
     inside = np.flatnonzero(magnitude > SUPPORT_FLOOR * magnitude.max())
     m = inside[-1] - inside[0] + 1
     tracemalloc.start()
@@ -488,7 +488,7 @@ def test_profiles_for_peak_memory_is_below_four_support_arrays():
 
 
 @pytest.mark.parametrize("sigma", [0.0, -1.0, float("nan"), float("inf")])
-@pytest.mark.parametrize("forward", [profiles_for, rate_map_for])
+@pytest.mark.parametrize("forward", [profiles_for])
 def test_forward_chain_rejects_bad_sigma_override(forward, sigma):
     # checked before the pair amplitude is built, so no SamplingWarning comes first
     with warnings.catch_warnings():

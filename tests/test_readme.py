@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from pairgrating import ScenarioConfig, parse_config
 from pairgrating.errors import SamplingWarning
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -22,3 +23,11 @@ def test_readme_python_example_runs():
     ratio, contrast, full_chain_ratio = map(float, printed.getvalue().split())
     assert full_chain_ratio == pytest.approx(ratio, rel=1e-12)
     assert contrast < 1e-6
+
+
+def test_readme_config_block_is_the_defaults(tmp_path):
+    blocks = re.findall(r"```ini\n(.*?)```", README.read_text(encoding="utf-8"), re.DOTALL)
+    assert len(blocks) == 1
+    path = tmp_path / "readme.cfg"
+    path.write_text(blocks[0], encoding="utf-8")
+    assert parse_config(path) == ScenarioConfig()

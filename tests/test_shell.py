@@ -63,6 +63,9 @@ def test_comments_and_blank_lines(tmp_path):
     ("grid_n = 512\n# smaller\ngrid_n = 256\n", "line 3: key 'grid_n' repeats the one on line 1"),
     ("output_prefix =\n", "output_prefix"),
     ("\ufeffgrid_n=7\n", "grid_n must be even"),     # the byte-order mark is not in the key
+    ("grid_n=2_56\n", "line 1: grid_n must be an integer, got '2_56'"),
+    ("wavelength_nm=\u0667\u0668\u0660\n", "wavelength_nm must be a number"),  # Arabic-Indic 780
+    ("wavelength_nm=7_80.5\n", "wavelength_nm must be a number"),
     (b"grid_n=256\n# 90\xb0 turn\n", r"scenario\.cfg: line 2: byte 0xb0 is not UTF-8"),
 ])
 def test_config_errors(tmp_path, text, fragment):
@@ -100,7 +103,7 @@ def test_every_key_parses(tmp_path):
         wavelength_nm=810.0, grating_period_um=30.0, blaze_wavelength_nm=450.0,
         spot_diameter_um=40.0, sigma_corr_um=13.0, illumination="far",
         resolution_mrad=5.0, detector_separation_mrad=2.0, angle_offset_mrad=-0.5,
-        grid_n=1024, window_um=900.0, output_prefix="every")
+        grid_n=1024, window_um=900.0, output_prefix="every_key")  # "_" reads as text
     assert all(getattr(expected, f.name) != f.default for f in fields(ScenarioConfig))
     text = "".join(f"{f.name} = {getattr(expected, f.name)}\n" for f in fields(ScenarioConfig))
     config = parse_config(_config(tmp_path, text))
@@ -162,7 +165,7 @@ def test_simulate_strong_correlation_singles_flat(tmp_path, monkeypatch):
     config = parse_config(_config(tmp_path, "sigma_corr_um=0.01\noutput_prefix=flat\n"))
     with pytest.warns(Warning):
         run_simulate(config)
-    meas = load_measurement(tmp_path / "flat_singles.csv", channel="singles")
+    meas = load_measurement(tmp_path / "flat_singles.csv")
     assert visibility(RateProfile(meas.angles, meas.rates), (-0.05, 0.05)) < 0.05
 
 
@@ -360,6 +363,36 @@ def test_cli_exit_codes(tmp_path, monkeypatch, capsys):
     unwritable = _config(tmp_path, FAST + "output_prefix=/no/such/dir/run\n",
                          name="unwritable.cfg")
     assert main(["simulate", str(unwritable)]) == 3               # I/O error
+
+    for widths in ("9,1e200", "9,1e-170"):                        # 2*sigma**2 leaves the doubles
+        capsys.readouterr()
+        assert main(["sweep", str(cfg), widths]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: correlation width {float(widths[2:])!r} um is out of "
+                                "range: 2*sigma**2 is not a positive finite double\n")
+        assert not (tmp_path / "out_sweep.csv").exists()
+    huge = _config(tmp_path, FAST + "sigma_corr_um=1e200\noutput_prefix=huge\n", name="huge.cfg")
+    assert main(["simulate", str(huge)]) == 2
+    assert not list(tmp_path.glob("huge_*.csv"))
+    pinpoint = _config(tmp_path, FAST + "spot_diameter_um=5e-324\n", name="pinpoint.cfg")
+    capsys.readouterr()
+    assert main(["sweep", str(pinpoint), "9"]) == 2               # half the spot rounds to 0
+    assert capsys.readouterr().err == (
+        "error: half the spot diameter must be positive, got 5e-324\n")
+
+    underscored_cfg = _config(tmp_path, "grid_n=2_56\n", name="underscored.cfg")
+    underscored_scan = tmp_path / "underscored.csv"
+    underscored_scan.write_text("angle_mrad,rate\n0,5\n1_0,6\n20,7\n", encoding="utf-8")
+    assert main(["simulate", str(underscored_cfg)]) == 2          # digit-group underscores
+    assert main(["fit", str(cfg), str(underscored_scan)]) == 2
+    assert main(["sweep", str(cfg), "1_0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: {underscored_cfg}: line 1: grid_n must be an integer, got '2_56'",
+        f"error: {underscored_scan}: line 3: non-numeric value in '1_0,6'",
+        "error: could not parse width list '1_0'"]
 
 
 def test_cli_fit_round_trip_exit_zero(tmp_path, monkeypatch):
