@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DegenerateInputError, ParameterError, SamplingWarning, warn_caller
+from .errors import ParameterError, SamplingWarning, warn_caller
 
 
 def _check_width(sigma_corr: float) -> None:
@@ -83,7 +83,7 @@ def weigh_pair(product, exponent, sigma_corr: float, dx: float) -> np.ndarray:
             SamplingWarning)
     total = np.sum(np.abs(joint) ** 2) * dx ** 2
     if total == 0.0:
-        raise DegenerateInputError("joint amplitude is identically zero")
+        raise ParameterError("joint amplitude is identically zero")
     joint /= np.sqrt(total)
     joint.setflags(write=False)
     return joint

@@ -1,5 +1,5 @@
-"""Exception and warning types shared across the package, the warning helper, and
-the readers of text files (a decoding failure becomes one of the errors) and numbers."""
+"""The package's one error type for bad input, its warning types and helper, and
+the readers of text files (a decoding failure becomes a ParameterError) and numbers."""
 
 import os
 import sys
@@ -10,23 +10,9 @@ _PACKAGE_DIR = os.path.dirname(__file__) + os.sep
 
 
 class ParameterError(ValueError):
-    """A parameter violates its documented domain (sign, parity, range)."""
-
-
-class ResolutionError(ParameterError):
-    """The sampling grid is too coarse to resolve the grating period."""
-
-
-class DegenerateInputError(ValueError):
-    """An input carries no information (for example an identically zero amplitude)."""
-
-
-class MeasurementFormatError(ValueError):
-    """A measurement file could not be parsed; the message names the offending line."""
-
-
-class ConfigError(ValueError):
-    """A scenario config entry is unknown, malformed, or violates an invariant."""
+    """Bad input: a function argument, a config entry, or a line of a config or
+    scan file breaks its documented rule; the message names the argument, the
+    key, or the file and line."""
 
 
 class SamplingWarning(UserWarning):
@@ -49,22 +35,22 @@ def warn_caller(message: str, category: type) -> None:
     warnings.warn(message, category, stacklevel=level)
 
 
-def read_lines(path, error: type[Exception]) -> list[str]:
+def read_lines(path) -> list[str]:
     """Lines of a UTF-8 text file; a leading byte-order mark is dropped.
 
-    A path that is not a file raises `error` saying so.  A byte that is
-    not UTF-8 raises `error` naming the file and the line that holds it,
-    in place of a UnicodeDecodeError.
+    A path that is not a file raises ParameterError saying so.  A byte
+    that is not UTF-8 raises ParameterError naming the file and the line
+    that holds it, in place of a UnicodeDecodeError.
     """
     if not Path(path).is_file():
-        raise error(f"{path}: file not found")
+        raise ParameterError(f"{path}: file not found")
     try:
         return Path(path).read_bytes().decode("utf-8-sig").splitlines()
     except UnicodeDecodeError as exc:
         # exc.object is the input after any byte-order mark, as exc.start counts it
         line_no = exc.object.count(b"\n", 0, exc.start) + 1
-        raise error(f"{path}: line {line_no}: byte 0x{exc.object[exc.start]:02x} "
-                    f"is not UTF-8 text ({exc.reason})") from None
+        raise ParameterError(f"{path}: line {line_no}: byte 0x{exc.object[exc.start]:02x} "
+                             f"is not UTF-8 text ({exc.reason})") from None
 
 
 def read_number(text: str, kind: type = float):

@@ -16,8 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (MeasurementFormatError, ParameterError, SamplingWarning, read_lines,
-                     read_number)
+from .errors import ParameterError, SamplingWarning, read_lines, read_number
 from .scenario import ScenarioConfig, profiles_for
 
 # Angular window used for visibility summaries (rad): the central region
@@ -119,13 +118,14 @@ def load_measurement(path) -> Measurement:
     `angle_mrad,rate` or `angle_mrad,rate,rate_err`, then one sample per
     line with angles in mrad (converted to rad here), read by read_number.
     A `# channel: <name>` comment sets the channel (coincidences without
-    one); others are ignored.  A sample that breaks a rule of Measurement
-    raises MeasurementFormatError naming its line, after every line parsed.
+    one); others are ignored.  Every fault raises ParameterError naming the
+    file and line, a sample that breaks a rule of Measurement only after
+    every line has parsed.
     """
     channel = "coincidences"
     n_columns = 0
     rows: list[tuple[int, str, list[float]]] = []  # line number, raw line, numbers
-    for line_no, raw in enumerate(read_lines(path, MeasurementFormatError), start=1):
+    for line_no, raw in enumerate(read_lines(path), start=1):
         line = raw.strip()
         if not line:
             continue
@@ -134,35 +134,35 @@ def load_measurement(path) -> Measurement:
             if colon and key.strip() == "channel":
                 channel = value.strip()
                 if channel not in CHANNELS:
-                    raise MeasurementFormatError(
+                    raise ParameterError(
                         f"{path}: line {line_no}: channel must be one of {CHANNELS}, "
                         f"got {channel!r}")
             continue
         if n_columns == 0:
             if line not in _HEADERS:
-                raise MeasurementFormatError(
+                raise ParameterError(
                     f"{path}: line {line_no}: expected header "
                     f"{' or '.join(map(repr, _HEADERS))}, got {raw!r}")
             n_columns = _HEADERS[line]
             continue
         parts = line.split(",")
         if len(parts) != n_columns:
-            raise MeasurementFormatError(
+            raise ParameterError(
                 f"{path}: line {line_no}: expected {n_columns} columns, got {len(parts)}")
         try:
             rows.append((line_no, raw, [read_number(s) for s in parts]))
         except ValueError:
-            raise MeasurementFormatError(
+            raise ParameterError(
                 f"{path}: line {line_no}: non-numeric value in {raw!r}") from None
     if not rows:
-        raise MeasurementFormatError(f"{path}: no data rows" if n_columns
-                                     else f"{path}: no header line found")
+        raise ParameterError(f"{path}: no data rows" if n_columns
+                             else f"{path}: no header line found")
     columns = np.array([numbers for _, _, numbers in rows]).T
     errors = columns[2] if n_columns == 3 else None
     fault = _first_fault(columns[0], columns[1], errors)
     if fault:
         line_no, raw, _ = rows[fault[0]]
-        raise MeasurementFormatError(f"{path}: line {line_no}: {fault[1]} in {raw!r}")
+        raise ParameterError(f"{path}: line {line_no}: {fault[1]} in {raw!r}")
     return Measurement(columns[0] * 1e-3, columns[1], rate_errors=errors, channel=channel)
 
 

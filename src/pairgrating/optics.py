@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DegenerateInputError, ParameterError, ResolutionError
+from .errors import ParameterError
 from .lattice import TWO_PI, SpatialGrid
 
 
@@ -37,9 +37,9 @@ def transmission(grid: SpatialGrid, period: float, blaze_wavelength: float,
     """Single-photon transmission amplitude A on the grid, unit square sum.
 
     A(x_j) = exp(-x_j**2/w0**2) * exp(i*blaze_phase(x_j)), normalized so
-    that sum(|A|**2)*dx = 1.  spot_diameter is the 1/e^2 intensity full
-    width of the Gaussian spot, so w0 = spot_diameter/2, which must be
-    positive.  The grid must resolve the grating: dx <= period/4.
+    that sum(|A|**2)*dx = 1, with w0 = spot_diameter/2 (the 1/e^2 intensity
+    full width of the spot).  A w0 that is not positive, a grid coarser than
+    dx <= period/4 or an envelope that vanishes on it raises ParameterError.
     """
     # the phase first: it checks the period, which the dx check below divides
     phase = blaze_phase(grid.x, period, blaze_wavelength, wavelength)
@@ -47,7 +47,7 @@ def transmission(grid: SpatialGrid, period: float, blaze_wavelength: float,
     if not (w0 > 0.0):
         raise ParameterError(f"half the spot diameter must be positive, got {spot_diameter!r}")
     if grid.dx > period / 4.0:
-        raise ResolutionError(
+        raise ParameterError(
             f"grid spacing {grid.dx:.6g} um under-resolves the {period:.6g} um "
             f"period; need dx <= period/4")
     with np.errstate(over="ignore"):  # x/w0 past sqrt(max double) is an envelope of 0
@@ -55,7 +55,7 @@ def transmission(grid: SpatialGrid, period: float, blaze_wavelength: float,
     amp = envelope * np.exp(1j * phase)
     norm_sq = np.sum(np.abs(amp) ** 2) * grid.dx
     if norm_sq == 0.0:
-        raise DegenerateInputError("illumination envelope vanished everywhere on the grid")
+        raise ParameterError("illumination envelope vanished everywhere on the grid")
     amp /= np.sqrt(norm_sq)
     amp.setflags(write=False)
     return amp

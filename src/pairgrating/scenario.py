@@ -46,7 +46,7 @@ from functools import lru_cache
 import numpy as np
 
 from .biphoton import pair_base, two_photon_amplitude, weigh_pair
-from .errors import ConfigError, read_lines, read_number
+from .errors import ParameterError, read_lines, read_number
 from .lattice import SpatialGrid, make_grid
 from .optics import transmission
 from .propagation import RateMap, RateProfile, SupportPlan, blur, coincidence_map, to_far_field
@@ -90,32 +90,41 @@ class ScenarioConfig:
                      "spot_diameter_um", "sigma_corr_um", "window_um"):
             value = getattr(self, name)
             if not np.isfinite(value) or value <= 0.0:
-                raise ConfigError(f"{name} must be positive, got {value!r}")
+                raise ParameterError(f"{name} must be positive, got {value!r}")
         for name in ("resolution_mrad",):
             value = getattr(self, name)
             if not np.isfinite(value) or value < 0.0:
-                raise ConfigError(f"{name} must be nonnegative, got {value!r}")
+                raise ParameterError(f"{name} must be nonnegative, got {value!r}")
         for name in ("detector_separation_mrad", "angle_offset_mrad"):
             if not np.isfinite(getattr(self, name)):
-                raise ConfigError(f"{name} must be finite")
+                raise ParameterError(f"{name} must be finite")
         if not self.output_prefix.strip():
-            raise ConfigError(
+            raise ParameterError(
                 f"output_prefix must name the output files, got {self.output_prefix!r}")
         if self.illumination not in ("near", "far"):
-            raise ConfigError(
+            raise ParameterError(
                 f"illumination must be 'near' or 'far', got {self.illumination!r}")
         if isinstance(self.grid_n, bool) or not isinstance(self.grid_n, (int, np.integer)):
-            raise ConfigError(f"grid_n must be an integer, got {self.grid_n!r}")
+            raise ParameterError(f"grid_n must be an integer, got {self.grid_n!r}")
         if self.grid_n < 4 or self.grid_n % 2 != 0:
-            raise ConfigError(f"grid_n must be even and >= 4, got {self.grid_n}")
+            raise ParameterError(f"grid_n must be even and >= 4, got {self.grid_n}")
         if self.grid_n > MAX_GRID_N:
             nbytes = 16 * self.grid_n ** 2
-            raise ConfigError(
+            raise ParameterError(
                 f"grid_n must be at most {MAX_GRID_N}, got {self.grid_n}: one "
                 f"{self.grid_n}x{self.grid_n} complex128 array is {nbytes} bytes "
                 f"({nbytes / 2 ** 20:.1f} MiB), and the forward chain holds several")
+        if self.grating_period_um <= self.wavelength_um:
+            raise ParameterError(
+                f"grating_period_um must exceed wavelength_nm/1000 = {self.wavelength_um:.6g} "
+                f"um, got {self.grating_period_um!r}: the first order does not propagate")
+        if self.window_um <= 2.0 * self.grating_period_um:
+            raise ParameterError(
+                f"window_um must exceed 2*grating_period_um = {2.0 * self.grating_period_um:.6g} "
+                f"um, got {self.window_um!r}: the angular step wavelength/window_um reaches "
+                f"the order ratio's overlap point wavelength/(2*grating_period_um)")
         if self.window_um / self.grid_n > self.grating_period_um / 4.0:
-            raise ConfigError(
+            raise ParameterError(
                 f"grid too coarse for the grating: window_um/grid_n = "
                 f"{self.window_um / self.grid_n:.6g} um exceeds period/4 = "
                 f"{self.grating_period_um / 4.0:.6g} um")
@@ -134,32 +143,32 @@ def parse_config(path) -> ScenarioConfig:
 
     Unspecified keys take the documented defaults; read_number reads
     numbers.  Unknown or repeated keys, non-numeric values, and invariant
-    violations raise ConfigError naming the key; errors about one line, a
+    violations raise ParameterError naming the key; errors about one line, a
     byte that is not UTF-8 among them, name the file and the line.
     """
     kinds = {field.name: field.type for field in fields(ScenarioConfig)}
     values: dict = {}
     key_lines: dict = {}
-    for line_no, raw in enumerate(read_lines(path, ConfigError), start=1):
+    for line_no, raw in enumerate(read_lines(path), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise ConfigError(f"{path}: line {line_no}: expected key=value, got {raw!r}")
+            raise ParameterError(f"{path}: line {line_no}: expected key=value, got {raw!r}")
         key, _, text = line.partition("=")
         key = key.strip()
         text = text.strip()
         if key not in kinds:
-            raise ConfigError(f"{path}: line {line_no}: unknown key {key!r}")
+            raise ParameterError(f"{path}: line {line_no}: unknown key {key!r}")
         if key in key_lines:
-            raise ConfigError(
+            raise ParameterError(
                 f"{path}: line {line_no}: key {key!r} repeats the one on line {key_lines[key]}")
         key_lines[key] = line_no
         read, expected = _READERS[kinds[key]]
         try:
             values[key] = text if read is str else read_number(text, read)
         except ValueError:
-            raise ConfigError(
+            raise ParameterError(
                 f"{path}: line {line_no}: {key} must be {expected}, got {text!r}") from None
     return ScenarioConfig(**values)
 

@@ -5,8 +5,8 @@ reproducible by calling the modules directly with the same
 configuration.  Emitted rates are normalized to unit peak for plotting
 comparability, angles are written in mrad.
 
-Exit codes: 0 success, 2 config or parse error, 3 I/O error, 4 fit did
-not converge.  Each distinct warning a command raises is printed once to
+Exit codes: 0 success, 2 bad input (a ParameterError), 3 I/O error, 4 fit
+did not converge.  Each distinct warning a command raises is printed once to
 stderr as `warning: <message>`.
 """
 
@@ -18,7 +18,7 @@ import warnings
 
 import numpy as np
 
-from .errors import ConfigError, MeasurementFormatError, ParameterError, read_number
+from .errors import ParameterError, read_number
 from .inference import (VISIBILITY_WINDOW, FitResult, fit_sigma, forward_on_angles,
                         load_measurement, od_ratio, unit_peak, visibility)
 from .propagation import diagonal_profile, singles_profile
@@ -173,7 +173,7 @@ def main(argv=None) -> int:
             if args.command == "sweep":
                 run_sweep(config, _parse_sigma_list(args.sigmas))
                 return EXIT_OK
-        except (ConfigError, MeasurementFormatError, ParameterError) as exc:
+        except ParameterError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_CONFIG
         except OSError as exc:

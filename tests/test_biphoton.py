@@ -7,7 +7,7 @@ import pytest
 from pairgrating import (ScenarioConfig, make_grid, profiles_for, rate_map_for, transmission,
                          two_photon_amplitude)
 from pairgrating.biphoton import pair_base, weigh_pair
-from pairgrating.errors import DegenerateInputError, ParameterError, SamplingWarning
+from pairgrating.errors import ParameterError, SamplingWarning
 
 from conftest import BLAZE, PERIOD, WAVELENGTH
 
@@ -132,7 +132,7 @@ def test_sampling_warning_names_the_calling_line(small_grid, small_amp, entry):
 
 
 def test_zero_amplitude_rejected(small_grid):
-    with pytest.raises(DegenerateInputError):
+    with pytest.raises(ParameterError):
         two_photon_amplitude(np.zeros(small_grid.n, dtype=complex), 9.0, "near",
                              small_grid.x, small_grid.dx)
 

@@ -8,8 +8,7 @@ from pairgrating import (Measurement, ScenarioConfig, fit_sigma,
                          visibility)
 from pairgrating import inference, scenario
 from pairgrating.propagation import RateProfile
-from pairgrating.errors import (BinSnapWarning, MeasurementFormatError, ParameterError,
-                                SamplingWarning)
+from pairgrating.errors import BinSnapWarning, ParameterError, SamplingWarning
 
 from conftest import PERIOD, WAVELENGTH
 
@@ -59,31 +58,31 @@ def test_load_metadata_comments(tmp_path):
 
 def test_load_invalid_channel_comment_names_line(tmp_path):
     path = _write(tmp_path, "# spot_um: 29\n# channel: coincidence\nangle_mrad,rate\n0,1\n")
-    with pytest.raises(MeasurementFormatError, match="line 2: channel .* 'coincidence'"):
+    with pytest.raises(ParameterError, match="line 2: channel .* 'coincidence'"):
         load_measurement(path)
 
 
 def test_load_non_numeric_row_names_line(tmp_path):
     path = _write(tmp_path, "angle_mrad,rate\n0.0,1.0\nabc,5.0\n")
-    with pytest.raises(MeasurementFormatError, match="line 3"):
+    with pytest.raises(ParameterError, match="line 3"):
         load_measurement(path)
 
 
 def test_load_non_monotone_names_line(tmp_path):
     path = _write(tmp_path, "angle_mrad,rate\n1.0,1\n1.0,2\n2.0,3\n")
-    with pytest.raises(MeasurementFormatError, match="line 3"):
+    with pytest.raises(ParameterError, match="line 3"):
         load_measurement(path)
 
 
 def test_load_wrong_column_count(tmp_path):
     path = _write(tmp_path, "angle_mrad,rate\n0.0,1.0,9.0\n")
-    with pytest.raises(MeasurementFormatError, match="line 2"):
+    with pytest.raises(ParameterError, match="line 2"):
         load_measurement(path)
 
 
 def test_load_negative_rate(tmp_path):
     path = _write(tmp_path, "angle_mrad,rate\n0.0,-1.0\n")
-    with pytest.raises(MeasurementFormatError, match="line 2"):
+    with pytest.raises(ParameterError, match="line 2"):
         load_measurement(path)
 
 
@@ -98,20 +97,20 @@ def test_load_negative_rate(tmp_path):
 ])
 def test_load_non_finite_value_names_line(tmp_path, text, line):
     path = _write(tmp_path, text)
-    with pytest.raises(MeasurementFormatError, match=f"line {line}: non-finite"):
+    with pytest.raises(ParameterError, match=f"line {line}: non-finite"):
         load_measurement(path)
 
 
 def test_load_reports_sample_faults_before_the_angle_order(tmp_path):
     # line 3 steps the angle back, line 5 holds a negative rate
     path = _write(tmp_path, "angle_mrad,rate\n1.0,1\n0.5,2\n2.0,3\n3.0,-4\n")
-    with pytest.raises(MeasurementFormatError, match=r"line 5: negative rate in '3\.0,-4'$"):
+    with pytest.raises(ParameterError, match=r"line 5: negative rate in '3\.0,-4'$"):
         load_measurement(path)
 
 
 def test_non_finite_comes_before_a_negative_rate(tmp_path):
     path = _write(tmp_path, "angle_mrad,rate,rate_err\n0,1,1\n1,2,1\n2,3,1\n3,-1,nan\n")
-    with pytest.raises(MeasurementFormatError,
+    with pytest.raises(ParameterError,
                        match=r"line 5: non-finite value in '3,-1,nan'$"):
         load_measurement(path)
     with pytest.raises(ParameterError, match="^non-finite value at sample 3$"):
@@ -121,13 +120,13 @@ def test_non_finite_comes_before_a_negative_rate(tmp_path):
 
 def test_load_missing_header(tmp_path):
     path = _write(tmp_path, "0.0,1.0\n1.0,2.0\n")
-    with pytest.raises(MeasurementFormatError, match="header"):
+    with pytest.raises(ParameterError, match="header"):
         load_measurement(path)
 
 
 def test_load_empty_data(tmp_path):
     path = _write(tmp_path, "angle_mrad,rate\n")
-    with pytest.raises(MeasurementFormatError, match="no data"):
+    with pytest.raises(ParameterError, match="no data"):
         load_measurement(path)
 
 
@@ -140,13 +139,13 @@ def test_load_drops_byte_order_mark(tmp_path):
 def test_load_non_utf8_byte_names_line(tmp_path):
     path = tmp_path / "scan.csv"
     path.write_bytes(b"# temperature: 20\xb0C\nangle_mrad,rate\n0,1\n")
-    with pytest.raises(MeasurementFormatError,
+    with pytest.raises(ParameterError,
                        match=r"scan\.csv: line 1: byte 0xb0 is not UTF-8 text"):
         load_measurement(path)
 
 
 def test_load_missing_file(tmp_path):
-    with pytest.raises(MeasurementFormatError, match="not found"):
+    with pytest.raises(ParameterError, match="not found"):
         load_measurement(tmp_path / "absent.csv")
 
 
@@ -227,6 +226,16 @@ def test_od_ratio_window_validation():
     narrow = RateProfile(angles=SCAN[:30], values=np.ones(30))
     with pytest.raises(ParameterError):
         od_ratio(narrow, WAVELENGTH, PERIOD)                         # out of range
+
+
+def test_od_ratio_order_in_a_gap():
+    # the smallest step sets the window half width; a gap wider than that step
+    # around an order leaves its window empty
+    angles = np.array([-0.05, -0.001, 0.0, 0.001, 0.03, 0.05])
+    profile = RateProfile(angles=angles, values=np.ones(angles.size))
+    blue = WAVELENGTH / (2 * PERIOD)
+    with pytest.raises(ParameterError, match=f"^no samples inside the window at {blue:.6g} rad$"):
+        od_ratio(profile, WAVELENGTH, PERIOD)
 
 
 @pytest.mark.parametrize("count", [0, 1])
@@ -320,6 +329,24 @@ def test_fit_boundary_not_converged(fast_config):
     assert not result.converged
     assert "boundary" in result.message
     _assert_coarse_best(result, 900.0 * model, fast_config)
+
+
+def test_fit_negative_scale_is_degenerate(fast_config):
+    # an inverted profile is fitted best at scale -1: the refinement ends
+    # inside the search range, but a negative scale is no fit
+    rates = 2.0 - forward_on_angles(fast_config, 13.0, SCAN)
+    result = fit_sigma(Measurement(angles=SCAN, rates=rates), fast_config)
+    assert not result.converged
+    assert result.message == "degenerate solution at sigma = 12.9984 um: scale = -1"
+    assert result.scale < 0.0
+
+
+def test_scale_and_background_flat_model():
+    # a flat model cannot tell scale from background: scale 0, the clamped mean as background
+    weights = np.ones(5)
+    rates = np.arange(1.0, 6.0)
+    assert inference._scale_and_background(np.ones(5), rates, weights) == (0.0, 3.0)
+    assert inference._scale_and_background(np.ones(5), -rates, weights) == (0.0, 0.0)
 
 
 @pytest.mark.parametrize("count", [0, 1, 2])

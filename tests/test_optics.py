@@ -5,7 +5,7 @@ import pytest
 
 from pairgrating import (angles_of, blaze_phase, fourier_1d, make_grid, order_efficiency,
                          transmission)
-from pairgrating.errors import ParameterError, ResolutionError
+from pairgrating.errors import ParameterError
 
 from conftest import BLAZE, PERIOD, RED_ORDER, WAVELENGTH
 
@@ -35,8 +35,8 @@ def test_grating_spec_validation(grid512, period, blaze):
     with pytest.raises(ParameterError):
         blaze_phase(0.0, period, blaze, WAVELENGTH)
     # transmission builds the phase first, so a bad period is not reported
-    # as a ResolutionError
-    with pytest.raises(ParameterError):
+    # as a grid too coarse for it
+    with pytest.raises(ParameterError, match="must be positive"):
         transmission(grid512, period, blaze, WAVELENGTH, 100.0)
 
 
@@ -88,7 +88,7 @@ def test_transmission_accepts_quarter_period_spacing():
 
 def test_transmission_rejects_coarse_grid():
     grid = make_grid(64, 600.0)   # dx = 9.375 um > period/4
-    with pytest.raises(ResolutionError):
+    with pytest.raises(ParameterError):
         transmission(grid, PERIOD, BLAZE, WAVELENGTH, 100.0)
 
 

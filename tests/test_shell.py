@@ -11,7 +11,7 @@ import pytest
 import pairgrating
 from pairgrating import (ScenarioConfig, forward_on_angles, load_measurement, parse_config,
                          rate_map_for, visibility)
-from pairgrating.errors import BinSnapWarning, ConfigError, SamplingWarning
+from pairgrating.errors import BinSnapWarning, ParameterError, SamplingWarning
 from pairgrating.scenario import MAX_GRID_N
 from pairgrating.propagation import RateProfile, diagonal_profile, singles_profile
 from pairgrating.shell import _write_csv, _write_map_csv, main, run_fit, run_simulate, run_sweep
@@ -67,15 +67,18 @@ def test_comments_and_blank_lines(tmp_path):
     ("wavelength_nm=\u0667\u0668\u0660\n", "wavelength_nm must be a number"),  # Arabic-Indic 780
     ("wavelength_nm=7_80.5\n", "wavelength_nm must be a number"),
     (b"grid_n=256\n# 90\xb0 turn\n", r"scenario\.cfg: line 2: byte 0xb0 is not UTF-8"),
+    ("resolution_mrad=-1\n", "resolution_mrad must be nonnegative"),
+    ("detector_separation_mrad=nan\n", "detector_separation_mrad must be finite"),
+    ("angle_offset_mrad=inf\n", "angle_offset_mrad must be finite"),
 ])
 def test_config_errors(tmp_path, text, fragment):
-    with pytest.raises(ConfigError, match=fragment):
+    with pytest.raises(ParameterError, match=fragment):
         parse_config(_config(tmp_path, text))
 
 
 @pytest.mark.parametrize("grid_n", [512.0, True, np.float64(256)])
 def test_grid_n_must_be_an_integer(grid_n):
-    with pytest.raises(ConfigError, match="grid_n must be an integer"):
+    with pytest.raises(ParameterError, match="grid_n must be an integer"):
         ScenarioConfig(grid_n=grid_n)
 
 
@@ -87,13 +90,13 @@ def test_grid_n_memory_guard():
     # by construction only: a config allocates no grid
     assert MAX_GRID_N == 4096
     assert ScenarioConfig(grid_n=4096).grid_n == 4096
-    with pytest.raises(ConfigError, match=r"grid_n .* 4098x4098 complex128 array is 268697664 bytes"):
+    with pytest.raises(ParameterError, match=r"grid_n .* 4098x4098 complex128 array is 268697664 bytes"):
         ScenarioConfig(grid_n=4098)
 
 
 @pytest.mark.parametrize("prefix", ["", "   "])
 def test_output_prefix_must_not_be_blank(prefix):
-    with pytest.raises(ConfigError, match="output_prefix"):
+    with pytest.raises(ParameterError, match="output_prefix"):
         ScenarioConfig(output_prefix=prefix)
 
 
@@ -118,7 +121,7 @@ def test_byte_order_mark_is_dropped(tmp_path):
 
 
 def test_missing_config_file(tmp_path):
-    with pytest.raises(ConfigError, match="not found"):
+    with pytest.raises(ParameterError, match="not found"):
         parse_config(tmp_path / "absent.cfg")
 
 
@@ -380,6 +383,20 @@ def test_cli_exit_codes(tmp_path, monkeypatch, capsys):
     assert main(["sweep", str(pinpoint), "9"]) == 2               # half the spot rounds to 0
     assert capsys.readouterr().err == (
         "error: half the spot diameter must be positive, got 5e-324\n")
+    for text, key in [("window_um=1e-300\n", "window_um"),    # lengths that left the doubles
+                      ("window_um=1e-150\n", "window_um"),
+                      ("window_um=1e-299\ngrating_period_um=1e-300\n", "grating_period_um"),
+                      ("window_um=40\n", "window_um")]:       # sweep steps overlap the orders
+        extreme = _config(tmp_path, f"grid_n=256\n{text}output_prefix=extreme\n",
+                          name="extreme.cfg")
+        for argv in (["simulate", str(extreme)], ["sweep", str(extreme), "9"]):
+            capsys.readouterr()
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith(f"error: {key} must exceed ")
+            assert captured.err.count("\n") == 1 and "warning:" not in captured.err
+        assert not list(tmp_path.glob("extreme_*.csv"))
 
     underscored_cfg = _config(tmp_path, "grid_n=2_56\n", name="underscored.cfg")
     underscored_scan = tmp_path / "underscored.csv"
@@ -393,6 +410,21 @@ def test_cli_exit_codes(tmp_path, monkeypatch, capsys):
         f"error: {underscored_cfg}: line 1: grid_n must be an integer, got '2_56'",
         f"error: {underscored_scan}: line 3: non-numeric value in '1_0,6'",
         "error: could not parse width list '1_0'"]
+
+
+def test_cli_degenerate_fit_exits_4(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    cfg = _config(tmp_path, FAST)
+    angles = np.arange(-60.0, 60.5, 1.0)
+    rates = 2.0 - forward_on_angles(parse_config(cfg), 13.0, angles * 1e-3)   # scale -1
+    scan = tmp_path / "inverted.csv"
+    rows = "".join(f"{a:g},{r:.17g}\n" for a, r in zip(angles, rates))
+    scan.write_text("angle_mrad,rate\n" + rows, encoding="utf-8")
+    assert main(["fit", str(cfg), str(scan)]) == 4
+    out = capsys.readouterr().out
+    assert "converged        = False\n" in out
+    assert "diagnostics      = degenerate solution at sigma = 12.9984 um: scale = -1\n" in out
+    assert not (tmp_path / "out_fitcurve.csv").exists()
 
 
 def test_cli_fit_round_trip_exit_zero(tmp_path, monkeypatch):
