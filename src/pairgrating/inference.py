@@ -257,8 +257,8 @@ def _scale_and_background(model: np.ndarray, rates: np.ndarray,
                           weights: np.ndarray) -> tuple[float, float]:
     """Closed-form weighted least squares for rates ~ scale*model + background.
 
-    background is clamped at zero; a flat model leaves the scale
-    undefined and returns scale 0.
+    background is clamped at zero; a model flat up to rounding leaves
+    the scale undefined and returns scale 0.
     """
     s1 = float(weights.sum())
     sm = float((weights * model).sum())
@@ -266,7 +266,9 @@ def _scale_and_background(model: np.ndarray, rates: np.ndarray,
     sr = float((weights * rates).sum())
     smr = float((weights * model * rates).sum())
     denom = s1 * smm - sm * sm
-    if denom <= 0.0:
+    # s1*smm - sm**2 is s1 times the model's weighted variance; for a constant
+    # model its rounding error reaches about 7 eps of s1*smm
+    if denom <= 16 * np.finfo(float).eps * s1 * smm:
         return 0.0, max(sr / s1, 0.0)
     scale = (s1 * smr - sm * sr) / denom
     background = (sr - scale * sm) / s1

@@ -37,14 +37,16 @@ to large arguments.
 
 SupportPlan splits this into the part that depends only on S, the grid
 and the detectors (the checks, the angles, the kernel, the snapped
-shift, the skew index, Phi, the scale factors and a gather table that
-stands in for np.roll in both blurs, as it does in blur) and the part
-that depends on the pair block (the skew, the row FFT, the band, the
-cuts and the blurs).
+shift, the skew index, Phi, the scale factors, a gather table that
+stands in for np.roll in both blurs, as it does in blur, and the m x n
+work arrays of T and |G|**2) and the part that depends on the pair
+block (the skew, the row FFT in place, the band, the cuts and the
+blurs).
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -76,7 +78,10 @@ def to_far_field(values, grid: SpatialGrid) -> np.ndarray:
     v = np.asarray(values)
     if v.shape != (grid.n, grid.n):
         raise ParameterError(f"values must have shape ({grid.n}, {grid.n}), got {v.shape}")
-    ft = np.fft.fftshift(np.fft.fft2(np.fft.ifftshift(v)))
+    # fft2 runs in place on ifftshift's copy, in the dtype fft2 would return
+    ft = np.fft.ifftshift(v).astype(np.result_type(v, 1j), copy=False)
+    np.fft.fft2(ft, out=ft)
+    ft = np.fft.fftshift(ft)
     ft *= grid.dx ** 2 / TWO_PI
     ft.setflags(write=False)
     return ft
@@ -226,7 +231,11 @@ class SupportPlan:
     if any, on every call.  Construction keeps what every pair on S
     reuses, all read-only: the angles, the kernel, the snapped shift,
     the skew index, Phi, the scale factors and one gather table that
-    serves both blurs.
+    serves both blurs.  It also allocates two writable m x n work arrays
+    (24*m*n bytes) that every call overwrites under a lock the plan
+    holds, so calls from several threads are safe but take turns over
+    the skew, the row FFT and the band; the returned values are new
+    arrays each call.
     """
 
     def __init__(self, support, grid: SpatialGrid, wavelength: float, width: float,
@@ -251,35 +260,44 @@ class SupportPlan:
         cut_angles = _cut_angles(angles, shift)
         for array in (angles, kernel, skew, phases, table, cut_angles):
             array.setflags(write=False)
-        self._n, self._m, self._reach = n, m, reach
+        self._m, self._reach = m, reach
         self._angles, self._kernel, self._cut_angles = angles, kernel, cut_angles
         self._skew, self._phases, self._table = skew, phases, table
         # the table's columns for the rows of the diagonal that the shift keeps
         self._kept_table = table[:, max(0, -shift):min(n, n - shift)]
         self._scale = (grid.dx ** 2 / TWO_PI) ** 2
         self._singles_scale = n * grid.dk * self._scale
+        # work arrays that every call overwrites (24*m*n bytes): the skewed
+        # block, transformed in place along its rows, and |rows|**2; the lock
+        # lets one call at a time use them
+        self._rows = np.empty((m, n), dtype=complex)
+        self._magnitude = np.empty((m, n))
+        self._lock = threading.Lock()
 
     def __call__(self, pair) -> tuple[RateProfile, RateProfile]:
         """Blurred diagonal and singles cuts for the m x m pair block on the plan's support."""
-        n, m, reach, kernel = self._n, self._m, self._reach, self._kernel
+        m, reach, kernel = self._m, self._reach, self._kernel
         if np.shape(pair) != (m, m):
             raise ParameterError(
                 f"pair must have shape ({m}, {m}) to match the support, got {np.shape(pair)}")
         if self._notice:
             warn_caller(self._notice, BinSnapWarning)
 
-        skewed = np.zeros((m, n), dtype=complex)
-        skewed.reshape(-1)[self._skew] = pair
-        rows = np.fft.fft(skewed, axis=1)
-        # band[c, p] = R[p, (p + shifts[c]) mod n] / scale
-        band = np.fft.fftshift(np.abs(self._phases @ rows) ** 2, axes=1)
+        with self._lock:
+            rows = self._rows
+            rows.fill(0)
+            rows.reshape(-1)[self._skew] = pair
+            np.fft.fft(rows, axis=1, out=rows)
+            # band[c, p] = R[p, (p + shifts[c]) mod n] / scale
+            band = np.fft.fftshift(np.abs(self._phases @ rows) ** 2, axes=1)
+            magnitude = np.square(np.abs(rows, out=self._magnitude), out=self._magnitude)
+            singles = np.fft.fftshift(np.sum(magnitude, axis=0)) * self._singles_scale
 
         # first-detector offset a - reach reads second-detector offsets b - reach
         # at band row b - a + 2*reach, rolled by reach - a
         kept = self._kept_table
         diagonal = sum(weight * (kernel @ band[2 * reach - a:4 * reach - a + 1])[kept[a]]
                        for a, weight in enumerate(kernel)) * self._scale
-        singles = np.fft.fftshift(np.sum(np.abs(rows) ** 2, axis=0)) * self._singles_scale
         singles = _circular_blur(singles, kernel, self._table)
         diagonal.setflags(write=False)
         singles.setflags(write=False)

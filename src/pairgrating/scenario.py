@@ -22,18 +22,20 @@ Each profiles_for evaluation is split into a plan and an apply step.
 The plan holds everything that does not depend on the correlation
 width: the grid, A and S, biphoton.pair_base's product A_j*A_l and
 exponent -(x_j -+ x_l)**2 on S, and the propagation.SupportPlan (the
-angles, the kernel, the snapped shift, the skew index, Phi and the
-gather table of the blur).  It is built once per optics configuration,
+angles, the kernel, the snapped shift, the skew index, Phi, the
+gather table of the blur and two m x n work arrays that every
+evaluation overwrites).  It is built once per optics configuration,
 that is per value of every config field except sigma_corr_um,
 angle_offset_mrad and output_prefix, and kept in a one-entry cache, so
 the evaluations of a fit or a sweep share it.  It retains 32*m**2
-bytes for the m x m arrays (0.7 MiB at the default spot) plus
-O(n*taps) for the gather table.  A plan whose m x m arrays exceed
-MAX_KEPT_PLAN_BYTES, m > 1,448 (a spot that covers most of a large
-grid), is not kept: it serves the one call that built it.  The apply
-step is biphoton.weigh_pair for the width, then the plan's skew, row FFT,
-band, cuts and blur; every array operation is the one a plan-free
-evaluation would run, so the profiles are bitwise the same.
+bytes for the m x m arrays and 24*m*n bytes for the work arrays
+(2.5 MiB at the default spot and n = 512, 8.0 MiB at n = 2048) plus
+O(n*taps) for the gather table.  A plan whose m x m and work arrays
+together exceed MAX_KEPT_PLAN_BYTES (a spot that covers a large part of
+a large grid) is not kept: it serves the one call that built it.  The
+apply step is biphoton.weigh_pair for the width, then the plan's skew,
+row FFT, band, cuts and blur; every array operation computes what a
+plan-free evaluation would, so the profiles are bitwise the same.
 rate_map_for builds everything afresh on every call and stays the
 independent full-map reference.
 """
@@ -59,8 +61,9 @@ MAX_GRID_N = 4096
 # profiles agree with the cuts of rate_map_for to ~3e-14 relative.
 SUPPORT_FLOOR = 1e-17
 
-# profiles_for keeps a plan only while its m x m arrays, pair_base's product and
-# exponent and SupportPlan's skew index (32*m**2 bytes, m <= 1,448), fit in this.
+# profiles_for keeps a plan only while its arrays fit in this: the m x m ones,
+# pair_base's product and exponent and SupportPlan's skew index (32*m**2
+# bytes), and SupportPlan's two m x n work arrays (24*m*n bytes).
 MAX_KEPT_PLAN_BYTES = 64 * 2 ** 20
 
 # How parse_config reads a value for each field annotation of ScenarioConfig,
@@ -222,7 +225,10 @@ def profiles_for(config: ScenarioConfig,
     """
     product, exponent, dx, cuts = _support_plan(
         replace(config, sigma_corr_um=1.0, angle_offset_mrad=0.0, output_prefix="out"))
-    if 32 * product.size > MAX_KEPT_PLAN_BYTES:  # 16 + 8 + 8 bytes per pair of samples on S
+    m = product.shape[0]
+    # 32 bytes per pair of samples on S (product, exponent, skew index) and
+    # 24 per entry of the m x n work arrays (complex rows, float magnitudes)
+    if 32 * m * m + 24 * m * config.grid_n > MAX_KEPT_PLAN_BYTES:
         _support_plan.cache_clear()
     sigma = config.sigma_corr_um if sigma_um is None else float(sigma_um)
     return cuts(weigh_pair(product, exponent, sigma, dx))

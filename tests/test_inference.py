@@ -349,6 +349,14 @@ def test_scale_and_background_flat_model():
     assert inference._scale_and_background(np.ones(5), -rates, weights) == (0.0, 0.0)
 
 
+@pytest.mark.parametrize("level", [0.1, 0.3])
+def test_scale_and_background_model_flat_up_to_rounding(level):
+    # seven copies of 0.1 leave s1*smm - sm**2 at +1 eps of s1*smm, and of 0.3
+    # at -0.9 eps: both are flat, not a model of scale 32
+    rates = np.arange(1.0, 8.0)
+    assert inference._scale_and_background(np.full(7, level), rates, np.ones(7)) == (0.0, 4.0)
+
+
 @pytest.mark.parametrize("count", [0, 1, 2])
 def test_fit_needs_three_samples(fast_config, monkeypatch, count):
     # one sample per fitted parameter: width, scale and background

@@ -1,3 +1,4 @@
+from concurrent.futures import ThreadPoolExecutor
 import tracemalloc
 import warnings
 from dataclasses import fields, replace
@@ -45,6 +46,22 @@ def test_far_field_matches_direct_double_sum():
     kernel = np.exp(-1j * np.outer(grid.k, grid.x))
     direct = (grid.dx ** 2 / (2.0 * np.pi)) * kernel @ raw @ kernel.T
     assert np.max(np.abs(transformed - direct)) <= 1e-8
+
+
+@pytest.mark.parametrize("dtype", [complex, float])
+def test_far_field_is_the_scaled_centered_fft(dtype):
+    # fft2 runs in place on a copy: the result is the plain expression's, bit
+    # for bit, and the input is left alone
+    rng = np.random.default_rng(11)
+    grid = make_grid(64, 64.0)
+    values = rng.standard_normal((64, 64)).astype(dtype)
+    if dtype is complex:
+        values += 1j * rng.standard_normal((64, 64))
+    before = values.copy()
+    expected = (np.fft.fftshift(np.fft.fft2(np.fft.ifftshift(values)))
+                * (grid.dx ** 2 / (2.0 * np.pi)))
+    assert np.array_equal(to_far_field(values, grid), expected)
+    assert np.array_equal(values, before)
 
 
 def test_double_sum_oracle_against_literal_loops():
@@ -409,9 +426,19 @@ def test_profiles_for_warns_and_raises_on_every_call():
         profiles_for(config, sigma_um=-1.0)
 
 
+def _kept_plan(config):
+    """The plan profiles_for kept for config, read from its cache without building one."""
+    misses = scenario._support_plan.cache_info().misses
+    plan = scenario._support_plan(
+        replace(config, sigma_corr_um=1.0, angle_offset_mrad=0.0, output_prefix="out"))
+    assert scenario._support_plan.cache_info().misses == misses
+    return plan
+
+
 def test_profiles_for_plan_holds_under_two_mib():
     # the plan keeps the m x m pair factors and skew index (about 32*m**2
-    # bytes, m = 155), Phi, the angles and a (2t+1) x n gather table
+    # bytes, m = 155), Phi, the angles and a (2t+1) x n gather table, and
+    # on top of them SupportPlan's two m x n work arrays
     config = ScenarioConfig(grid_n=2048, window_um=2400.0)
     scenario._support_plan.cache_clear()
     tracemalloc.start()
@@ -420,7 +447,10 @@ def test_profiles_for_plan_holds_under_two_mib():
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert held < 2 * 2 ** 20
+    product, _, _, cuts = _kept_plan(config)
+    work = cuts._rows.nbytes + cuts._magnitude.nbytes
+    assert work == 24 * product.shape[0] * config.grid_n
+    assert held - work < 2 * 2 ** 20
 
 
 def test_profiles_for_drops_a_plan_over_the_byte_cap():
@@ -457,6 +487,92 @@ def test_profiles_for_counts_the_skew_index_against_the_byte_cap():
         tracemalloc.stop()
     assert held < scenario.MAX_KEPT_PLAN_BYTES
     assert scenario._support_plan.cache_info().currsize == 0
+
+
+def test_profiles_for_counts_the_work_arrays_against_the_byte_cap():
+    # m = 597 at n = 4096: the m x m arrays (32*m**2 bytes, 10.9 MiB) fit
+    # under the cap, and the two m x n work arrays (24*m*n bytes, 56 MiB)
+    # take the plan over it
+    config = ScenarioConfig(grid_n=4096, window_um=4800.0, spot_diameter_um=112.0,
+                            resolution_mrad=0.0)
+    magnitude = np.abs(transmission_for(config, grid_for(config)))
+    inside = np.flatnonzero(magnitude > SUPPORT_FLOOR * magnitude.max())
+    m, n = inside[-1] - inside[0] + 1, config.grid_n
+    assert 32 * m ** 2 < scenario.MAX_KEPT_PLAN_BYTES < 32 * m ** 2 + 24 * m * n
+    scenario._support_plan.cache_clear()
+    tracemalloc.start()
+    try:
+        profiles_for(config)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 2 * 2 ** 20
+    assert scenario._support_plan.cache_info().currsize == 0
+
+
+def test_profiles_for_warm_call_reuses_the_work_arrays():
+    # a warm call allocates the band, the cuts and weigh_pair's m x m arrays,
+    # but no m x n array of its own: its peak stays under one complex m x n
+    # array (4.84 MiB at m = 155)
+    config = ScenarioConfig(grid_n=2048, window_um=2400.0, resolution_mrad=0.0)
+    profiles_for(config)
+    m = _kept_plan(config)[0].shape[0]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        profiles_for(config, sigma_um=31.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - before < 16 * m * config.grid_n
+
+
+def test_profiles_for_results_outlive_the_work_arrays():
+    # every call overwrites the plan's work arrays, so no result may be a view of them
+    config = ScenarioConfig(grid_n=256, window_um=300.0)
+    scenario._support_plan.cache_clear()
+    first = profiles_for(config)
+    copies = [profile.values.copy() for profile in first]
+    later = profiles_for(config, sigma_um=31.0)
+    for profile, values in zip(first, copies):
+        assert np.array_equal(profile.values, values)
+    cuts = _kept_plan(config)[3]
+    for profile in (*first, *later):
+        for array in (profile.values, profile.angles):
+            assert not np.shares_memory(array, cuts._rows)
+            assert not np.shares_memory(array, cuts._magnitude)
+
+
+def test_profiles_for_plan_after_many_widths_equals_a_fresh_plan():
+    config = ScenarioConfig(grid_n=256, window_um=300.0, detector_separation_mrad=7.8,
+                            illumination="far")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", BinSnapWarning)
+        warnings.simplefilter("ignore", SamplingWarning)
+        scenario._support_plan.cache_clear()
+        for sigma in np.geomspace(0.5, 200.0, 9):
+            profiles_for(config, sigma_um=float(sigma))
+        warm = profiles_for(config)
+        scenario._support_plan.cache_clear()
+        fresh = profiles_for(config)
+    for got, want in zip(warm, fresh):
+        assert np.array_equal(got.values, want.values)
+        assert np.array_equal(got.angles, want.angles)
+
+
+def test_profiles_for_shares_one_plan_across_threads():
+    # the plan's lock keeps calls from several threads off each other's work
+    # arrays: each thread gets what a call on its own would give
+    config = ScenarioConfig(grid_n=512, window_um=600.0)
+    sigmas = [float(s) for s in np.geomspace(2.0, 120.0, 8)]
+    scenario._support_plan.cache_clear()
+    serial = [profiles_for(config, sigma_um=s) for s in sigmas]
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        for _ in range(3):
+            threaded = list(pool.map(lambda s: profiles_for(config, sigma_um=s), sigmas))
+            for got, want in zip(threaded, serial):
+                for got_cut, want_cut in zip(got, want):
+                    assert np.array_equal(got_cut.values, want_cut.values)
 
 
 def test_profiles_for_builds_no_full_grid_array():

@@ -6,7 +6,11 @@ Usage:
     python3 tools/bench_pairs.py --parent DIR --change DIR --label L \
         --seeds 101-110 --seconds 15 [--traced-seed 111]
 
-Both directories are source checkouts holding perfbench/run.py.  For
+Both directories are source checkouts holding perfbench/run.py.  Make
+each one a git checkout with its commit made (`git worktree add DIR
+COMMIT`, or `git clone` and `git checkout COMMIT`): the record takes
+`parent_commit` from the parent's HEAD and `change` from the subject of
+the change's HEAD, and leaves them empty for a plain file export.  For
 every workload the change's BENCHMARK.json lists, pair k runs
 `python3 perfbench/run.py --workload W --seed N --seconds S --trace 0`
 on the k-th seed in each checkout, the parent first in odd pairs and
