@@ -2,16 +2,15 @@
 
 Both photons traverse the same grating, so the joint amplitude is the
 product of identical single-photon amplitudes weighted by a Gaussian
-factor tying their transverse positions together.  pair_base
+factor tying their transverse positions together.  two_photon_amplitude
 symmetrizes the product under exchange explicitly: for identical scalar
 amplitudes that changes only rounding, and it makes F equal F.T bitwise.
 
-The amplitude is built in two steps.  pair_base computes what does not
-depend on the correlation width (the symmetrized product A_j*A_l and
-the exponent numerator -(x_j -+ x_l)**2); weigh_pair applies one width
-(the Gaussian weight, the sampling warning and the normalization).
-two_photon_amplitude runs both; scenario.profiles_for keeps pair_base's
-factors across evaluations that differ only in the width.
+The Gaussian weight is built in two steps.  pair_exponent computes what
+does not depend on the correlation width (the exponent numerator
+-(x_j -+ x_l)**2); pair_weight applies one width (the check, the
+sampling warning and the exponential).  scenario.profiles_for keeps the
+exponent across evaluations that differ only in the width.
 """
 
 from __future__ import annotations
@@ -36,57 +35,30 @@ def _check_mode(mode: str) -> None:
         raise ParameterError(f"correlation mode must be 'near' or 'far', got {mode!r}")
 
 
-def pair_base(amplitude, mode: str, x) -> tuple[np.ndarray, np.ndarray]:
-    """The sigma-independent factors of two_photon_amplitude at positions x.
-
-    Returns the exchange-symmetrized product (A_j*A_l + A_l*A_j)/2 and
-    the exponent numerator -(x_j - x_l)**2 (near) or -(x_j + x_l)**2
-    (far), both len(x) x len(x) and read-only; weigh_pair turns them
-    into the joint amplitude for one correlation width.
-    """
-    a = np.asarray(amplitude, dtype=complex)
-    x = np.asarray(x, dtype=float)
-    if a.ndim != 1 or a.shape != x.shape:
-        raise ParameterError(
-            f"amplitude must have shape {x.shape} to match the positions, got {a.shape}")
+def pair_exponent(mode: str, x) -> np.ndarray:
+    """Read-only exponent numerator -(x_j - x_l)**2 (near) or -(x_j + x_l)**2 (far)."""
     _check_mode(mode)
-    product = a[:, None] * a[None, :]
-    # explicit exchange symmetrization: a rounding-level no-op for identical
-    # amplitudes, but it pins F == F.T bitwise.  Here and below the arithmetic
-    # runs in place where it can, so that a full-grid call holds few n x n
-    # temporaries at once.
-    product = product + product.T
-    product *= 0.5
+    x = np.asarray(x, dtype=float)
     exponent = x[:, None] - x[None, :] if mode == "near" else x[:, None] + x[None, :]
+    # in place, so that a full-grid call holds few n x n temporaries at once
     np.square(exponent, out=exponent)
     np.negative(exponent, out=exponent)
-    product.setflags(write=False)
     exponent.setflags(write=False)
-    return product, exponent
+    return exponent
 
 
-def weigh_pair(product, exponent, sigma_corr: float, dx: float) -> np.ndarray:
-    """Joint amplitude product*exp(exponent/(2*sigma_corr**2)), unit square sum.
-
-    product and exponent are pair_base's factors.  Checks the width,
-    warns as two_photon_amplitude does, and normalizes so that
-    sum(|F|**2)*dx**2 = 1.  The result is a new read-only array.
-    """
+def pair_weight(exponent, sigma_corr: float, dx: float) -> np.ndarray:
+    """New array exp(exponent/(2*sigma_corr**2)); checks and warns as two_photon_amplitude does."""
     _check_width(sigma_corr)
     with np.errstate(over="ignore"):  # a subnormal 2*sigma**2 sends far pairs to -inf: weight 0
-        joint = product * np.exp(exponent / (2.0 * sigma_corr ** 2))
+        weight = np.exp(exponent / (2.0 * sigma_corr ** 2))
     if sigma_corr < dx / 2.0:
         warn_caller(
             f"correlation width {sigma_corr:.4g} um is below half the grid "
             f"spacing {dx:.4g} um; the pair weight is under-resolved and "
             f"degenerates to its diagonal",
             SamplingWarning)
-    total = np.sum(np.abs(joint) ** 2) * dx ** 2
-    if total == 0.0:
-        raise ParameterError("joint amplitude is identically zero")
-    joint /= np.sqrt(total)
-    joint.setflags(write=False)
-    return joint
+    return weight
 
 
 def two_photon_amplitude(amplitude, sigma_corr: float, mode: str, x,
@@ -103,8 +75,23 @@ def two_photon_amplitude(amplitude, sigma_corr: float, mode: str, x,
     comparable across correlation-width sweeps.  Widths below half the
     grid spacing dx leave the weight matrix effectively diagonal, which
     is the perfect-correlation limit; that is acceptable but flagged
-    with a SamplingWarning.  This is pair_base followed by weigh_pair;
-    callers that vary only the width, like scenario.profiles_for, keep
-    pair_base's factors and call weigh_pair once per width.
+    with a SamplingWarning.
     """
-    return weigh_pair(*pair_base(amplitude, mode, x), sigma_corr, dx)
+    a = np.asarray(amplitude, dtype=complex)
+    x = np.asarray(x, dtype=float)
+    if a.ndim != 1 or a.shape != x.shape:
+        raise ParameterError(
+            f"amplitude must have shape {x.shape} to match the positions, got {a.shape}")
+    product = a[:, None] * a[None, :]
+    product = product + product.T      # exchange symmetrization (module docstring)
+    product *= 0.5
+    exponent = pair_exponent(mode, x)
+    # product and exponent live until the return: freed earlier, the FFT and the
+    # blur that follow fault in about 1,000 fresh pages each at n = 512
+    joint = product * pair_weight(exponent, sigma_corr, dx)
+    total = np.sum(np.abs(joint) ** 2) * dx ** 2
+    if total == 0.0:
+        raise ParameterError("joint amplitude is identically zero")
+    joint /= np.sqrt(total)
+    joint.setflags(write=False)
+    return joint

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, SamplingWarning, read_lines, read_number
-from .scenario import ScenarioConfig, profiles_for
+from .scenario import ScenarioConfig, profile_angles, profiles_for
 
 # Angular window used for visibility summaries (rad): the central region
 # holding the zeroth and both first orders of the reference grating.
@@ -232,24 +232,30 @@ def forward_on_angles(scenario: ScenarioConfig, sigma_um: float, angles,
     """Peak-normalized forward profile interpolated to the given angles (rad).
 
     The scenario's angle_offset_mrad shifts the model before
-    interpolation, for scans whose angular zero is pre-aligned.  Angles
-    outside the shifted model's range by more than a millionth of a bin
-    raise ParameterError instead of being clamped to the edge values.
-    channel is "coincidences" (the diagonal) or "singles".
+    interpolation, for scans whose angular zero is pre-aligned.  The
+    model is computed once, on the lattice rows the scan's range reads.
+    Angles outside the shifted lattice's range by more than a millionth
+    of a bin raise ParameterError instead of being clamped to the edge
+    values.  channel is "coincidences" (the diagonal) or "singles".
     """
     _check_channel(channel)
-    diagonal, singles = profiles_for(scenario, sigma_um=sigma_um)
-    profile = diagonal if channel == "coincidences" else singles
-    model_angles = profile.angles + scenario.angle_offset_mrad * 1e-3
+    offset = scenario.angle_offset_mrad * 1e-3
     angles = np.asarray(angles, dtype=float)
+    diagonal, singles = profiles_for(scenario, sigma_um=sigma_um,
+                                     span=(angles.min() - offset, angles.max() - offset))
+    profile = diagonal if channel == "coincidences" else singles
+    model_angles = profile.angles + offset
     # The slack admits the edge angles of simulate's output, which the CSV
     # rounds to 10 significant digits.
-    slack = 1e-6 * (model_angles[1] - model_angles[0])
-    outside = ~((angles >= model_angles[0] - slack) & (angles <= model_angles[-1] + slack))
+    slack = 1e-6 * scenario.wavelength_um / scenario.window_um
+    lo, hi = (model_angles[0], model_angles[-1]) if model_angles.size else (np.inf, -np.inf)
+    outside = ~((angles >= lo - slack) & (angles <= hi + slack))
     if outside.any():
+        # the model's rows cover the scan where the lattice does; name the whole lattice
+        lattice = profile_angles(scenario)[channel == "singles"] + offset
         raise ParameterError(
             f"scan angle {angles[np.argmax(outside)] * 1e3:.6g} mrad lies outside the "
-            f"model's range {model_angles[0] * 1e3:.6g} to {model_angles[-1] * 1e3:.6g} mrad")
+            f"model's range {lattice[0] * 1e3:.6g} to {lattice[-1] * 1e3:.6g} mrad")
     return unit_peak(np.interp(angles, model_angles, profile.values))
 
 

@@ -12,41 +12,31 @@ kernel w of reach t.  The blurred diagonal at a shift of s bins is
 D[i] = sum_a sum_b w_a w_b R[(i+a) mod n, (i+s+b) mod n], and the
 blurred singles are the 1D blur of the row sums of R.
 
-When P vanishes outside S x S for a set S of m distinct grid samples
-(the spot's support), SupportPlan takes both cuts from m x n arrays in
-place of n x n ones.  With B the m x m block of P on S,
-S'_l = S_l - n/2, p' = p - n/2 and omega = exp(-2*pi*i/n):
+SupportPlan takes both cuts when P[S_j, S_l] = A_j*g[j, l]*A_l on S x S,
+for a set S of m distinct samples (the spot's support) and a real m x m
+weight g, and P vanishes elsewhere.  It works on the set K of
+first-detector rows a caller reads, widened by t each side, with no
+FFT and no m x n array.  With S'_l = S_l - n/2, p' = p - n/2,
+omega = exp(-2*pi*i/n) and a = A*sqrt(dx) on S:
 
-- skew: T[l, (S_j + S_l) mod n] = B[j, l] fills an m x n array, each
-  row without collisions since S has no repeats;
-- one row FFT: G = fft(T, axis=1) gives
-  G[l, p' mod n] = C[p, l] * omega**(p'*S'_l), where C = W_S B is the
-  first-axis transform (W_S the m columns of W on S) and the phase is
-  the one that row p of W puts on column l in the second-axis transform;
-- band: shifting that row by c bins adds the phase omega**(c*S'_l), so
-  R[p, (p+c) mod n] = |(Phi G)[c, p' mod n]|**2 with
-  Phi[c, l] = omega**(c*S'_l), one (4t+1) x m by m x n product for the
-  shifts c = s-2t..s+2t that D reads;
-- singles: Parseval along the second axis, with |G[l, k]| = |C[p, l]|,
-  gives sum_q R[p, q] = n * sum_l |G[l, p' mod n]|**2.
+- U[p, l] = W[p, S_l]*a_l for p in K, gathered from the n roots of
+  unity at p'*S'_l mod n, so rows past the lattice's ends wrap;
+- V = U g, one real product on the interleaved parts of U; row p of
+  W P is V[p, l]*a_l, and E = V o U adds the phase W[p, S_l] that row p
+  of the second-axis transform puts on column l;
+- band: row p + c of W is row p times Phi[c, l] = omega**(c*S'_l), so
+  R[p, (p+c) mod n] = |(E Phi^T)[p, c]|**2 for c = s-2t..s+2t;
+- singles: Parseval along the second axis (the S_l are distinct) gives
+  sum_q R[p, q] = n * sum_l |E[p, l]|**2;
+- scale: (dx/(2*pi))**2/T with T = b^T (g o g) b, b = |a|**2, gives P a
+  unit square sum; sqrt(dx) in a keeps every product inside the doubles.
 
-An fftshift of the two small results maps p' mod n back to p, and the
-factor (dx**2/(2*pi))**2 is applied once to them.  Every phase of Phi
-is taken at its integer exponent reduced mod n, so no precision is lost
-to large arguments.
-
-SupportPlan splits this into the part that depends only on S, the grid
-and the detectors (the checks, the angles, the kernel, the snapped
-shift, the skew index, Phi, the scale factors, a gather table that
-stands in for np.roll in both blurs, as it does in blur, and the m x n
-work arrays of T and |G|**2) and the part that depends on the pair
-block (the skew, the row FFT in place, the band, the cuts and the
-blurs).
+This is the matrix Fourier transform (Soummer et al., Opt. Express 15,
+15935 (2007)) on the rows read, O(|K|*m**2) work in one small product.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -175,20 +165,6 @@ def _box_kernel(width: float, bin_width: float) -> np.ndarray:
     return weights / weights.sum()
 
 
-def _gather_table(reach: int, n: int) -> np.ndarray:
-    """Row a lists (i - reach + a) mod n, so v[table[2*reach - a]] is np.roll(v, a - reach)."""
-    return (np.arange(n) + np.arange(-reach, reach + 1)[:, None]) % n
-
-
-def _circular_blur(values: np.ndarray, kernel: np.ndarray, table: np.ndarray,
-                   axis: int = 0) -> np.ndarray:
-    """Sum of kernel[i]*np.roll(values, i - reach, axis) in kernel order, as a new array."""
-    # Circular convolution: the discrete far field is periodic, and wrapping
-    # conserves total mass exactly for a unit-sum kernel.
-    return sum(weight * np.take(values, table[kernel.size - 1 - i], axis)
-               for i, weight in enumerate(kernel))
-
-
 def _blur_kernel(width: float, angles: np.ndarray) -> np.ndarray:
     """Top-hat kernel for `width` rad on the angle lattice, after checking the width."""
     if not (width >= 0.0) or not np.isfinite(width):
@@ -210,96 +186,117 @@ def blur(obj, width: float):
     decrease.  Returns the same type as the input.
     """
     kernel = _blur_kernel(width, obj.angles)
-    table = _gather_table(kernel.size // 2, obj.angles.size)
+    n, reach = obj.angles.size, kernel.size // 2
+    # Circular convolution: the discrete far field is periodic, and wrapping
+    # conserves total mass exactly for a unit-sum kernel.  Taking row i of the
+    # table, (j + reach - i) mod n, is np.roll(values, i - reach).
+    table = (np.arange(n) - np.arange(-reach, reach + 1)[:, None]) % n
     values = obj.values
     for axis in range(values.ndim):
-        values = _circular_blur(values, kernel, table, axis)
+        values = sum(weight * np.take(values, table[i], axis) for i, weight in enumerate(kernel))
     values.setflags(write=False)
     return replace(obj, values=values)
 
 
 class SupportPlan:
-    """Blurred diagonal and singles cuts of far-field pair amplitudes on one support.
+    """Blurred diagonal and singles cuts, on chosen rows, of pairs A_j*g[j, l]*A_l on one support.
 
     The support S must be distinct integer grid indices in [0, n), in
-    any order; width and separation are checked as by blur and
-    diagonal_profile.  Called with the m x m block on S of an n x n pair
-    P that vanishes elsewhere, the plan returns diagonal_profile(blur(R,
-    width), separation) and blur(singles_profile(R), width) for R =
-    coincidence_map(to_far_field(P, grid), grid, wavelength), up to
-    rounding, in O(n*m*(log(n) + taps)) time, raising the snap warning,
-    if any, on every call.  Construction keeps what every pair on S
-    reuses, all read-only: the angles, the kernel, the snapped shift,
-    the skew index, Phi, the scale factors and one gather table that
-    serves both blurs.  It also allocates two writable m x n work arrays
-    (24*m*n bytes) that every call overwrites under a lock the plan
-    holds, so calls from several threads are safe but take turns over
-    the skew, the row FFT and the band; the returned values are new
-    arrays each call.
+    any order, and amplitude is A on it; width and separation are
+    checked as by blur and diagonal_profile.  rows = (first, last) are
+    the first-detector rows to cover, inclusive (None: all).  Called
+    with a real m x m weight g, the plan returns those rows of
+    diagonal_profile(blur(R, width), separation) and
+    blur(singles_profile(R), width), up to rounding, for R the rate map
+    of P = A_j*g[j, l]*A_l on S x S with a unit square sum.  The diagonal
+    drops rows whose partner leaves the lattice, so it may hold none.
+    The snap warning, if any, is raised on every call.  The plan's
+    arrays (nbytes) are read-only, so threads may share a plan.
     """
 
-    def __init__(self, support, grid: SpatialGrid, wavelength: float, width: float,
-                 separation: float = 0.0):
+    def __init__(self, support, amplitude, grid: SpatialGrid, wavelength: float, width: float,
+                 separation: float = 0.0, rows: tuple[int, int] | None = None):
         support = np.asarray(support)
         n = grid.n
         if (support.ndim != 1 or support.dtype.kind not in "iu" or not np.all(support >= 0)
                 or not np.all(support < n) or np.any(np.diff(np.sort(support)) == 0)):
             raise ParameterError(
                 f"support must be distinct integer grid indices in [0, {n}), got {support!r}")
+        amplitude = np.asarray(amplitude, dtype=complex)
+        if amplitude.shape != support.shape:
+            raise ParameterError(f"amplitude has shape {support.shape}, not {amplitude.shape}")
+        first, last = (0, n - 1) if rows is None else rows
+        if not 0 <= first <= last < n:
+            raise ParameterError(f"rows must satisfy 0 <= first <= last < {n}, got {rows!r}")
         angles = angles_of(grid, wavelength)
         kernel = _blur_kernel(width, angles)
         shift, self._notice = _snap_shift(angles, separation)
         reach = kernel.size // 2
-        m = support.size
+        # the diagonal keeps the rows whose partner row + shift is on the lattice
+        cut_first = max(first, -shift)
+        cut_last = max(min(last, n - 1 - shift), cut_first - 1)
 
-        # T[l, (S_j + S_l) mod n] = B[j, l], as one flat index into the m x n array
-        skew = np.arange(m) * n + np.add.outer(support, support) % n
+        # U^T[l, p] = W[p, S_l]*a_l for p = first - t .. last + t, and Phi, from
+        # the n roots of unity at integer exponents reduced mod n; |p'*S'_l| is
+        # below 3*n**2/8 (t < n/4), so int32 holds it up to MAX_GRID_N
+        roots = np.exp(np.arange(n) * (-1j * TWO_PI / n))
+        columns = (support - n // 2).astype(np.int32)
+        band_rows = np.arange(first - reach, last + reach + 1, dtype=np.int32) - n // 2
+        tilde = amplitude * np.sqrt(grid.dx)
+        exponents = np.outer(columns, band_rows)
+        exponents %= n
+        rows_t = roots[exponents]
+        rows_t *= tilde[:, None]
         shifts = np.arange(shift - 2 * reach, shift + 2 * reach + 1)
-        phases = np.exp(np.outer(shifts, support - n // 2) % n * (-1j * TWO_PI / n))
-        table = _gather_table(reach, n)
-        cut_angles = _cut_angles(angles, shift)
-        for array in (angles, kernel, skew, phases, table, cut_angles):
+        phases = roots[np.outer(shifts, columns) % n]
+        power = np.abs(tilde) ** 2
+        singles_angles = angles[first:last + 1].copy()
+        cut_angles = angles[cut_first:cut_last + 1].copy()
+        kept = (kernel, rows_t, phases, power, singles_angles, cut_angles)
+        for array in kept:
             array.setflags(write=False)
-        self._m, self._reach = m, reach
-        self._angles, self._kernel, self._cut_angles = angles, kernel, cut_angles
-        self._skew, self._phases, self._table = skew, phases, table
-        # the table's columns for the rows of the diagonal that the shift keeps
-        self._kept_table = table[:, max(0, -shift):min(n, n - shift)]
-        self._scale = (grid.dx ** 2 / TWO_PI) ** 2
-        self._singles_scale = n * grid.dk * self._scale
-        # work arrays that every call overwrites (24*m*n bytes): the skewed
-        # block, transformed in place along its rows, and |rows|**2; the lock
-        # lets one call at a time use them
-        self._rows = np.empty((m, n), dtype=complex)
-        self._magnitude = np.empty((m, n))
-        self._lock = threading.Lock()
+        self.nbytes = sum(array.nbytes for array in kept)
+        self._reach, self._kernel, self._rows_t, self._phases = reach, kernel, rows_t, phases
+        self._power, self._singles_angles, self._cut_angles = power, singles_angles, cut_angles
+        # band row of the diagonal's first row at first-detector offset -reach
+        self._cut_start = cut_first - first
+        self._scale = grid.dx / TWO_PI
 
-    def __call__(self, pair) -> tuple[RateProfile, RateProfile]:
-        """Blurred diagonal and singles cuts for the m x m pair block on the plan's support."""
-        m, reach, kernel = self._m, self._reach, self._kernel
-        if np.shape(pair) != (m, m):
+    def __call__(self, weight) -> tuple[RateProfile, RateProfile]:
+        """Blurred diagonal and singles rows for the real m x m weight g on the plan's support."""
+        m, reach, kernel = self._power.size, self._reach, self._kernel
+        if np.shape(weight) != (m, m):
             raise ParameterError(
-                f"pair must have shape ({m}, {m}) to match the support, got {np.shape(pair)}")
+                f"weight must have shape ({m}, {m}) to match the support, got {np.shape(weight)}")
         if self._notice:
             warn_caller(self._notice, BinSnapWarning)
+        weight = np.asarray(weight, dtype=float)
+        power = self._power
+        norm = power @ np.square(weight) @ power
+        if norm == 0.0:
+            raise ParameterError("joint amplitude is identically zero")
 
-        with self._lock:
-            rows = self._rows
-            rows.fill(0)
-            rows.reshape(-1)[self._skew] = pair
-            np.fft.fft(rows, axis=1, out=rows)
-            # band[c, p] = R[p, (p + shifts[c]) mod n] / scale
-            band = np.fft.fftshift(np.abs(self._phases @ rows) ** 2, axes=1)
-            magnitude = np.square(np.abs(rows, out=self._magnitude), out=self._magnitude)
-            singles = np.fft.fftshift(np.sum(magnitude, axis=0)) * self._singles_scale
+        # V^T = g^T U^T as one real product on the interleaved real and
+        # imaginary parts, then E^T = V^T o U^T in place
+        v_t = weight.T @ self._rows_t.view(float)
+        e_t = v_t.view(complex)
+        e_t *= self._rows_t
+        # band[c, p] = R[p, p + shifts[c]]/scale, in blocks: no (4t+1) x |K| complex array
+        band = np.empty((self._phases.shape[0], e_t.shape[1]))
+        for lo in range(0, band.shape[1], 256):
+            band[:, lo:lo + 256] = np.abs(self._phases @ e_t[:, lo:lo + 256]) ** 2
+        # Parseval along the second detector: row p of R sums to n*sum_l |E[p, l]|**2
+        row_sums = np.square(v_t, out=v_t).sum(axis=0).reshape(-1, 2).sum(axis=1)
 
         # first-detector offset a - reach reads second-detector offsets b - reach
-        # at band row b - a + 2*reach, rolled by reach - a
-        kept = self._kept_table
-        diagonal = sum(weight * (kernel @ band[2 * reach - a:4 * reach - a + 1])[kept[a]]
-                       for a, weight in enumerate(kernel)) * self._scale
-        singles = _circular_blur(singles, kernel, self._table)
+        # at band row b - a + 2*reach
+        size, start = self._cut_angles.size, self._cut_start
+        diagonal = sum(weight_a * (kernel @ band[2 * reach - a:4 * reach - a + 1])[
+            start + a:start + a + size] for a, weight_a in enumerate(kernel))
+        singles = np.convolve(row_sums, kernel, "valid")   # the kernel is symmetric
+        diagonal *= self._scale ** 2 / norm
+        singles *= self._scale / norm
         diagonal.setflags(write=False)
         singles.setflags(write=False)
         return (RateProfile(angles=self._cut_angles, values=diagonal),
-                RateProfile(angles=self._angles, values=singles))
+                RateProfile(angles=self._singles_angles, values=singles))

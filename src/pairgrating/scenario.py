@@ -6,38 +6,27 @@ defaults reproduce the reference setup used throughout: 780 nm photons,
 source (near mode), 10 mrad detector resolution, 512 samples over a
 600 um window.
 
-Two evaluators share the grid, the transmission A and the pair
-amplitude builder (biphoton.pair_base and weigh_pair).  rate_map_for runs the full chain on the n x n grid
-(pair amplitude, 2D FFT, |F|**2, 2D blur) for the map that simulate
-writes.  profiles_for, which every fit and sweep evaluation calls,
-builds the pair amplitude only on the spot's support S, where |A|
-exceeds SUPPORT_FLOOR times its peak (155 samples at the default 29 um
-spot and 1.17 um spacing, whatever n is), and takes the blurred
-diagonal and singles through a propagation.SupportPlan: the support
-block skewed into an m x n array by the position sum, one FFT along its
-rows, the diagonal band as the product of a small phase matrix Phi with
-that FFT, and the singles through Parseval on the same FFT.
+Two evaluators share the grid, the transmission A and the Gaussian pair
+weight (biphoton.pair_exponent and pair_weight).  rate_map_for runs the
+full chain on the n x n grid (pair amplitude, 2D FFT, |F|**2, 2D blur)
+for the map that simulate writes, and stays the independent FFT
+reference.  profiles_for, which every fit and sweep evaluation calls,
+works only on the spot's support S, where |A| exceeds SUPPORT_FLOOR
+times its peak (155 samples at the default 29 um spot and 1.17 um
+spacing, whatever n is), and on the first-detector rows K its span
+reads, through a propagation.SupportPlan: one real product of
+U = W_{K,S} diag(A_S sqrt(dx)) with the m x m weight, no FFT.
 
-Each profiles_for evaluation is split into a plan and an apply step.
-The plan holds everything that does not depend on the correlation
-width: the grid, A and S, biphoton.pair_base's product A_j*A_l and
-exponent -(x_j -+ x_l)**2 on S, and the propagation.SupportPlan (the
-angles, the kernel, the snapped shift, the skew index, Phi, the
-gather table of the blur and two m x n work arrays that every
-evaluation overwrites).  It is built once per optics configuration,
-that is per value of every config field except sigma_corr_um,
-angle_offset_mrad and output_prefix, and kept in a one-entry cache, so
-the evaluations of a fit or a sweep share it.  It retains 32*m**2
-bytes for the m x m arrays and 24*m*n bytes for the work arrays
-(2.5 MiB at the default spot and n = 512, 8.0 MiB at n = 2048) plus
-O(n*taps) for the gather table.  A plan whose m x m and work arrays
-together exceed MAX_KEPT_PLAN_BYTES (a spot that covers a large part of
-a large grid) is not kept: it serves the one call that built it.  The
-apply step is biphoton.weigh_pair for the width, then the plan's skew,
-row FFT, band, cuts and blur; every array operation computes what a
-plan-free evaluation would, so the profiles are bitwise the same.
-rate_map_for builds everything afresh on every call and stays the
-independent full-map reference.
+The plan holds what does not depend on the width: the exponent
+-(x_j -+ x_l)**2 on S and the SupportPlan.  It is kept in a one-entry
+cache keyed on every config field except sigma_corr_um,
+angle_offset_mrad and output_prefix, and on the integer row range, so
+the evaluations of a fit or a sweep share it.  It holds
+8*m**2 + 16*m*(|K| + 4t + 1) bytes plus O(m + |K|): 0.47 MiB for a
+fit's +-60 mrad at the default spot and n = 512, 5.3 MiB for the whole
+lattice at n = 2048.  A plan over MAX_KEPT_PLAN_BYTES serves only the
+call that built it.  The apply step is biphoton.pair_weight for the
+width, then the plan's call.
 """
 
 from __future__ import annotations
@@ -47,11 +36,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from .biphoton import pair_base, two_photon_amplitude, weigh_pair
+from .biphoton import pair_exponent, pair_weight, two_photon_amplitude
 from .errors import ParameterError, read_lines, read_number
-from .lattice import SpatialGrid, make_grid
+from .lattice import SpatialGrid, angles_of, make_grid
 from .optics import transmission
-from .propagation import RateMap, RateProfile, SupportPlan, blur, coincidence_map, to_far_field
+from .propagation import (RateMap, RateProfile, SupportPlan, _blur_kernel, _cut_angles,
+                          _snap_shift, blur, coincidence_map, to_far_field)
 
 # The full-map chain holds several n x n complex128 arrays at once.
 MAX_GRID_N = 4096
@@ -61,9 +51,9 @@ MAX_GRID_N = 4096
 # profiles agree with the cuts of rate_map_for to ~3e-14 relative.
 SUPPORT_FLOOR = 1e-17
 
-# profiles_for keeps a plan only while its arrays fit in this: the m x m ones,
-# pair_base's product and exponent and SupportPlan's skew index (32*m**2
-# bytes), and SupportPlan's two m x n work arrays (24*m*n bytes).
+# profiles_for keeps a plan only while its arrays fit in this: the m x m
+# exponent (8*m**2 bytes) and SupportPlan.nbytes, which is U^T and Phi
+# (16*m*(|K| + 4t + 1) bytes for |K| rows and a blur of reach t) plus O(m + |K|).
 MAX_KEPT_PLAN_BYTES = 64 * 2 ** 20
 
 # How parse_config reads a value for each field annotation of ScenarioConfig,
@@ -189,46 +179,62 @@ def transmission_for(config: ScenarioConfig, grid: SpatialGrid) -> np.ndarray:
 def rate_map_for(config: ScenarioConfig) -> RateMap:
     """Run the full forward chain on the n x n grid at config.sigma_corr_um."""
     grid = grid_for(config)
+    # checked before the pair is built, as profiles_for's plan checks it
+    _blur_kernel(config.resolution_mrad * 1e-3, angles_of(grid, config.wavelength_um))
     amp = transmission_for(config, grid)
     pair = two_photon_amplitude(amp, config.sigma_corr_um, config.illumination, grid.x, grid.dx)
     rmap = coincidence_map(to_far_field(pair, grid), grid, config.wavelength_um)
     return blur(rmap, config.resolution_mrad * 1e-3)
 
 
-@lru_cache(maxsize=1)
-def _support_plan(config: ScenarioConfig) -> tuple[np.ndarray, np.ndarray, float, SupportPlan]:
-    """The sigma-independent part of profiles_for for one optics configuration.
+def _plan_rows(config: ScenarioConfig, span) -> tuple[int, int]:
+    """First and last lattice row of span, one bin wider each side for interpolation, clipped."""
+    n = config.grid_n
+    if span is None:
+        return 0, n - 1
+    lo, hi = (float(angle) for angle in span)
+    if not lo <= hi:
+        raise ParameterError(f"span must be two angles lo <= hi in rad, got {span!r}")
+    step = config.wavelength_um / config.window_um
+    first = int(np.clip(np.floor(lo / step) + (n // 2 - 1), 0, n - 1))
+    return first, int(np.clip(np.ceil(hi / step) + (n // 2 + 1), first, n - 1))
 
-    Returns pair_base's product and exponent on the support, the grid
-    spacing and the propagation SupportPlan, all read-only.  One plan is
-    kept: a fit's evaluations share it, and a different optics
-    configuration replaces it.
-    """
+
+@lru_cache(maxsize=1)
+def _support_plan(config: ScenarioConfig,
+                  rows: tuple[int, int]) -> tuple[np.ndarray, float, SupportPlan]:
+    """profiles_for's pair exponent on the support, grid spacing and SupportPlan, read-only."""
     grid = grid_for(config)
     amp = transmission_for(config, grid)
     magnitude = np.abs(amp)
     inside = np.flatnonzero(magnitude > SUPPORT_FLOOR * magnitude.max())
     support = np.arange(inside[0], inside[-1] + 1)
-    product, exponent = pair_base(amp[support], config.illumination, grid.x[support])
-    cuts = SupportPlan(support, grid, config.wavelength_um, config.resolution_mrad * 1e-3,
-                       config.detector_separation_mrad * 1e-3)
-    return product, exponent, grid.dx, cuts
+    exponent = pair_exponent(config.illumination, grid.x[support])
+    cuts = SupportPlan(support, amp[support], grid, config.wavelength_um,
+                       config.resolution_mrad * 1e-3, config.detector_separation_mrad * 1e-3,
+                       rows)
+    return exponent, grid.dx, cuts
 
 
-def profiles_for(config: ScenarioConfig,
-                 sigma_um: float | None = None) -> tuple[RateProfile, RateProfile]:
-    """Diagonal (at the configured detector separation) and singles profiles.
+def profiles_for(config: ScenarioConfig, sigma_um: float | None = None,
+                 span: tuple[float, float] | None = None) -> tuple[RateProfile, RateProfile]:
+    """Diagonal (at the configured detector separation) and singles profiles, read-only.
 
-    Both are the cuts of rate_map_for's blurred map up to rounding,
-    computed on the spot's support from n x m arrays in place of n x n
-    ones (see the module docstring).  The returned arrays are read-only.
+    Both are the cuts of rate_map_for's blurred map up to rounding, on
+    the rows of the first-detector angles span = (lo, hi) in rad plus one
+    bin each side, or on the whole lattice for None (module docstring).
     """
-    product, exponent, dx, cuts = _support_plan(
-        replace(config, sigma_corr_um=1.0, angle_offset_mrad=0.0, output_prefix="out"))
-    m = product.shape[0]
-    # 32 bytes per pair of samples on S (product, exponent, skew index) and
-    # 24 per entry of the m x n work arrays (complex rows, float magnitudes)
-    if 32 * m * m + 24 * m * config.grid_n > MAX_KEPT_PLAN_BYTES:
+    exponent, dx, cuts = _support_plan(
+        replace(config, sigma_corr_um=1.0, angle_offset_mrad=0.0, output_prefix="out"),
+        _plan_rows(config, span))
+    if exponent.nbytes + cuts.nbytes > MAX_KEPT_PLAN_BYTES:
         _support_plan.cache_clear()
     sigma = config.sigma_corr_um if sigma_um is None else float(sigma_um)
-    return cuts(weigh_pair(product, exponent, sigma, dx))
+    return cuts(pair_weight(exponent, sigma, dx))
+
+
+def profile_angles(config: ScenarioConfig) -> tuple[np.ndarray, np.ndarray]:
+    """First-detector angles of the whole-lattice diagonal and singles, with no evaluation."""
+    angles = angles_of(grid_for(config), config.wavelength_um)
+    shift = _snap_shift(angles, config.detector_separation_mrad * 1e-3)[0]
+    return _cut_angles(angles, shift), angles

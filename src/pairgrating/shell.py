@@ -108,9 +108,12 @@ def run_sweep(config: ScenarioConfig, sigmas: list[float]) -> list[tuple[float, 
     """Tabulate order ratio and singles visibility over correlation widths."""
     if not sigmas:
         raise ParameterError("no correlation widths given")
+    # what od_ratio and visibility read; the rows' one-bin margin covers od_ratio's half bin
+    span = (min(VISIBILITY_WINDOW[0], config.wavelength_um / (2.0 * config.grating_period_um)),
+            max(VISIBILITY_WINDOW[1], config.wavelength_um / config.grating_period_um))
     rows = []
     for sigma in sigmas:  # every row before the first is printed: a bad width prints none
-        diagonal, singles = profiles_for(config, sigma_um=sigma)
+        diagonal, singles = profiles_for(config, sigma_um=sigma, span=span)
         rows.append((sigma, od_ratio(diagonal, config.wavelength_um, config.grating_period_um),
                      visibility(singles, VISIBILITY_WINDOW)))
     for sigma, ratio, vis in rows:

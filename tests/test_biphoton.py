@@ -6,7 +6,6 @@ import pytest
 
 from pairgrating import (ScenarioConfig, make_grid, profiles_for, rate_map_for, transmission,
                          two_photon_amplitude)
-from pairgrating.biphoton import pair_base, weigh_pair
 from pairgrating.errors import ParameterError, SamplingWarning
 
 from conftest import BLAZE, PERIOD, WAVELENGTH
@@ -15,7 +14,7 @@ from conftest import BLAZE, PERIOD, WAVELENGTH
 def _pair_weights(x, sigma, mode):
     # with a unit amplitude the joint amplitude is the Gaussian weight G
     # times one normalization, so ratios of its entries are ratios of G
-    return weigh_pair(*pair_base(np.ones(len(x)), mode, x), sigma, 1.0)
+    return two_photon_amplitude(np.ones(len(x)), sigma, mode, x, 1.0)
 
 
 def test_correlation_factor_on_diagonal():

@@ -441,6 +441,18 @@ def test_forward_on_angles_rejects_angles_outside_model(keys, angle, message):
         forward_on_angles(config, 9.0, [-0.01, 0.0, angle, 0.1])
 
 
+@pytest.mark.parametrize("channel,angles,message", [
+    # the diagonal ends at 317.2 mrad with a 5-bin separation: no model row
+    # lies near the scan, and the message still names the whole lattice
+    ("coincidences", [0.32, 0.325], "320 mrad .* -332.8 to 317.2 mrad"),
+    ("singles", [0.2, 0.34], "340 mrad .* -332.8 to 330.2 mrad"),
+])
+def test_forward_on_angles_past_the_lattice_names_its_range(channel, angles, message):
+    config = ScenarioConfig(grid_n=256, window_um=300.0, detector_separation_mrad=13.0)
+    with pytest.raises(ParameterError, match=message):
+        forward_on_angles(config, 9.0, angles, channel=channel)
+
+
 def test_forward_on_angles_rejects_unknown_channel(fast_config):
     with pytest.raises(ParameterError, match="'coincidence'"):
         forward_on_angles(fast_config, 9.0, SCAN, channel="coincidence")

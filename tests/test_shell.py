@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -9,8 +10,8 @@ import numpy as np
 import pytest
 
 import pairgrating
-from pairgrating import (ScenarioConfig, forward_on_angles, load_measurement, parse_config,
-                         rate_map_for, visibility)
+from pairgrating import (ScenarioConfig, forward_on_angles, load_measurement, od_ratio,
+                         parse_config, profiles_for, rate_map_for, visibility)
 from pairgrating.errors import BinSnapWarning, ParameterError, SamplingWarning
 from pairgrating.scenario import MAX_GRID_N
 from pairgrating.propagation import RateProfile, diagonal_profile, singles_profile
@@ -208,6 +209,37 @@ def test_sweep_singleton(tmp_path, monkeypatch):
     run_sweep(config, [9.0])
     table = np.loadtxt(tmp_path / "one_sweep.csv", delimiter=",", skiprows=1)
     assert table.shape == (3,)
+
+
+def test_sweep_order_outside_the_diagonal_fails_as_the_whole_lattice(tmp_path, monkeypatch):
+    # a 312 mrad separation (240 bins) ends the diagonal at 19.5 mrad, below
+    # the red order at 31.2 mrad: sweep's rows give the whole lattice's error
+    monkeypatch.chdir(tmp_path)
+    config = ScenarioConfig(detector_separation_mrad=312.0, output_prefix="red")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", BinSnapWarning)
+        with pytest.raises(ParameterError) as whole:
+            od_ratio(profiles_for(config)[0], config.wavelength_um, config.grating_period_um)
+        with pytest.raises(ParameterError) as swept:
+            run_sweep(config, [9.0])
+    assert str(swept.value) == str(whole.value) == \
+        "peak windows fall outside the profile's angular range"
+    assert not (tmp_path / "red_sweep.csv").exists()
+
+
+def test_simulate_checks_the_blur_before_the_pair(tmp_path, monkeypatch, capsys):
+    # at these lengths |A|**2 ~ 1/dx overflows when squared; simulate checks
+    # the blur width first and fails as sweep does, with no numpy warning
+    monkeypatch.chdir(tmp_path)
+    extreme = _config(tmp_path, "grid_n=256\nwavelength_nm=1e-300\ngrating_period_um=1e-299\n"
+                                "window_um=1e-298\noutput_prefix=extreme\n")
+    for argv in (["simulate", str(extreme)], ["sweep", str(extreme), "9"]):
+        capsys.readouterr()
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: blur width 0.01 rad exceeds half the angular window\n"
+    assert not list(tmp_path.glob("extreme_*.csv"))
 
 
 # ------------------------------------------------------------- CSV writers
