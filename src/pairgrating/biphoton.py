@@ -89,9 +89,12 @@ def two_photon_amplitude(amplitude, sigma_corr: float, mode: str, x,
     # product and exponent live until the return: freed earlier, the FFT and the
     # blur that follow fault in about 1,000 fresh pages each at n = 512
     joint = product * pair_weight(exponent, sigma_corr, dx)
-    total = np.sum(np.abs(joint) ** 2) * dx ** 2
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = np.sum(np.abs(joint) ** 2) * dx ** 2
     if total == 0.0:
         raise ParameterError("joint amplitude is identically zero")
+    if not np.isfinite(total):
+        raise ParameterError(f"grid spacing {dx:.6g} um puts sum(|F|**2)*dx**2 outside the doubles")
     joint /= np.sqrt(total)
     joint.setflags(write=False)
     return joint

@@ -191,19 +191,20 @@ def visibility(profile, window) -> float:
 def od_ratio(profile, wavelength: float, period: float) -> float:
     """Blue-to-red order ratio of a coincidence profile.
 
-    Peak heights are the maximum sample inside a window of half width
-    half the smallest angular step around the half-wavelength first
-    order at wavelength/(2*period) and around the plain first order at
-    wavelength/period, which reads off the sample at each order
-    position.  Raises ParameterError when the windows overlap (a step
-    of wavelength/(2*period) or more) or leave the profile's range.
+    Peak heights are the maximum sample within half the smallest
+    angular step, widened by 1e-9 relative, of the half-wavelength first
+    order at wavelength/(2*period) and of the plain first order at
+    wavelength/period: the sample at each order position, or the larger
+    of two when an order falls halfway between them.  Raises
+    ParameterError when the windows overlap (a step of about
+    wavelength/(2*period) or more) or leave the profile's range.
     Returns +inf when the red peak is exactly zero.  The profile needs
     at least 2 samples.
     """
     count = np.size(profile.angles)
     if count < 2:
         raise ParameterError(f"order ratio needs a profile of at least 2 samples, got {count}")
-    peak_halfwidth = 0.5 * float(np.diff(profile.angles).min())
+    peak_halfwidth = 0.5 * float(np.diff(profile.angles).min()) * (1.0 + 1e-9)
     blue_center = wavelength / (2.0 * period)
     red_center = wavelength / period
     if blue_center + peak_halfwidth >= red_center - peak_halfwidth:

@@ -11,14 +11,14 @@ weight (biphoton.pair_exponent and pair_weight).  rate_map_for runs the
 full chain on the n x n grid (pair amplitude, 2D FFT, |F|**2, 2D blur)
 for the map that simulate writes, and stays the independent FFT
 reference.  profiles_for, which every fit and sweep evaluation calls,
-works only on the spot's support S, where |A| exceeds SUPPORT_FLOOR
-times its peak (155 samples at the default 29 um spot and 1.17 um
-spacing, whatever n is), and on the first-detector rows K its span
-reads, through a propagation.SupportPlan: one real product of
-U = W_{K,S} diag(A_S sqrt(dx)) with the m x m weight, no FFT.
+hands A to a propagation.SupportPlan, which finds the spot's support S
+(155 samples at the default 29 um spot and 1.17 um spacing, whatever n
+is) and works on it and on the first-detector rows K the span reads:
+one real product of U = W_{K,S} diag(A_S sqrt(dx)) with the m x m
+weight, no FFT.
 
-The plan holds what does not depend on the width: the exponent
--(x_j -+ x_l)**2 on S and the SupportPlan.  It is kept in a one-entry
+The plan holds what does not depend on the width: the SupportPlan and
+the exponent -(x_j -+ x_l)**2 on its support.  It is kept in a one-entry
 cache keyed on every config field except sigma_corr_um,
 angle_offset_mrad and output_prefix, and on the integer row range, so
 the evaluations of a fit or a sweep share it.  It holds
@@ -45,11 +45,6 @@ from .propagation import (RateMap, RateProfile, SupportPlan, _blur_kernel, _cut_
 
 # The full-map chain holds several n x n complex128 arrays at once.
 MAX_GRID_N = 4096
-
-# Samples where |A| is below this fraction of its peak are left out of
-# profiles_for's pair amplitude.  Their terms sit far below rounding: the
-# profiles agree with the cuts of rate_map_for to ~3e-14 relative.
-SUPPORT_FLOOR = 1e-17
 
 # profiles_for keeps a plan only while its arrays fit in this: the m x m
 # exponent (8*m**2 bytes) and SupportPlan.nbytes, which is U^T and Phi
@@ -205,14 +200,9 @@ def _support_plan(config: ScenarioConfig,
                   rows: tuple[int, int]) -> tuple[np.ndarray, float, SupportPlan]:
     """profiles_for's pair exponent on the support, grid spacing and SupportPlan, read-only."""
     grid = grid_for(config)
-    amp = transmission_for(config, grid)
-    magnitude = np.abs(amp)
-    inside = np.flatnonzero(magnitude > SUPPORT_FLOOR * magnitude.max())
-    support = np.arange(inside[0], inside[-1] + 1)
-    exponent = pair_exponent(config.illumination, grid.x[support])
-    cuts = SupportPlan(support, amp[support], grid, config.wavelength_um,
-                       config.resolution_mrad * 1e-3, config.detector_separation_mrad * 1e-3,
-                       rows)
+    cuts = SupportPlan(transmission_for(config, grid), grid, config.wavelength_um,
+                       config.resolution_mrad * 1e-3, config.detector_separation_mrad * 1e-3, rows)
+    exponent = pair_exponent(config.illumination, grid.x[cuts.support])
     return exponent, grid.dx, cuts
 
 

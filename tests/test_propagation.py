@@ -13,13 +13,26 @@ from pairgrating import (ScenarioConfig, angles_of, blur, coincidence_map,
 from pairgrating.propagation import RateMap, RateProfile, SupportPlan, _box_kernel
 from pairgrating.errors import BinSnapWarning, ParameterError, SamplingWarning
 from pairgrating import scenario
-from pairgrating.scenario import SUPPORT_FLOOR, grid_for, transmission_for
 
 from conftest import WAVELENGTH, matched_deviation
 
 
 def _normalized(values, grid):
     return values / np.sqrt(np.sum(np.abs(values) ** 2) * grid.dx ** 2)
+
+
+def _plan_on_hull(grid, support, amplitude, weight, rng, width, separation):
+    """SupportPlan for amplitude on the scattered indices support, zero elsewhere, and
+    the weight on its support, the hull of those indices: weight where both indices
+    are in support, random entries that meet a zero amplitude elsewhere."""
+    lattice = np.zeros(grid.n, dtype=complex)
+    lattice[support] = amplitude
+    plan = SupportPlan(lattice, grid, 1.0, width, separation, (0, grid.n - 1))
+    first, last = support.min(), support.max()
+    assert plan.support == slice(first, last + 1)
+    hull_weight = rng.standard_normal((last - first + 1,) * 2)
+    hull_weight[np.ix_(support - first, support - first)] = weight
+    return plan, hull_weight
 
 
 @pytest.fixture(scope="module")
@@ -249,8 +262,9 @@ def test_blur_width_validation(far_map):
 @pytest.mark.parametrize("width_bins", [0.0, 0.9, 1.0, 2.6, 7.7])
 @pytest.mark.parametrize("shift", [-5, -1, 0, 1, 3, 31])
 def test_blurred_diagonal_matches_cut_of_blurred_map(width_bins, shift):
-    # a random amplitude and a random real weight on a scattered support: no
-    # symmetry or smoothness to lean on, and every wrapped term of the band counts
+    # a random amplitude on scattered indices, zero elsewhere, and a random real
+    # weight: no symmetry or smoothness to lean on, and every wrapped term of the
+    # band counts
     rng = np.random.default_rng(shift + 5)
     grid = make_grid(32, 32.0)
     support = np.sort(rng.choice(32, size=12, replace=False))
@@ -263,7 +277,8 @@ def test_blurred_diagonal_matches_cut_of_blurred_map(width_bins, shift):
     width, separation = width_bins * bin_width, shift * bin_width
     expected = (diagonal_profile(blur(rate_map, width), separation),
                 blur(singles_profile(rate_map), width))
-    got = SupportPlan(support, amplitude, grid, 1.0, width, separation)(weight)
+    plan, hull_weight = _plan_on_hull(grid, support, amplitude, weight, rng, width, separation)
+    got = plan(hull_weight)
     for got_cut, want in zip(got, expected):
         np.testing.assert_array_equal(got_cut.angles, want.angles)
         np.testing.assert_allclose(got_cut.values, want.values, rtol=1e-12, atol=0.0)
@@ -282,11 +297,13 @@ def test_blurred_diagonal_checks_like_blur_and_cut():
     assert [w.filename for w in caught] == [__file__]
     # widths the config cannot hold reach the evaluator only from library callers
     grid = make_grid(16, 16.0)
+    amplitude = np.zeros(16)
+    amplitude[7:9] = 1.0
     for width in (-0.001, np.nan):
         with pytest.raises(ParameterError, match="blur width"):
-            SupportPlan([7, 8], np.ones(2), grid, 1.0, width)
+            SupportPlan(amplitude, grid, 1.0, width, 0.0, (0, 15))
     with pytest.raises(ParameterError, match="shape"):
-        SupportPlan([7, 8], np.ones(2), grid, 1.0, 0.0)(np.ones((2, 3)))
+        SupportPlan(amplitude, grid, 1.0, 0.0, 0.0, (0, 15))(np.ones((2, 3)))
 
 
 # top-hats written out by hand: full widths of 0, 2.6 and 7.7 bins
@@ -301,7 +318,9 @@ def test_support_profiles_match_extended_precision_sums(n, shifts, width_bins):
     # each R[p, q] as the direct double sum W_S B W_S^T in np.clongdouble with
     # the centred DFT matrix, for B = a_j*g[j, l]*a_l scaled to a unit square
     # sum, then blurred by hand: nothing here goes through an FFT or the
-    # plan's factored form; the last shift of each n makes the band of the blur wrap
+    # plan's factored form; the last shift of each n makes the band of the blur
+    # wrap.  The amplitude is zero off the scattered support, so the plan's
+    # support is its hull
     rng = np.random.default_rng(n)
     grid = make_grid(n, float(n))
     m = n // 3
@@ -327,18 +346,21 @@ def test_support_profiles_match_extended_precision_sums(n, shifts, width_bins):
     for shift in shifts:
         diagonal = sum(wa * wb * rates[(rows + a) % n, (rows + shift + b) % n]
                        for a, wa in zip(offsets, kernel) for b, wb in zip(offsets, kernel))
-        got = SupportPlan(support, amplitude, grid, 1.0, width_bins * bin_width,
-                          shift * bin_width)(weight)
+        plan, hull_weight = _plan_on_hull(grid, support, amplitude, weight, rng,
+                                          width_bins * bin_width, shift * bin_width)
+        got = plan(hull_weight)
         for profile, want in zip(got, (diagonal[max(0, -shift):n - max(0, shift)], singles)):
             np.testing.assert_allclose(profile.values, want.astype(float), rtol=1e-12, atol=0.0)
 
 
-@pytest.mark.parametrize("support", [[-1, 3], [3, 3], [3, 16], [3.0, 4.0]])
-def test_support_profiles_reject_bad_support(support):
-    # a negative index would wrap, a repeat would drop mass, an index past
-    # the grid would fail inside numpy, and a float is no index at all
-    with pytest.raises(ParameterError, match="support must be distinct integer"):
-        SupportPlan(support, np.ones(2), make_grid(16, 16.0), 1.0, 0.0)
+@pytest.mark.parametrize("amplitude,message", [
+    (np.ones(15), r"amplitude must have shape \(16,\), got \(15,\)"),
+    (np.zeros(16), "joint amplitude is identically zero"),
+])
+def test_support_plan_rejects_bad_amplitude(amplitude, message):
+    # A covers the whole lattice, and an all-zero A has no support to find
+    with pytest.raises(ParameterError, match=message):
+        SupportPlan(amplitude, make_grid(16, 16.0), 1.0, 0.0, 0.0, (0, 15))
 
 
 PROFILE_CONFIGS = [
@@ -576,8 +598,6 @@ def test_profiles_for_whole_grid_support_peaks_below_three_full_arrays():
     # (m = n = 2048); over a fit's rows one cold call peaks below three n x n
     # complex128 arrays (192 MiB), where rate_map_for peaks at 256 MiB
     config = ScenarioConfig(grid_n=2048, window_um=2400.0, spot_diameter_um=1e5)
-    magnitude = np.abs(transmission_for(config, grid_for(config)))
-    assert magnitude.min() > SUPPORT_FLOOR * magnitude.max()
     scenario._support_plan.cache_clear()
     tracemalloc.start()
     try:
@@ -585,6 +605,7 @@ def test_profiles_for_whole_grid_support_peaks_below_three_full_arrays():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert _kept_plan(config, FIT_SPAN)[2].support == slice(0, config.grid_n)
     assert peak < 3 * 16 * config.grid_n ** 2
 
 
@@ -636,8 +657,8 @@ def test_profiles_for_plan_after_many_widths_equals_a_fresh_plan():
 
 
 def test_profiles_for_shares_one_plan_across_threads():
-    # the plan's lock keeps calls from several threads off each other's work
-    # arrays: each thread gets what a call on its own would give
+    # threads share one cached plan, whose arrays are read-only: each thread
+    # gets what a call on its own would give
     config = ScenarioConfig(grid_n=512, window_um=600.0)
     sigmas = [float(s) for s in np.geomspace(2.0, 120.0, 8)]
     scenario._support_plan.cache_clear()
@@ -666,16 +687,14 @@ def test_profiles_for_builds_no_full_grid_array():
 def test_profiles_for_peak_memory_is_below_four_support_arrays():
     # four n x m complex128 arrays, m the support size (155 at the default spot)
     config = ScenarioConfig(grid_n=2048, window_um=2400.0)
-    magnitude = np.abs(transmission_for(config, grid_for(config)))
-    inside = np.flatnonzero(magnitude > SUPPORT_FLOOR * magnitude.max())
-    m = inside[-1] - inside[0] + 1
     tracemalloc.start()
     try:
         profiles_for(config)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 4 * config.grid_n * m * 16
+    support = _kept_plan(config)[2].support
+    assert peak < 4 * config.grid_n * (support.stop - support.start) * 16
 
 
 @pytest.mark.parametrize("sigma", [0.0, -1.0, float("nan"), float("inf")])

@@ -227,6 +227,21 @@ def test_sweep_order_outside_the_diagonal_fails_as_the_whole_lattice(tmp_path, m
     assert not (tmp_path / "red_sweep.csv").exists()
 
 
+def test_sweep_reads_a_half_bin_order_as_the_whole_lattice(tmp_path, monkeypatch, capsys):
+    # window/period = 25 puts the blue order at 12.5 bins, halfway between two
+    # samples: both windows read both of them, on sweep's rows as on the whole
+    # lattice, whatever rounding each set of rows gives the angle step
+    monkeypatch.chdir(tmp_path)
+    cfg = _config(tmp_path, FAST + "grating_period_um=12\noutput_prefix=half\n")
+    config = parse_config(cfg)
+    whole = od_ratio(profiles_for(config)[0], config.wavelength_um, config.grating_period_um)
+    assert whole == pytest.approx(0.030395394478983158, rel=1e-9)
+    assert run_sweep(config, [9.0])[0][1] == pytest.approx(whole, rel=1e-9)
+    capsys.readouterr()
+    assert main(["sweep", str(cfg), "9"]) == 0
+    assert "od_ratio =     0.0304" in capsys.readouterr().out
+
+
 def test_simulate_checks_the_blur_before_the_pair(tmp_path, monkeypatch, capsys):
     # at these lengths |A|**2 ~ 1/dx overflows when squared; simulate checks
     # the blur width first and fails as sweep does, with no numpy warning
@@ -239,6 +254,21 @@ def test_simulate_checks_the_blur_before_the_pair(tmp_path, monkeypatch, capsys)
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: blur width 0.01 rad exceeds half the angular window\n"
+    assert not list(tmp_path.glob("extreme_*.csv"))
+
+
+def test_simulate_rejects_a_pair_that_leaves_the_doubles(tmp_path, monkeypatch, capsys):
+    # with the blur off the blur check passes; the pair's square sum then
+    # overflows, and simulate names the grid spacing instead of writing nan rates
+    monkeypatch.chdir(tmp_path)
+    extreme = _config(tmp_path, "grid_n=256\nwavelength_nm=1e-300\ngrating_period_um=1e-299\n"
+                                "window_um=1e-298\nresolution_mrad=0\noutput_prefix=extreme\n")
+    capsys.readouterr()
+    assert main(["simulate", str(extreme)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: grid spacing 3.90625e-301 um puts sum(|F|**2)")
+    assert captured.err.count("\n") == 1 and "warning:" not in captured.err
     assert not list(tmp_path.glob("extreme_*.csv"))
 
 
@@ -315,9 +345,9 @@ def test_simulate_files_match_savetxt(tmp_path, monkeypatch, grid_n, window_um, 
 
 
 def test_map_writer_builds_no_full_map_array(tmp_path):
-    # one n x n float64 array at n = 1024 is 8 MiB; an n**2 x 3 column stack
+    # one n x n float64 array at n = 512 is 2 MiB; an n**2 x 3 column stack
     # of the map, as numpy.savetxt takes it, is three of them
-    n = 1024
+    n = 512
     angles_mrad = np.linspace(-341.0, 341.0, n)
     rates = np.random.default_rng(5).random((n, n))
     tracemalloc.start()
