@@ -15,9 +15,9 @@ blurred singles are the 1D blur of the row sums of R.
 SupportPlan takes both cuts when P[S_j, S_l] = A_j*g[j, l]*A_l on S x S,
 for S the spot's support, m consecutive samples (SupportPlan), and a
 real m x m weight g, and P vanishes elsewhere.  It works on the set K of
-first-detector rows a caller reads, widened by t each side, with no
-FFT and no m x n array.  With S'_l = S_l - n/2, p' = p - n/2,
-omega = exp(-2*pi*i/n) and a = A*sqrt(dx) on S:
+first-detector rows that cover a caller's angle span, widened by t each
+side, with no FFT and no m x n array.  With S'_l = S_l - n/2,
+p' = p - n/2, omega = exp(-2*pi*i/n) and a = A*sqrt(dx) on S:
 
 - U[p, l] = W[p, S_l]*a_l for p in K, gathered from the n roots of
   unity at p'*S'_l mod n, so rows past the lattice's ends wrap;
@@ -29,7 +29,8 @@ omega = exp(-2*pi*i/n) and a = A*sqrt(dx) on S:
 - singles: Parseval along the second axis (S has no repeats) gives
   sum_q R[p, q] = n * sum_l |E[p, l]|**2;
 - scale: (dx/(2*pi))**2/T with T = b^T (g o g) b, b = |a|**2, gives P a
-  unit square sum; sqrt(dx) in a keeps every product inside the doubles.
+  unit square sum; sqrt(dx) in a keeps every product inside the doubles
+  (a diagonal factor below the normal doubles is rejected).
 
 This is the matrix Fourier transform (Soummer et al., Opt. Express 15,
 15935 (2007)) on the rows read, O(|K|*m**2) work in one small product.
@@ -203,24 +204,24 @@ def blur(obj, width: float):
 
 
 class SupportPlan:
-    """Blurred diagonal and singles cuts, on chosen rows, of pairs A_j*g[j, l]*A_l on one support.
+    """Blurred diagonal and singles cuts, over a span, of pairs A_j*g[j, l]*A_l on one support.
 
     amplitude is A on the whole lattice, shape (n,); the support S is the
     slice support, m samples from the first to the last where |A|
     exceeds SUPPORT_FLOOR times its peak.  width and separation are
-    checked as by blur and diagonal_profile.  rows = (first, last) are
-    the first-detector rows to cover, inclusive.  Called with a real
-    m x m weight g on S, the plan returns those rows of
-    diagonal_profile(blur(R, width), separation) and
-    blur(singles_profile(R), width), up to rounding, for R the rate map
-    of P = A_j*g[j, l]*A_l on S x S with a unit square sum.  The diagonal
-    drops rows whose partner leaves the lattice, so it may hold none.
-    The snap warning, if any, is raised on every call.  The plan's
-    arrays (nbytes) are read-only, so threads may share a plan.
+    checked as by blur and diagonal_profile.  The first-detector rows
+    run over span = (lo, hi) in rad, or None for the whole lattice, one
+    bin wider each side, clipped.  Called with a real m x m weight g on
+    S, the plan returns those rows of diagonal_profile(blur(R, width),
+    separation) and blur(singles_profile(R), width), up to rounding, for
+    R the rate map of P = A_j*g[j, l]*A_l on S x S with a unit square
+    sum.  The diagonal drops rows whose partner leaves the lattice, so it
+    may hold none.  The snap warning, if any, is raised on every call.
+    The plan's arrays (nbytes) are read-only, so threads may share a plan.
     """
 
     def __init__(self, amplitude, grid: SpatialGrid, wavelength: float, width: float,
-                 separation: float, rows: tuple[int, int]):
+                 separation: float, span: tuple[float, float] | None):
         n = grid.n
         amplitude = np.asarray(amplitude, dtype=complex)
         if amplitude.shape != (n,):
@@ -230,10 +231,13 @@ class SupportPlan:
         if inside.size == 0:
             raise ParameterError("joint amplitude is identically zero")
         self.support = slice(int(inside[0]), int(inside[-1]) + 1)
-        first, last = rows
-        if not 0 <= first <= last < n:
-            raise ParameterError(f"rows must satisfy 0 <= first <= last < {n}, got {rows!r}")
         angles = angles_of(grid, wavelength)
+        lo, hi = (-np.inf, np.inf) if span is None else (float(angle) for angle in span)
+        if not lo <= hi:
+            raise ParameterError(f"span must be two angles lo <= hi in rad, got {span!r}")
+        step = wavelength / grid.window
+        first = int(np.clip(np.floor(lo / step) + (n // 2 - 1), 0, n - 1))
+        last = int(np.clip(np.ceil(hi / step) + (n // 2 + 1), first, n - 1))
         kernel = _blur_kernel(width, angles)
         shift, self._notice = _snap_shift(angles, separation)
         reach = kernel.size // 2
@@ -265,7 +269,7 @@ class SupportPlan:
         self._power, self._singles_angles, self._cut_angles = power, singles_angles, cut_angles
         # band row of the diagonal's first row at first-detector offset -reach
         self._cut_start = cut_first - first
-        self._scale = grid.dx / TWO_PI
+        self._dx = grid.dx
 
     def __call__(self, weight) -> tuple[RateProfile, RateProfile]:
         """Blurred diagonal and singles rows for the real m x m weight g on the plan's support."""
@@ -280,6 +284,10 @@ class SupportPlan:
         norm = power @ np.square(weight) @ power
         if norm == 0.0:
             raise ParameterError("joint amplitude is identically zero")
+        scale = self._dx / TWO_PI
+        if scale ** 2 / norm < np.finfo(float).tiny:
+            raise ParameterError(
+                f"grid spacing {self._dx:.6g} um puts the coincidence rates below the doubles")
 
         # V^T = g^T U^T as one real product on the interleaved real and
         # imaginary parts, then E^T = V^T o U^T in place
@@ -299,8 +307,8 @@ class SupportPlan:
         diagonal = sum(weight_a * (kernel @ band[2 * reach - a:4 * reach - a + 1])[
             start + a:start + a + size] for a, weight_a in enumerate(kernel))
         singles = np.convolve(row_sums, kernel, "valid")   # the kernel is symmetric
-        diagonal *= self._scale ** 2 / norm
-        singles *= self._scale / norm
+        diagonal *= scale ** 2 / norm
+        singles *= scale / norm
         diagonal.setflags(write=False)
         singles.setflags(write=False)
         return (RateProfile(angles=self._cut_angles, values=diagonal),

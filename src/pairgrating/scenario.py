@@ -13,14 +13,14 @@ for the map that simulate writes, and stays the independent FFT
 reference.  profiles_for, which every fit and sweep evaluation calls,
 hands A to a propagation.SupportPlan, which finds the spot's support S
 (155 samples at the default 29 um spot and 1.17 um spacing, whatever n
-is) and works on it and on the first-detector rows K the span reads:
-one real product of U = W_{K,S} diag(A_S sqrt(dx)) with the m x m
+is) and the first-detector rows K that cover the span, and works on
+them: one real product of U = W_{K,S} diag(A_S sqrt(dx)) with the m x m
 weight, no FFT.
 
 The plan holds what does not depend on the width: the SupportPlan and
 the exponent -(x_j -+ x_l)**2 on its support.  It is kept in a one-entry
 cache keyed on every config field except sigma_corr_um,
-angle_offset_mrad and output_prefix, and on the integer row range, so
+angle_offset_mrad and output_prefix, and on the span, so
 the evaluations of a fit or a sweep share it.  It holds
 8*m**2 + 16*m*(|K| + 4t + 1) bytes plus O(m + |K|): 0.47 MiB for a
 fit's +-60 mrad at the default spot and n = 512, 5.3 MiB for the whole
@@ -174,34 +174,23 @@ def transmission_for(config: ScenarioConfig, grid: SpatialGrid) -> np.ndarray:
 def rate_map_for(config: ScenarioConfig) -> RateMap:
     """Run the full forward chain on the n x n grid at config.sigma_corr_um."""
     grid = grid_for(config)
-    # checked before the pair is built, as profiles_for's plan checks it
-    _blur_kernel(config.resolution_mrad * 1e-3, angles_of(grid, config.wavelength_um))
+    # the plan's checks, before the pair is built; diagonal_profile warns of a snap
+    angles = angles_of(grid, config.wavelength_um)
+    _blur_kernel(config.resolution_mrad * 1e-3, angles)
+    _snap_shift(angles, config.detector_separation_mrad * 1e-3)
     amp = transmission_for(config, grid)
     pair = two_photon_amplitude(amp, config.sigma_corr_um, config.illumination, grid.x, grid.dx)
     rmap = coincidence_map(to_far_field(pair, grid), grid, config.wavelength_um)
     return blur(rmap, config.resolution_mrad * 1e-3)
 
 
-def _plan_rows(config: ScenarioConfig, span) -> tuple[int, int]:
-    """First and last lattice row of span, one bin wider each side for interpolation, clipped."""
-    n = config.grid_n
-    if span is None:
-        return 0, n - 1
-    lo, hi = (float(angle) for angle in span)
-    if not lo <= hi:
-        raise ParameterError(f"span must be two angles lo <= hi in rad, got {span!r}")
-    step = config.wavelength_um / config.window_um
-    first = int(np.clip(np.floor(lo / step) + (n // 2 - 1), 0, n - 1))
-    return first, int(np.clip(np.ceil(hi / step) + (n // 2 + 1), first, n - 1))
-
-
 @lru_cache(maxsize=1)
 def _support_plan(config: ScenarioConfig,
-                  rows: tuple[int, int]) -> tuple[np.ndarray, float, SupportPlan]:
+                  span: tuple[float, float] | None) -> tuple[np.ndarray, float, SupportPlan]:
     """profiles_for's pair exponent on the support, grid spacing and SupportPlan, read-only."""
     grid = grid_for(config)
     cuts = SupportPlan(transmission_for(config, grid), grid, config.wavelength_um,
-                       config.resolution_mrad * 1e-3, config.detector_separation_mrad * 1e-3, rows)
+                       config.resolution_mrad * 1e-3, config.detector_separation_mrad * 1e-3, span)
     exponent = pair_exponent(config.illumination, grid.x[cuts.support])
     return exponent, grid.dx, cuts
 
@@ -216,7 +205,7 @@ def profiles_for(config: ScenarioConfig, sigma_um: float | None = None,
     """
     exponent, dx, cuts = _support_plan(
         replace(config, sigma_corr_um=1.0, angle_offset_mrad=0.0, output_prefix="out"),
-        _plan_rows(config, span))
+        None if span is None else tuple(map(float, span)))
     if exponent.nbytes + cuts.nbytes > MAX_KEPT_PLAN_BYTES:
         _support_plan.cache_clear()
     sigma = config.sigma_corr_um if sigma_um is None else float(sigma_um)

@@ -108,7 +108,7 @@ def run_sweep(config: ScenarioConfig, sigmas: list[float]) -> list[tuple[float, 
     """Tabulate order ratio and singles visibility over correlation widths."""
     if not sigmas:
         raise ParameterError("no correlation widths given")
-    # what od_ratio and visibility read; the rows' one-bin margin covers od_ratio's half bin
+    # what od_ratio and visibility read; the plan's one-bin margin covers od_ratio's half bin
     span = (min(VISIBILITY_WINDOW[0], config.wavelength_um / (2.0 * config.grating_period_um)),
             max(VISIBILITY_WINDOW[1], config.wavelength_um / config.grating_period_um))
     rows = []

@@ -159,6 +159,19 @@ def test_measurement_validation():
                     channel="triples")
 
 
+@pytest.mark.parametrize("keys,message", [
+    (dict(angles=np.zeros((2, 2)), rates=np.ones((2, 2))),
+     "angles and rates must be 1D arrays of equal length"),
+    (dict(angles=np.array([0.0, 1.0]), rates=np.ones(3)),
+     "angles and rates must be 1D arrays of equal length"),
+    (dict(angles=np.array([0.0, 1.0]), rates=np.ones(2), rate_errors=np.ones(3)),
+     "rate_errors must match rates in length"),
+])
+def test_measurement_length_rules(keys, message):
+    with pytest.raises(ParameterError, match=message):
+        Measurement(**keys)
+
+
 # ---------------------------------------------------------------- metrics
 
 def test_visibility_constant_profile():

@@ -92,6 +92,13 @@ def test_transmission_rejects_coarse_grid():
         transmission(grid, PERIOD, BLAZE, WAVELENGTH, 100.0)
 
 
+def test_transmission_rejects_an_envelope_that_vanishes_on_the_grid():
+    # a window of one subnormal gives dx = 0, so sum(|A|**2)*dx is 0 whatever the spot
+    with pytest.raises(ParameterError,
+                       match="illumination envelope vanished everywhere on the grid"):
+        transmission(make_grid(4, 5e-324), 25.0, 0.5, 0.78, 29.0)
+
+
 def test_order_efficiency_blaze_condition():
     assert order_efficiency(1, 0.5, 0.5) == 1.0
     assert order_efficiency(0, 0.5, 0.5) <= 1e-30

@@ -27,7 +27,7 @@ def _plan_on_hull(grid, support, amplitude, weight, rng, width, separation):
     are in support, random entries that meet a zero amplitude elsewhere."""
     lattice = np.zeros(grid.n, dtype=complex)
     lattice[support] = amplitude
-    plan = SupportPlan(lattice, grid, 1.0, width, separation, (0, grid.n - 1))
+    plan = SupportPlan(lattice, grid, 1.0, width, separation, None)
     first, last = support.min(), support.max()
     assert plan.support == slice(first, last + 1)
     hull_weight = rng.standard_normal((last - first + 1,) * 2)
@@ -48,6 +48,11 @@ def test_fourier_1d_parseval():
     out = fourier_1d(values, grid)
     assert np.sum(np.abs(out) ** 2) * grid.dk == pytest.approx(
         np.sum(np.abs(values) ** 2) * grid.dx, rel=1e-12)
+
+
+def test_fourier_1d_rejects_a_wrong_shape():
+    with pytest.raises(ParameterError, match=r"values must have shape \(16,\), got \(5,\)"):
+        fourier_1d(np.ones(5), make_grid(16, 16.0))
 
 
 def test_far_field_matches_direct_double_sum():
@@ -259,6 +264,11 @@ def test_blur_width_validation(far_map):
         blur(far_map, 0.6 * span)
 
 
+def test_blur_rejects_a_one_sample_profile():
+    with pytest.raises(ParameterError, match="profile too short to blur"):
+        blur(RateProfile(angles=np.zeros(1), values=np.ones(1)), 0.0)
+
+
 @pytest.mark.parametrize("width_bins", [0.0, 0.9, 1.0, 2.6, 7.7])
 @pytest.mark.parametrize("shift", [-5, -1, 0, 1, 3, 31])
 def test_blurred_diagonal_matches_cut_of_blurred_map(width_bins, shift):
@@ -301,9 +311,9 @@ def test_blurred_diagonal_checks_like_blur_and_cut():
     amplitude[7:9] = 1.0
     for width in (-0.001, np.nan):
         with pytest.raises(ParameterError, match="blur width"):
-            SupportPlan(amplitude, grid, 1.0, width, 0.0, (0, 15))
+            SupportPlan(amplitude, grid, 1.0, width, 0.0, None)
     with pytest.raises(ParameterError, match="shape"):
-        SupportPlan(amplitude, grid, 1.0, 0.0, 0.0, (0, 15))(np.ones((2, 3)))
+        SupportPlan(amplitude, grid, 1.0, 0.0, 0.0, None)(np.ones((2, 3)))
 
 
 # top-hats written out by hand: full widths of 0, 2.6 and 7.7 bins
@@ -360,7 +370,24 @@ def test_support_profiles_match_extended_precision_sums(n, shifts, width_bins):
 def test_support_plan_rejects_bad_amplitude(amplitude, message):
     # A covers the whole lattice, and an all-zero A has no support to find
     with pytest.raises(ParameterError, match=message):
-        SupportPlan(amplitude, make_grid(16, 16.0), 1.0, 0.0, 0.0, (0, 15))
+        SupportPlan(amplitude, make_grid(16, 16.0), 1.0, 0.0, 0.0, None)
+
+
+def test_support_plan_rejects_an_all_zero_weight():
+    # the amplitude has a support, but a zero weight leaves the pair nothing
+    amplitude = np.zeros(16)
+    amplitude[7:9] = 1.0
+    plan = SupportPlan(amplitude, make_grid(16, 16.0), 1.0, 0.0, 0.0, None)
+    with pytest.raises(ParameterError, match="joint amplitude is identically zero"):
+        plan(np.zeros((2, 2)))
+
+
+@pytest.mark.parametrize("span", [(0.1, -0.1), (float("nan"), 0.1), (0.0, float("nan"))])
+def test_support_plan_rejects_a_reversed_span(span):
+    amplitude = np.zeros(16)
+    amplitude[7:9] = 1.0
+    with pytest.raises(ParameterError, match="span must be two angles lo <= hi in rad"):
+        SupportPlan(amplitude, make_grid(16, 16.0), 1.0, 0.0, 0.0, span)
 
 
 PROFILE_CONFIGS = [
@@ -448,13 +475,21 @@ def test_profiles_for_rejects_a_reversed_span(span):
 
 
 def test_profiles_for_at_extreme_lengths_stays_finite():
-    # |A|**2 ~ 1/dx is near the top of the doubles here; the plan folds sqrt(dx)
-    # into U and dx into the outputs' scale, so nothing overflows on the way
-    config = ScenarioConfig(grid_n=256, wavelength_nm=1e-300, grating_period_um=1e-299,
-                            window_um=1e-298, resolution_mrad=0.0)
+    # the plan folds sqrt(dx) into U and dx into the outputs' scale, so nothing
+    # overflows on the way.  At lengths of 1e-300 the diagonal's factor
+    # (dx/(2*pi))**2/T underflows to 0, and the plan names the grid spacing
+    # rather than return an all-zero diagonal
+    extreme = dict(grid_n=256, wavelength_nm=1e-300, grating_period_um=1e-299,
+                   window_um=1e-298, resolution_mrad=0.0)
     with np.errstate(over="raise", invalid="raise"):
-        for profile in profiles_for(config):
-            assert np.all(np.isfinite(profile.values)) and np.all(profile.values >= 0.0)
+        with pytest.raises(ParameterError, match="grid spacing 3.90625e-301 um puts the "
+                                                 "coincidence rates below the doubles"):
+            profiles_for(ScenarioConfig(**extreme))
+        small = dict(extreme, wavelength_nm=1e-100, grating_period_um=1e-99, window_um=1e-98)
+        diagonal, singles = profiles_for(ScenarioConfig(**small))
+    for profile in (diagonal, singles):
+        assert np.all(np.isfinite(profile.values)) and np.all(profile.values >= 0.0)
+    assert diagonal.values.max() > 0.0
 
 
 @pytest.mark.parametrize("keys,snaps", PROFILE_CONFIGS)
@@ -519,7 +554,7 @@ def _kept_plan(config, span=None):
     misses = scenario._support_plan.cache_info().misses
     plan = scenario._support_plan(
         replace(config, sigma_corr_um=1.0, angle_offset_mrad=0.0, output_prefix="out"),
-        scenario._plan_rows(config, span))
+        None if span is None else tuple(map(float, span)))
     assert scenario._support_plan.cache_info().misses == misses
     return plan
 
@@ -543,9 +578,8 @@ def test_profiles_for_plan_holds_under_two_mib():
     finally:
         tracemalloc.stop()
     exponent, _, cuts = _kept_plan(config, FIT_SPAN)
-    first, last = scenario._plan_rows(config, FIT_SPAN)
-    m, reach = exponent.shape[0], cuts._kernel.size // 2
-    arrays = 8 * m * m + 16 * m * (last - first + 1 + 2 * reach + 4 * reach + 1)
+    rows, m, reach = cuts._singles_angles.size, exponent.shape[0], cuts._kernel.size // 2
+    arrays = 8 * m * m + 16 * m * (rows + 2 * reach + 4 * reach + 1)
     assert arrays <= _plan_bytes(config, FIT_SPAN) < arrays + 16 * 2 ** 10
     assert held < 2 * 2 ** 20
 

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import pairgrating
+from pairgrating import scenario
 from pairgrating import (ScenarioConfig, forward_on_angles, load_measurement, od_ratio,
                          parse_config, profiles_for, rate_map_for, visibility)
 from pairgrating.errors import BinSnapWarning, ParameterError, SamplingWarning
@@ -257,6 +258,31 @@ def test_simulate_checks_the_blur_before_the_pair(tmp_path, monkeypatch, capsys)
     assert not list(tmp_path.glob("extreme_*.csv"))
 
 
+def test_simulate_checks_the_separation_before_the_pair(tmp_path, monkeypatch, capsys):
+    # a separation past the angular window fails before the n x n pair is built
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the pair amplitude was built")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(scenario, "two_photon_amplitude", unreachable)
+    far = _config(tmp_path, FAST + "detector_separation_mrad=1e4\noutput_prefix=far\n")
+    capsys.readouterr()
+    assert main(["simulate", str(far)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: detector separation 10 rad exceeds the angular window\n"
+    assert not list(tmp_path.glob("far_*.csv"))
+
+
+def test_simulate_warns_once_of_a_snapped_separation(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    config = parse_config(_config(tmp_path, FAST + "detector_separation_mrad=4\n"))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        run_simulate(config)
+    assert [w.category for w in caught] == [BinSnapWarning]
+
+
 def test_simulate_rejects_a_pair_that_leaves_the_doubles(tmp_path, monkeypatch, capsys):
     # with the blur off the blur check passes; the pair's square sum then
     # overflows, and simulate names the grid spacing instead of writing nan rates
@@ -269,6 +295,21 @@ def test_simulate_rejects_a_pair_that_leaves_the_doubles(tmp_path, monkeypatch, 
     assert captured.out == ""
     assert captured.err.startswith("error: grid spacing 3.90625e-301 um puts sum(|F|**2)")
     assert captured.err.count("\n") == 1 and "warning:" not in captured.err
+    assert not list(tmp_path.glob("extreme_*.csv"))
+
+
+def test_sweep_rejects_rates_below_the_doubles(tmp_path, monkeypatch, capsys):
+    # with the blur off at these lengths the diagonal's factor (dx/(2*pi))**2/T
+    # underflows to 0; sweep names the grid spacing instead of printing od_ratio = inf
+    monkeypatch.chdir(tmp_path)
+    extreme = _config(tmp_path, "grid_n=256\nwavelength_nm=1e-300\ngrating_period_um=1e-299\n"
+                                "window_um=1e-298\nresolution_mrad=0\noutput_prefix=extreme\n")
+    capsys.readouterr()
+    assert main(["sweep", str(extreme), "9"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: grid spacing 3.90625e-301 um puts the coincidence rates "
+                            "below the doubles\n")
     assert not list(tmp_path.glob("extreme_*.csv"))
 
 
