@@ -235,13 +235,21 @@ def forward_on_angles(scenario: ScenarioConfig, sigma_um: float, angles,
     The scenario's angle_offset_mrad shifts the model before
     interpolation, for scans whose angular zero is pre-aligned.  The
     model is computed once, on the lattice rows the scan's range reads.
-    Angles outside the shifted lattice's range by more than a millionth
-    of a bin raise ParameterError instead of being clamped to the edge
-    values.  channel is "coincidences" (the diagonal) or "singles".
+    angles must be a nonempty 1-D array of finite values.  Angles outside
+    the shifted lattice's range by more than a millionth of a bin raise
+    ParameterError instead of being clamped to the edge values.  channel
+    is "coincidences" (the diagonal) or "singles".
     """
     _check_channel(channel)
     offset = scenario.angle_offset_mrad * 1e-3
     angles = np.asarray(angles, dtype=float)
+    if angles.ndim != 1 or angles.size == 0:
+        raise ParameterError(
+            f"angles must be a nonempty 1-D array, got shape {angles.shape}")
+    bad = np.flatnonzero(~np.isfinite(angles))
+    if bad.size:
+        raise ParameterError(
+            f"angles must be finite, got {float(angles[bad[0]])} at index {bad[0]}")
     diagonal, singles = profiles_for(scenario, sigma_um=sigma_um,
                                      span=(angles.min() - offset, angles.max() - offset))
     profile = diagonal if channel == "coincidences" else singles

@@ -19,9 +19,10 @@ weight, no FFT.
 
 The plan holds what does not depend on the width: the SupportPlan and
 the exponent -(x_j -+ x_l)**2 on its support.  It is kept in a one-entry
-cache keyed on every config field except sigma_corr_um,
-angle_offset_mrad and output_prefix, and on the span, so
-the evaluations of a fit or a sweep share it.  It holds
+cache keyed on the values of the nine optics fields it reads (every
+config field except sigma_corr_um, angle_offset_mrad and output_prefix)
+and on the span, so the evaluations of a fit or a sweep share it, and a
+call builds no config unless it builds the plan.  It holds
 8*m**2 + 16*m*(|K| + 4t + 1) bytes plus O(m + |K|): 0.47 MiB for a
 fit's +-60 mrad at the default spot and n = 512, 5.3 MiB for the whole
 lattice at n = 2048.  A plan over MAX_KEPT_PLAN_BYTES serves only the
@@ -31,8 +32,9 @@ width, then the plan's call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from functools import lru_cache
+from operator import attrgetter
 
 import numpy as np
 
@@ -50,6 +52,12 @@ MAX_GRID_N = 4096
 # exponent (8*m**2 bytes) and SupportPlan.nbytes, which is U^T and Phi
 # (16*m*(|K| + 4t + 1) bytes for |K| rows and a blur of reach t) plus O(m + |K|).
 MAX_KEPT_PLAN_BYTES = 64 * 2 ** 20
+
+# The ScenarioConfig fields that profiles_for's plan reads, and so its cache key.
+_PLAN_FIELDS = ("wavelength_nm", "grating_period_um", "blaze_wavelength_nm", "spot_diameter_um",
+                "illumination", "resolution_mrad", "detector_separation_mrad", "grid_n",
+                "window_um")
+_plan_key = attrgetter(*_PLAN_FIELDS)
 
 # How parse_config reads a value for each field annotation of ScenarioConfig,
 # and what a value that fails to read must be.
@@ -185,9 +193,13 @@ def rate_map_for(config: ScenarioConfig) -> RateMap:
 
 
 @lru_cache(maxsize=1)
-def _support_plan(config: ScenarioConfig,
+def _support_plan(optics: tuple,
                   span: tuple[float, float] | None) -> tuple[np.ndarray, float, SupportPlan]:
-    """profiles_for's pair exponent on the support, grid spacing and SupportPlan, read-only."""
+    """profiles_for's pair exponent on the support, grid spacing and SupportPlan, read-only.
+
+    optics holds a config's values of _PLAN_FIELDS, in that order.
+    """
+    config = ScenarioConfig(**dict(zip(_PLAN_FIELDS, optics)))
     grid = grid_for(config)
     cuts = SupportPlan(transmission_for(config, grid), grid, config.wavelength_um,
                        config.resolution_mrad * 1e-3, config.detector_separation_mrad * 1e-3, span)
@@ -203,9 +215,8 @@ def profiles_for(config: ScenarioConfig, sigma_um: float | None = None,
     the rows of the first-detector angles span = (lo, hi) in rad plus one
     bin each side, or on the whole lattice for None (module docstring).
     """
-    exponent, dx, cuts = _support_plan(
-        replace(config, sigma_corr_um=1.0, angle_offset_mrad=0.0, output_prefix="out"),
-        None if span is None else tuple(map(float, span)))
+    exponent, dx, cuts = _support_plan(_plan_key(config),
+                                       None if span is None else tuple(map(float, span)))
     if exponent.nbytes + cuts.nbytes > MAX_KEPT_PLAN_BYTES:
         _support_plan.cache_clear()
     sigma = config.sigma_corr_um if sigma_um is None else float(sigma_um)

@@ -6,6 +6,7 @@ import pytest
 
 from pairgrating import (ScenarioConfig, make_grid, profiles_for, rate_map_for, transmission,
                          two_photon_amplitude)
+from pairgrating.biphoton import WEIGHT_LOG_FLOOR, pair_exponent, pair_weight
 from pairgrating.errors import ParameterError, SamplingWarning
 
 from conftest import BLAZE, PERIOD, WAVELENGTH
@@ -169,3 +170,30 @@ def test_values_read_only(small_grid, small_amp):
     f = two_photon_amplitude(small_amp, 9.0, "near", small_grid.x, small_grid.dx)
     with pytest.raises(ValueError):
         f[0, 0] = 0.0
+
+
+FLOOR_WIDTHS = np.geomspace(0.1, 1e4, 41)   # um
+
+
+@pytest.mark.parametrize("mode", ["near", "far"])
+def test_pair_weight_holds_no_subnormal(grid512, mode):
+    # unzeroed, widths of a few um leave subnormal weights on the far pairs
+    exponent = pair_exponent(mode, grid512.x)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", SamplingWarning)
+        for sigma in FLOOR_WIDTHS:
+            weight = pair_weight(exponent, sigma, grid512.dx)
+            assert not np.any((weight > 0.0) & (weight < np.finfo(float).tiny)), sigma
+
+
+@pytest.mark.parametrize("mode", ["near", "far"])
+def test_pair_weight_is_the_exponential_above_the_floor(grid512, mode):
+    exponent = pair_exponent(mode, grid512.x)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", SamplingWarning)
+        for sigma in FLOOR_WIDTHS:
+            scaled = exponent / (2.0 * sigma ** 2)
+            kept = scaled >= WEIGHT_LOG_FLOOR
+            weight = pair_weight(exponent, sigma, grid512.dx)
+            assert np.array_equal(weight[kept], np.exp(scaled[kept])), sigma
+            assert not np.any(weight[~kept]), sigma

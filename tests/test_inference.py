@@ -400,6 +400,23 @@ def test_fit_builds_the_grid_and_transmission_once(monkeypatch):
     assert calls == {"make_grid": 1, "transmission": 1}
 
 
+def test_warm_fit_builds_at_most_one_config(fast_config, monkeypatch):
+    # the plan's cache key is the optics fields' values: evaluations on a
+    # kept plan construct no ScenarioConfig
+    model = _quiet_model(fast_config, 13.0)
+    built = []
+    post_init = ScenarioConfig.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(ScenarioConfig, "__post_init__", counted)
+    result = fit_sigma(Measurement(angles=SCAN, rates=900.0 * model), fast_config)
+    assert result.converged and result.n_evaluations > 30
+    assert len(built) <= 1
+
+
 @pytest.mark.parametrize("sigma", [0.4, 13.0])  # a boundary and a refined fit
 def test_fit_evaluates_each_width_once(fast_config, monkeypatch, sigma):
     model = _quiet_model(fast_config, sigma)
@@ -464,6 +481,17 @@ def test_forward_on_angles_past_the_lattice_names_its_range(channel, angles, mes
     config = ScenarioConfig(grid_n=256, window_um=300.0, detector_separation_mrad=13.0)
     with pytest.raises(ParameterError, match=message):
         forward_on_angles(config, 9.0, angles, channel=channel)
+
+
+@pytest.mark.parametrize("angles,message", [
+    ([], r"nonempty 1-D array, got shape \(0,\)"),
+    ([[-0.01, 0.0], [0.01, 0.02]], r"nonempty 1-D array, got shape \(2, 2\)"),
+    ([-0.01, np.nan, 0.01], "finite, got nan at index 1"),
+])
+def test_forward_on_angles_rejects_bad_angle_arrays(fast_config, angles, message):
+    # checked before any evaluation, so no numpy or span error comes first
+    with pytest.raises(ParameterError, match=message):
+        forward_on_angles(fast_config, 9.0, angles)
 
 
 def test_forward_on_angles_rejects_unknown_channel(fast_config):

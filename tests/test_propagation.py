@@ -13,6 +13,7 @@ from pairgrating import (ScenarioConfig, angles_of, blur, coincidence_map,
 from pairgrating.propagation import RateMap, RateProfile, SupportPlan, _box_kernel
 from pairgrating.errors import BinSnapWarning, ParameterError, SamplingWarning
 from pairgrating import scenario
+from pairgrating.inference import COARSE_POINTS, SIGMA_RANGE
 
 from conftest import WAVELENGTH, matched_deviation
 
@@ -552,9 +553,8 @@ def test_profiles_for_warns_and_raises_on_every_call():
 def _kept_plan(config, span=None):
     """The plan profiles_for kept for config and span, read from its cache without building one."""
     misses = scenario._support_plan.cache_info().misses
-    plan = scenario._support_plan(
-        replace(config, sigma_corr_um=1.0, angle_offset_mrad=0.0, output_prefix="out"),
-        None if span is None else tuple(map(float, span)))
+    plan = scenario._support_plan(scenario._plan_key(config),
+                                  None if span is None else tuple(map(float, span)))
     assert scenario._support_plan.cache_info().misses == misses
     return plan
 
@@ -563,6 +563,23 @@ def _plan_bytes(config, span=None):
     """What profiles_for counts against MAX_KEPT_PLAN_BYTES for config and span."""
     exponent, _, cuts = _kept_plan(config, span)
     return exponent.nbytes + cuts.nbytes
+
+
+@pytest.mark.parametrize("keys", [dict(), dict(illumination="far"),
+                                  dict(grid_n=2048, window_um=2400.0)])
+def test_profiles_for_equals_the_plan_on_the_unzeroed_weight(keys):
+    # pair_weight's zeroed weights, below about 1e-200, change no output bit
+    # at any width of a fit's coarse grid
+    config = ScenarioConfig(**keys)
+    profiles_for(config)
+    exponent, _, cuts = _kept_plan(config)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", SamplingWarning)
+        for sigma in np.geomspace(*SIGMA_RANGE, COARSE_POINTS):
+            got = profiles_for(config, sigma_um=float(sigma))
+            want = cuts(np.exp(exponent / (2.0 * sigma ** 2)))
+            for got_cut, want_cut in zip(got, want):
+                assert np.array_equal(got_cut.values, want_cut.values), sigma
 
 
 def test_profiles_for_plan_holds_under_two_mib():
