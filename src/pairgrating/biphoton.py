@@ -10,8 +10,18 @@ The Gaussian weight is built in two steps.  pair_exponent computes what
 does not depend on the correlation width (the exponent numerator
 -(x_j -+ x_l)**2); pair_weight applies one width (the check, the
 sampling warning and the exponential, with weights below about 1e-200
-set to 0).  scenario.profiles_for keeps the exponent across evaluations
-that differ only in the width.
+set to 0).
+
+On m consecutive lattice positions the exponent depends only on
+x_j - x_l (near) or on x_j + x_l (far), so it takes 2m - 1 distinct
+values.  scenario.profiles_for keeps those (pair_exponent_line) across
+evaluations that differ only in the width, weighs them with pair_weight,
+and reads the m x m weight as a strided view of the 2m - 1 weights
+(pair_matrix).  Where the spacing is dyadic every position, difference
+and sum is exact, and the view equals pair_weight on pair_exponent bit
+for bit.  Elsewhere pair_exponent inherits the rounding of the
+positions, which differs from pair to pair, and the two weights differ
+by at most about 1e-14 of the peak weight 1.
 """
 
 from __future__ import annotations
@@ -53,6 +63,42 @@ def pair_exponent(mode: str, x) -> np.ndarray:
     np.negative(exponent, out=exponent)
     exponent.setflags(write=False)
     return exponent
+
+
+def pair_exponent_line(mode: str, first: int, m: int, dx: float) -> np.ndarray:
+    """Read-only 2m - 1 values of pair_exponent(mode, x) on the positions x_j = (first + j)*dx.
+
+    Entry k is the exponent of the pairs with l - j = k - (m - 1) (near)
+    or j + l = k (far): -((k - m + 1)*dx)**2 or -((2*first + k)*dx)**2,
+    with x_j -+ x_l taken at its exact lattice offset.  pair_matrix
+    spreads the values, or any function of them, over the m x m pairs.
+    """
+    _check_mode(mode)
+    offsets = np.arange(2 * m - 1) + (1 - m if mode == "near" else 2 * first)
+    line = offsets * dx
+    np.square(line, out=line)
+    np.negative(line, out=line)
+    line.setflags(write=False)
+    return line
+
+
+def pair_matrix(line, mode: str) -> np.ndarray:
+    """Read-only m x m view of 2m - 1 per-pair values laid out as pair_exponent_line's.
+
+    Entry [j, l] is line[m - 1 - j + l] (near) or line[j + l] (far): the
+    sliding windows of line, with the rows reversed for near.  No
+    m x m array is allocated.
+    """
+    line = np.ascontiguousarray(line, dtype=float)
+    m = (line.size + 1) // 2
+    # one strided view over line's buffer, which numpy checks it stays inside;
+    # sliding_window_view builds the same view in about ten times as long
+    step = line.itemsize
+    near = mode == "near"
+    view = np.ndarray((m, m), float, buffer=line, offset=step * (m - 1) if near else 0,
+                      strides=(-step if near else step, step))
+    view.flags.writeable = False
+    return view
 
 
 def pair_weight(exponent, sigma_corr: float, dx: float) -> np.ndarray:

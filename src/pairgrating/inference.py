@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, SamplingWarning, read_lines, read_number
+from .propagation import CHANNELS
 from .scenario import ScenarioConfig, profile_angles, profiles_for
 
 # Angular window used for visibility summaries (rad): the central region
@@ -27,7 +28,6 @@ SIGMA_RANGE = (0.5, 200.0)
 COARSE_POINTS = 25
 REFINE_REL_WIDTH = 1e-3
 FLAT_LANDSCAPE_REL = 1e-9
-CHANNELS = ("coincidences", "singles")
 # load_measurement's header lines and the number of columns each announces
 _HEADERS = {"angle_mrad,rate": 2, "angle_mrad,rate,rate_err": 3}
 _SAMPLE_FAULTS = ("non-finite value", "negative rate", "non-positive rate_err")
@@ -118,11 +118,11 @@ def load_measurement(path) -> Measurement:
     `angle_mrad,rate` or `angle_mrad,rate,rate_err`, then one sample per
     line with angles in mrad (converted to rad here), read by read_number.
     A `# channel: <name>` comment sets the channel (coincidences without
-    one); others are ignored.  Every fault raises ParameterError naming the
-    file and line, a sample that breaks a rule of Measurement only after
-    every line has parsed.
+    one; a second one is an error); others are ignored.  Every fault
+    raises ParameterError naming the file and line, a sample that breaks a
+    rule of Measurement only after every line has parsed.
     """
-    channel = "coincidences"
+    channel, channel_line = "coincidences", 0
     n_columns = 0
     rows: list[tuple[int, str, list[float]]] = []  # line number, raw line, numbers
     for line_no, raw in enumerate(read_lines(path), start=1):
@@ -132,7 +132,11 @@ def load_measurement(path) -> Measurement:
         if line.startswith("#"):
             key, colon, value = line.lstrip("#").partition(":")
             if colon and key.strip() == "channel":
-                channel = value.strip()
+                if channel_line:
+                    raise ParameterError(
+                        f"{path}: line {line_no}: channel comment repeats the one on line "
+                        f"{channel_line}")
+                channel, channel_line = value.strip(), line_no
                 if channel not in CHANNELS:
                     raise ParameterError(
                         f"{path}: line {line_no}: channel must be one of {CHANNELS}, "
@@ -234,14 +238,14 @@ def forward_on_angles(scenario: ScenarioConfig, sigma_um: float, angles,
 
     The scenario's angle_offset_mrad shifts the model before
     interpolation, for scans whose angular zero is pre-aligned.  The
-    model is computed once, on the lattice rows the scan's range reads.
-    angles must be a nonempty 1-D array of finite values.  Angles outside
-    the shifted lattice's range by more than a millionth of a bin raise
-    ParameterError instead of being clamped to the edge values.  channel
-    is "coincidences" (the diagonal) or "singles".
+    model is computed once, on the lattice rows the scan's range reads,
+    for the one channel asked for.  angles must be a nonempty 1-D array
+    of finite values.  Angles outside the shifted lattice's range by more
+    than a millionth of a bin raise ParameterError instead of being
+    clamped to the edge values.  channel is "coincidences" (the diagonal)
+    or "singles".
     """
     _check_channel(channel)
-    offset = scenario.angle_offset_mrad * 1e-3
     angles = np.asarray(angles, dtype=float)
     if angles.ndim != 1 or angles.size == 0:
         raise ParameterError(
@@ -250,17 +254,27 @@ def forward_on_angles(scenario: ScenarioConfig, sigma_um: float, angles,
     if bad.size:
         raise ParameterError(
             f"angles must be finite, got {float(angles[bad[0]])} at index {bad[0]}")
+    return _model_on_angles(scenario, sigma_um, angles, channel)
+
+
+def _model_on_angles(scenario: ScenarioConfig, sigma_um: float, angles: np.ndarray,
+                     channel: str) -> np.ndarray:
+    """forward_on_angles after its checks of the channel and the angle array."""
+    offset = scenario.angle_offset_mrad * 1e-3
+    lowest, highest = angles.min(), angles.max()
     diagonal, singles = profiles_for(scenario, sigma_um=sigma_um,
-                                     span=(angles.min() - offset, angles.max() - offset))
+                                     span=(lowest - offset, highest - offset), channel=channel)
     profile = diagonal if channel == "coincidences" else singles
     model_angles = profile.angles + offset
     # The slack admits the edge angles of simulate's output, which the CSV
     # rounds to 10 significant digits.
     slack = 1e-6 * scenario.wavelength_um / scenario.window_um
-    lo, hi = (model_angles[0], model_angles[-1]) if model_angles.size else (np.inf, -np.inf)
-    outside = ~((angles >= lo - slack) & (angles <= hi + slack))
-    if outside.any():
-        # the model's rows cover the scan where the lattice does; name the whole lattice
+    if (not model_angles.size or lowest < model_angles[0] - slack
+            or highest > model_angles[-1] + slack):
+        # the model's rows cover the scan where the lattice does; name the whole
+        # lattice, and the first angle outside the model's rows
+        lo, hi = (model_angles[0], model_angles[-1]) if model_angles.size else (np.inf, -np.inf)
+        outside = ~((angles >= lo - slack) & (angles <= hi + slack))
         lattice = profile_angles(scenario)[channel == "singles"] + offset
         raise ParameterError(
             f"scan angle {angles[np.argmax(outside)] * 1e3:.6g} mrad lies outside the "
@@ -268,18 +282,22 @@ def forward_on_angles(scenario: ScenarioConfig, sigma_um: float, angles,
     return unit_peak(np.interp(angles, model_angles, profile.values))
 
 
-def _scale_and_background(model: np.ndarray, rates: np.ndarray,
-                          weights: np.ndarray) -> tuple[float, float]:
+def _scale_and_background(model: np.ndarray, rates: np.ndarray, weights: np.ndarray,
+                          s1: float | None = None,
+                          sr: float | None = None) -> tuple[float, float]:
     """Closed-form weighted least squares for rates ~ scale*model + background.
 
-    background is clamped at zero; a model flat up to rounding leaves
-    the scale undefined and returns scale 0.
+    s1 = sum(weights) and sr = sum(weights*rates) depend on the scan
+    alone; a fit passes them once computed.  background is clamped at
+    zero; a model flat up to rounding leaves the scale undefined and
+    returns scale 0.
     """
-    s1 = float(weights.sum())
-    sm = float((weights * model).sum())
-    smm = float((weights * model * model).sum())
-    sr = float((weights * rates).sum())
-    smr = float((weights * model * rates).sum())
+    s1 = float(weights.sum()) if s1 is None else s1
+    sr = float((weights * rates).sum()) if sr is None else sr
+    weighted = weights * model
+    sm = float(weighted.sum())
+    smm = float((weighted * model).sum())
+    smr = float((weighted * rates).sum())
     denom = s1 * smm - sm * sm
     # s1*smm - sm**2 is s1 times the model's weighted variance; for a constant
     # model its rounding error reaches about 7 eps of s1*smm
@@ -315,13 +333,15 @@ def fit_sigma(measurement: Measurement, scenario: ScenarioConfig) -> FitResult:
         weights = 1.0 / np.square(measurement.rate_errors)
     else:
         weights = np.ones_like(rates)
+    # what the scan alone fixes; Measurement has checked the angles and the channel
+    s1, sr = float(weights.sum()), float((weights * rates).sum())
+    data_scale = float(np.sum(weights * rates * rates))
 
     evaluations: list[tuple[float, float, float, float]] = []
 
     def objective(sigma: float) -> float:
-        model = forward_on_angles(scenario, sigma, measurement.angles,
-                                  channel=measurement.channel)
-        scale, background = _scale_and_background(model, rates, weights)
+        model = _model_on_angles(scenario, sigma, measurement.angles, measurement.channel)
+        scale, background = _scale_and_background(model, rates, weights, s1, sr)
         residual = rates - (scale * model + background)
         sse = float(np.sum(weights * residual * residual))
         evaluations.append((sigma, sse, scale, background))
@@ -339,7 +359,6 @@ def fit_sigma(measurement: Measurement, scenario: ScenarioConfig) -> FitResult:
         # Flatness is judged against the data scale, not against the SSE values
         # themselves: data the model fits exactly for every width (for example a
         # constant rate) leave only rounding noise in the landscape.
-        data_scale = float(np.sum(weights * rates * rates))
         if sse_spread <= FLAT_LANDSCAPE_REL * max(float(coarse_sse.max()), data_scale):
             message = "flat objective: the data do not constrain the correlation width"
         elif best in (0, COARSE_POINTS - 1):

@@ -25,7 +25,13 @@ p' = p - n/2, omega = exp(-2*pi*i/n) and a = A*sqrt(dx) on S:
   W P is V[p, l]*a_l, and E = V o U adds the phase W[p, S_l] that row p
   of the second-axis transform puts on column l;
 - band: row p + c of W is row p times Phi[c, l] = omega**(c*S'_l), so
-  R[p, (p+c) mod n] = |(E Phi^T)[p, c]|**2 for c = s-2t..s+2t;
+  R[p, (p+c) mod n] = |(E Phi^T)[p, c]|**2 for c = s-2t..s+2t, taken
+  as re**2 + im**2;
+- blurred diagonal: with first-detector offset a - t and second b - t,
+  D[i] = sum_a w_a sum_b w_b band[b - a + 2t, i + a].  Row a of one
+  (2t+1) x (4t+1) matrix holds w_a*w at columns 2t - a .. 4t - a, so
+  one product with the band takes every inner sum, and D adds up the
+  product along its skewed diagonals, read as one strided view;
 - singles: Parseval along the second axis (S has no repeats) gives
   sum_q R[p, q] = n * sum_l |E[p, l]|**2;
 - scale: (dx/(2*pi))**2/T with T = b^T (g o g) b, b = |a|**2, gives P a
@@ -34,6 +40,9 @@ p' = p - n/2, omega = exp(-2*pi*i/n) and a = A*sqrt(dx) on S:
 
 This is the matrix Fourier transform (Soummer et al., Opt. Express 15,
 15935 (2007)) on the rows read, O(|K|*m**2) work in one small product.
+Both cuts read E; a caller that needs one cut asks for it alone, and
+the plan skips the band and the diagonal, or the Parseval sum and the
+singles blur, of the other.
 """
 
 from __future__ import annotations
@@ -41,6 +50,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import BinSnapWarning, ParameterError, warn_caller
 from .lattice import TWO_PI, SpatialGrid, angles_of
@@ -48,6 +58,9 @@ from .lattice import TWO_PI, SpatialGrid, angles_of
 # SupportPlan leaves out samples where |A| is at most this fraction of its peak: their
 # terms sit far below rounding, and its cuts agree with the full map's to ~3e-14 relative.
 SUPPORT_FLOOR = 1e-17
+
+# The two cuts a scan or a SupportPlan call may name: the diagonal and the singles.
+CHANNELS = ("coincidences", "singles")
 
 
 def fourier_1d(values, grid: SpatialGrid) -> np.ndarray:
@@ -215,8 +228,9 @@ class SupportPlan:
     S, the plan returns those rows of diagonal_profile(blur(R, width),
     separation) and blur(singles_profile(R), width), up to rounding, for
     R the rate map of P = A_j*g[j, l]*A_l on S x S with a unit square
-    sum.  The diagonal drops rows whose partner leaves the lattice, so it
-    may hold none.  The snap warning, if any, is raised on every call.
+    sum, or the one of them that channel names.  The diagonal drops rows
+    whose partner leaves the lattice, so it may hold none.  The snap
+    warning, if any, is raised on every call.
     The plan's arrays (nbytes) are read-only, so threads may share a plan.
     """
 
@@ -258,25 +272,37 @@ class SupportPlan:
         rows_t *= tilde[:, None]
         shifts = np.arange(shift - 2 * reach, shift + 2 * reach + 1)
         phases = roots[np.outer(shifts, columns) % n]
+        # row a holds w_a times the kernel at band rows 2t - a .. 4t - a (__call__)
+        blur_rows = kernel[:, None] * sliding_window_view(np.pad(kernel, 2 * reach), 4 * reach + 1)
         power = np.abs(tilde) ** 2
         singles_angles = angles[first:last + 1].copy()
         cut_angles = angles[cut_first:cut_last + 1].copy()
-        kept = (kernel, rows_t, phases, power, singles_angles, cut_angles)
+        kept = (kernel, rows_t, phases, blur_rows, power, singles_angles, cut_angles)
         for array in kept:
             array.setflags(write=False)
         self.nbytes = sum(array.nbytes for array in kept)
-        self._reach, self._kernel, self._rows_t, self._phases = reach, kernel, rows_t, phases
-        self._power, self._singles_angles, self._cut_angles = power, singles_angles, cut_angles
-        # band row of the diagonal's first row at first-detector offset -reach
-        self._cut_start = cut_first - first
+        self._kernel, self._rows_t, self._phases = kernel, rows_t, phases
+        self._blur_rows, self._power = blur_rows, power
+        self._singles_angles, self._cut_angles = singles_angles, cut_angles
+        # band column of the diagonal's first row at first-detector offset -reach (any
+        # column in the band for an empty diagonal)
+        self._cut_start = cut_first - first if cut_angles.size else 0
         self._dx = grid.dx
 
-    def __call__(self, weight) -> tuple[RateProfile, RateProfile]:
-        """Blurred diagonal and singles rows for the real m x m weight g on the plan's support."""
-        m, reach, kernel = self._power.size, self._reach, self._kernel
+    def __call__(self, weight,
+                 channel: str | None = None) -> tuple[RateProfile | None, RateProfile | None]:
+        """Blurred diagonal and singles rows for the real m x m weight g on the plan's support.
+
+        channel "coincidences" or "singles" computes that cut alone and
+        puts None in place of the other; None computes both.  A cut is the
+        same, bit for bit, whichever channel asked for it.
+        """
+        m, kernel = self._power.size, self._kernel
         if np.shape(weight) != (m, m):
             raise ParameterError(
                 f"weight must have shape ({m}, {m}) to match the support, got {np.shape(weight)}")
+        if channel is not None and channel not in CHANNELS:
+            raise ParameterError(f"channel must be one of {CHANNELS} or None, got {channel!r}")
         if self._notice:
             warn_caller(self._notice, BinSnapWarning)
         weight = np.asarray(weight, dtype=float)
@@ -294,22 +320,31 @@ class SupportPlan:
         v_t = weight.T @ self._rows_t.view(float)
         e_t = v_t.view(complex)
         e_t *= self._rows_t
-        # band[c, p] = R[p, p + shifts[c]]/scale, in blocks: no (4t+1) x |K| complex array
-        band = np.empty((self._phases.shape[0], e_t.shape[1]))
-        for lo in range(0, band.shape[1], 256):
-            band[:, lo:lo + 256] = np.abs(self._phases @ e_t[:, lo:lo + 256]) ** 2
-        # Parseval along the second detector: row p of R sums to n*sum_l |E[p, l]|**2
-        row_sums = np.square(v_t, out=v_t).sum(axis=0).reshape(-1, 2).sum(axis=1)
-
-        # first-detector offset a - reach reads second-detector offsets b - reach
-        # at band row b - a + 2*reach
-        size, start = self._cut_angles.size, self._cut_start
-        diagonal = sum(weight_a * (kernel @ band[2 * reach - a:4 * reach - a + 1])[
-            start + a:start + a + size] for a, weight_a in enumerate(kernel))
-        singles = np.convolve(row_sums, kernel, "valid")   # the kernel is symmetric
-        diagonal *= scale ** 2 / norm
-        singles *= scale / norm
-        diagonal.setflags(write=False)
-        singles.setflags(write=False)
-        return (RateProfile(angles=self._cut_angles, values=diagonal),
-                RateProfile(angles=self._singles_angles, values=singles))
+        diagonal_cut = singles_cut = None
+        if channel != "singles":
+            # band[c, p] = R[p, p + shifts[c]]/scale as re**2 + im**2, in blocks:
+            # no (4t+1) x |K| complex array
+            band = np.empty((self._phases.shape[0], e_t.shape[1]))
+            for lo in range(0, band.shape[1], 256):
+                parts = (self._phases @ e_t[:, lo:lo + 256]).view(float)
+                np.square(parts, out=parts)
+                np.add(parts[:, 0::2], parts[:, 1::2], out=band[:, lo:lo + 256])
+            # first-detector offset a - t reads second-detector offsets b - t at
+            # band row b - a + 2t: row a of blur_rows @ band is w_a*sum_b w_b*band[...],
+            # and the cut sums row a at columns start + a + i, one skewed read
+            blurred = self._blur_rows @ band
+            step, cols = blurred.itemsize, blurred.shape[1]
+            skewed = np.ndarray((kernel.size, self._cut_angles.size), float, buffer=blurred,
+                                offset=step * self._cut_start, strides=(step * (cols + 1), step))
+            values = skewed.sum(axis=0)
+            values *= scale ** 2 / norm
+            values.setflags(write=False)
+            diagonal_cut = RateProfile(angles=self._cut_angles, values=values)
+        if channel != "coincidences":
+            # Parseval along the second detector: row p of R sums to n*sum_l |E[p, l]|**2
+            squares = np.square(v_t, out=v_t).sum(axis=0)
+            values = np.convolve(squares[0::2] + squares[1::2], kernel, "valid")  # symmetric kernel
+            values *= scale / norm
+            values.setflags(write=False)
+            singles_cut = RateProfile(angles=self._singles_angles, values=values)
+        return diagonal_cut, singles_cut

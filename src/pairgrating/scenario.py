@@ -7,7 +7,8 @@ source (near mode), 10 mrad detector resolution, 512 samples over a
 600 um window.
 
 Two evaluators share the grid, the transmission A and the Gaussian pair
-weight (biphoton.pair_exponent and pair_weight).  rate_map_for runs the
+weight (biphoton.pair_weight, on pair_exponent's m x m values for the
+one and pair_exponent_line's 2m - 1 for the other).  rate_map_for runs the
 full chain on the n x n grid (pair amplitude, 2D FFT, |F|**2, 2D blur)
 for the map that simulate writes, and stays the independent FFT
 reference.  profiles_for, which every fit and sweep evaluation calls,
@@ -18,16 +19,20 @@ them: one real product of U = W_{K,S} diag(A_S sqrt(dx)) with the m x m
 weight, no FFT.
 
 The plan holds what does not depend on the width: the SupportPlan and
-the exponent -(x_j -+ x_l)**2 on its support.  It is kept in a one-entry
-cache keyed on the values of the nine optics fields it reads (every
-config field except sigma_corr_um, angle_offset_mrad and output_prefix)
-and on the span, so the evaluations of a fit or a sweep share it, and a
-call builds no config unless it builds the plan.  It holds
-8*m**2 + 16*m*(|K| + 4t + 1) bytes plus O(m + |K|): 0.47 MiB for a
-fit's +-60 mrad at the default spot and n = 512, 5.3 MiB for the whole
-lattice at n = 2048.  A plan over MAX_KEPT_PLAN_BYTES serves only the
-call that built it.  The apply step is biphoton.pair_weight for the
-width, then the plan's call.
+the 2m - 1 distinct values of the exponent -(x_j -+ x_l)**2 on its
+support (biphoton.pair_exponent_line).  It is kept in a one-entry cache
+keyed on the values of the nine optics fields it reads (every config
+field except sigma_corr_um, angle_offset_mrad and output_prefix) and on
+the span, so the evaluations of a fit or a sweep share it, and a call
+builds no config unless it builds the plan.  It holds
+8*(2m - 1) + 16*m*(|K| + 4t + 1) + 8*(2t + 1)*(4t + 1) bytes plus
+O(m + |K|): 0.29 MiB for a fit's +-60 mrad at the default spot and
+n = 512, 5.1 MiB for the whole lattice at n = 2048.  A plan over
+MAX_KEPT_PLAN_BYTES serves only the call that built it.  The apply step
+is biphoton.pair_weight on the 2m - 1 values for the width, spread over
+the m x m pairs as a strided view (biphoton.pair_matrix), then the
+plan's call for the channel asked for: a fit computes only its scan's
+cut, a sweep both.
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ from operator import attrgetter
 
 import numpy as np
 
-from .biphoton import pair_exponent, pair_weight, two_photon_amplitude
+from .biphoton import pair_exponent_line, pair_matrix, pair_weight, two_photon_amplitude
 from .errors import ParameterError, read_lines, read_number
 from .lattice import SpatialGrid, angles_of, make_grid
 from .optics import transmission
@@ -48,9 +53,10 @@ from .propagation import (RateMap, RateProfile, SupportPlan, _blur_kernel, _cut_
 # The full-map chain holds several n x n complex128 arrays at once.
 MAX_GRID_N = 4096
 
-# profiles_for keeps a plan only while its arrays fit in this: the m x m
-# exponent (8*m**2 bytes) and SupportPlan.nbytes, which is U^T and Phi
-# (16*m*(|K| + 4t + 1) bytes for |K| rows and a blur of reach t) plus O(m + |K|).
+# profiles_for keeps a plan only while its arrays fit in this: the 2m - 1 pair
+# exponents (8*(2m - 1) bytes) and SupportPlan.nbytes, which is U^T and Phi
+# (16*m*(|K| + 4t + 1) bytes for |K| rows and a blur of reach t), the shifted
+# kernels (8*(2t + 1)*(4t + 1) bytes) and O(m + |K|).
 MAX_KEPT_PLAN_BYTES = 64 * 2 ** 20
 
 # The ScenarioConfig fields that profiles_for's plan reads, and so its cache key.
@@ -195,32 +201,39 @@ def rate_map_for(config: ScenarioConfig) -> RateMap:
 @lru_cache(maxsize=1)
 def _support_plan(optics: tuple,
                   span: tuple[float, float] | None) -> tuple[np.ndarray, float, SupportPlan]:
-    """profiles_for's pair exponent on the support, grid spacing and SupportPlan, read-only.
+    """profiles_for's 2m - 1 pair exponents on the support, grid spacing and SupportPlan.
 
-    optics holds a config's values of _PLAN_FIELDS, in that order.
+    optics holds a config's values of _PLAN_FIELDS, in that order.  Every
+    array is read-only.
     """
     config = ScenarioConfig(**dict(zip(_PLAN_FIELDS, optics)))
     grid = grid_for(config)
     cuts = SupportPlan(transmission_for(config, grid), grid, config.wavelength_um,
                        config.resolution_mrad * 1e-3, config.detector_separation_mrad * 1e-3, span)
-    exponent = pair_exponent(config.illumination, grid.x[cuts.support])
-    return exponent, grid.dx, cuts
+    line = pair_exponent_line(config.illumination, cuts.support.start - grid.n // 2,
+                              cuts.support.stop - cuts.support.start, grid.dx)
+    return line, grid.dx, cuts
 
 
 def profiles_for(config: ScenarioConfig, sigma_um: float | None = None,
-                 span: tuple[float, float] | None = None) -> tuple[RateProfile, RateProfile]:
+                 span: tuple[float, float] | None = None,
+                 channel: str | None = None) -> tuple[RateProfile | None, RateProfile | None]:
     """Diagonal (at the configured detector separation) and singles profiles, read-only.
 
     Both are the cuts of rate_map_for's blurred map up to rounding, on
     the rows of the first-detector angles span = (lo, hi) in rad plus one
     bin each side, or on the whole lattice for None (module docstring).
+    channel "coincidences" or "singles" computes that cut alone and puts
+    None in place of the other; None computes both.  A cut is the same,
+    bit for bit, whichever channel asked for it.
     """
-    exponent, dx, cuts = _support_plan(_plan_key(config),
-                                       None if span is None else tuple(map(float, span)))
-    if exponent.nbytes + cuts.nbytes > MAX_KEPT_PLAN_BYTES:
+    line, dx, cuts = _support_plan(_plan_key(config),
+                                   None if span is None else tuple(map(float, span)))
+    if line.nbytes + cuts.nbytes > MAX_KEPT_PLAN_BYTES:
         _support_plan.cache_clear()
     sigma = config.sigma_corr_um if sigma_um is None else float(sigma_um)
-    return cuts(pair_weight(exponent, sigma, dx))
+    weight = pair_matrix(pair_weight(line, sigma, dx), config.illumination)
+    return cuts(weight, channel)
 
 
 def profile_angles(config: ScenarioConfig) -> tuple[np.ndarray, np.ndarray]:

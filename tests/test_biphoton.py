@@ -6,7 +6,10 @@ import pytest
 
 from pairgrating import (ScenarioConfig, make_grid, profiles_for, rate_map_for, transmission,
                          two_photon_amplitude)
-from pairgrating.biphoton import WEIGHT_LOG_FLOOR, pair_exponent, pair_weight
+from pairgrating import scenario
+from pairgrating.biphoton import (WEIGHT_LOG_FLOOR, pair_exponent, pair_exponent_line,
+                                   pair_matrix, pair_weight)
+from pairgrating.inference import COARSE_POINTS, SIGMA_RANGE
 from pairgrating.errors import ParameterError, SamplingWarning
 
 from conftest import BLAZE, PERIOD, WAVELENGTH
@@ -197,3 +200,66 @@ def test_pair_weight_is_the_exponential_above_the_floor(grid512, mode):
             weight = pair_weight(exponent, sigma, grid512.dx)
             assert np.array_equal(weight[kept], np.exp(scaled[kept])), sigma
             assert not np.any(weight[~kept]), sigma
+
+
+@pytest.mark.parametrize("mode", ["near", "far"])
+def test_pair_matrix_lays_out_the_line_by_hand(mode):
+    # positions -1, 0, 1: near pairs by l - j, far pairs by j + l
+    line = pair_exponent_line(mode, -1, 3, 1.0)
+    assert line.tolist() == [-4.0, -1.0, 0.0, -1.0, -4.0]
+    want = ([[0.0, -1.0, -4.0], [-1.0, 0.0, -1.0], [-4.0, -1.0, 0.0]] if mode == "near"
+            else [[-4.0, -1.0, 0.0], [-1.0, 0.0, -1.0], [0.0, -1.0, -4.0]])
+    view = pair_matrix(line, mode)
+    assert view.tolist() == want == pair_exponent(mode, [-1.0, 0.0, 1.0]).tolist()
+    assert not view.flags.writeable and np.shares_memory(view, line)
+
+
+def _support_positions(config):
+    """The support's first lattice offset, its size and its positions, from profiles_for's plan."""
+    support = scenario._support_plan(scenario._plan_key(config), None)[2].support
+    grid = scenario.grid_for(config)
+    return support.start - grid.n // 2, support.stop - support.start, grid.x[support]
+
+
+COARSE_WIDTHS = [float(s) for s in np.geomspace(*SIGMA_RANGE, COARSE_POINTS)] + [0.1]
+
+
+@pytest.mark.parametrize("keys", [
+    dict(), dict(illumination="far"), dict(grid_n=2048, window_um=2400.0),
+    dict(spot_diameter_um=250.0), dict(grid_n=256, window_um=300.0, illumination="far"),
+])
+def test_weight_from_the_line_is_the_full_weight_on_dyadic_spacings(keys):
+    # dx = 75/64 um: every position, difference and sum is exact, so the
+    # 2m - 1 weights spread over the pairs are pair_weight on the m x m exponent
+    config = ScenarioConfig(**keys)
+    mode = config.illumination
+    first, m, x = _support_positions(config)
+    line = pair_exponent_line(mode, first, m, config.window_um / config.grid_n)
+    exponent = pair_exponent(mode, x)
+    assert np.array_equal(pair_matrix(line, mode), exponent)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", SamplingWarning)
+        for sigma in COARSE_WIDTHS:
+            got = pair_matrix(pair_weight(line, sigma, 1.0), mode)
+            assert np.array_equal(got, pair_weight(exponent, sigma, 1.0)), sigma
+
+
+@pytest.mark.parametrize("mode", ["near", "far"])
+def test_weight_from_the_line_on_a_rounded_spacing(mode):
+    # at window_um = 600.3 the positions round, by up to 7e-15 um at the
+    # support's edge, and pair_exponent inherits that pair by pair.  Over the
+    # coarse widths no one value per offset can come within 4.5e-15 of every
+    # such pair (half the spread of the full weight along a diagonal reaches
+    # 4.47e-15 at 0.82 um); the line's exact offsets stay within 5.4e-15
+    config = ScenarioConfig(window_um=600.3, illumination=mode)
+    first, m, x = _support_positions(config)
+    dx = config.window_um / config.grid_n
+    line = pair_exponent_line(mode, first, m, dx)
+    exponent = pair_exponent(mode, x)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", SamplingWarning)
+        for sigma in COARSE_WIDTHS[:-1]:
+            got = pair_matrix(pair_weight(line, sigma, dx), mode)
+            want = pair_weight(exponent, sigma, dx)
+            assert np.array_equal(got > 0.0, want > 0.0), sigma
+            assert np.max(np.abs(got - want)) <= 8e-15, sigma

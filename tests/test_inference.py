@@ -62,6 +62,17 @@ def test_load_invalid_channel_comment_names_line(tmp_path):
         load_measurement(path)
 
 
+@pytest.mark.parametrize("second", ["coincidences", "singles"])
+def test_load_repeated_channel_comment_names_both_lines(tmp_path, second):
+    # a second channel comment, even one after the rows, would otherwise
+    # replace the first and fit the scan as the other channel
+    path = _write(tmp_path,
+                  f"# channel: singles\nangle_mrad,rate\n0,1\n1,2\n# channel: {second}\n")
+    with pytest.raises(ParameterError,
+                       match=r"scan.csv: line 5: channel comment repeats the one on line 1$"):
+        load_measurement(path)
+
+
 def test_load_non_numeric_row_names_line(tmp_path):
     path = _write(tmp_path, "angle_mrad,rate\n0.0,1.0\nabc,5.0\n")
     with pytest.raises(ParameterError, match="line 3"):
@@ -373,7 +384,7 @@ def test_scale_and_background_model_flat_up_to_rounding(level):
 @pytest.mark.parametrize("count", [0, 1, 2])
 def test_fit_needs_three_samples(fast_config, monkeypatch, count):
     # one sample per fitted parameter: width, scale and background
-    monkeypatch.setattr(inference, "forward_on_angles", None)   # no evaluation is spent
+    monkeypatch.setattr(inference, "_model_on_angles", None)   # no evaluation is spent
     measurement = Measurement(angles=SCAN[:count], rates=np.ones(count))
     with pytest.raises(ParameterError, match=f"at least 3 scan samples .*got {count}$"):
         fit_sigma(measurement, fast_config)
@@ -421,12 +432,13 @@ def test_warm_fit_builds_at_most_one_config(fast_config, monkeypatch):
 def test_fit_evaluates_each_width_once(fast_config, monkeypatch, sigma):
     model = _quiet_model(fast_config, sigma)
     widths = []
+    evaluate = inference._model_on_angles
 
     def recording(config, sigma_um, *args, **kwargs):
         widths.append(sigma_um)
-        return forward_on_angles(config, sigma_um, *args, **kwargs)
+        return evaluate(config, sigma_um, *args, **kwargs)
 
-    monkeypatch.setattr(inference, "forward_on_angles", recording)
+    monkeypatch.setattr(inference, "_model_on_angles", recording)
     result = fit_sigma(Measurement(angles=SCAN, rates=900.0 * model), fast_config)
     assert result.n_evaluations == len(widths) == len(set(widths))
 

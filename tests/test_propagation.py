@@ -10,6 +10,7 @@ from pairgrating import (ScenarioConfig, angles_of, blur, coincidence_map,
                          diagonal_profile, fourier_1d,
                          make_grid, profiles_for, rate_map_for, singles_profile,
                          to_far_field, two_photon_amplitude)
+from pairgrating.biphoton import pair_matrix
 from pairgrating.propagation import RateMap, RateProfile, SupportPlan, _box_kernel
 from pairgrating.errors import BinSnapWarning, ParameterError, SamplingWarning
 from pairgrating import scenario
@@ -467,6 +468,12 @@ def test_profiles_for_span_past_the_diagonal_gives_no_rows():
     diagonal, singles = profiles_for(config, span=(0.326, 0.4))
     assert diagonal.angles.size == diagonal.values.size == 0
     np.testing.assert_allclose(singles.angles, [0.3224, 0.325, 0.3276, 0.3302], rtol=1e-12)
+    # a -299 mrad separation (230 bins) starts the diagonal far past the rows
+    # of (-330, -320) mrad, alone or with the singles
+    config = ScenarioConfig(detector_separation_mrad=-299.0)
+    for channel in (None, "coincidences"):
+        diagonal = profiles_for(config, span=(-0.33, -0.32), channel=channel)[0]
+        assert diagonal.angles.size == diagonal.values.size == 0
 
 
 @pytest.mark.parametrize("span", [(0.1, -0.1), (float("nan"), 0.1)])
@@ -528,6 +535,33 @@ def test_profiles_for_plans_once_per_optics_configuration():
         assert scenario._support_plan.cache_info().misses == misses, name
 
 
+ONE_CHANNEL_CONFIGS = [dict(), dict(illumination="far"), dict(detector_separation_mrad=4.0),
+                       dict(resolution_mrad=0.0), dict(grid_n=2048, window_um=2400.0)]
+
+
+@pytest.mark.parametrize("span", [None, FIT_SPAN])
+@pytest.mark.parametrize("keys", ONE_CHANNEL_CONFIGS)
+def test_profiles_for_one_channel_is_that_cut_of_both(keys, span):
+    # a fit asks for its scan's channel alone; the cut is the one a call for
+    # both returns, bit for bit, and the other is None
+    config = ScenarioConfig(**keys)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", BinSnapWarning)
+        warnings.simplefilter("ignore", SamplingWarning)
+        for sigma in np.geomspace(*SIGMA_RANGE, COARSE_POINTS):
+            both = profiles_for(config, sigma_um=float(sigma), span=span)
+            for index, channel in enumerate(("coincidences", "singles")):
+                alone = profiles_for(config, sigma_um=float(sigma), span=span, channel=channel)
+                assert alone[1 - index] is None
+                assert np.array_equal(alone[index].values, both[index].values), (channel, sigma)
+                assert np.array_equal(alone[index].angles, both[index].angles)
+
+
+def test_profiles_for_rejects_an_unknown_channel():
+    with pytest.raises(ParameterError, match="channel must be one of"):
+        profiles_for(ScenarioConfig(grid_n=256, window_um=300.0), channel="coincidence")
+
+
 def test_profiles_for_returns_read_only_arrays():
     for profile in profiles_for(ScenarioConfig(grid_n=256, window_um=300.0)):
         for array in (profile.values, profile.angles):
@@ -561,8 +595,8 @@ def _kept_plan(config, span=None):
 
 def _plan_bytes(config, span=None):
     """What profiles_for counts against MAX_KEPT_PLAN_BYTES for config and span."""
-    exponent, _, cuts = _kept_plan(config, span)
-    return exponent.nbytes + cuts.nbytes
+    line, _, cuts = _kept_plan(config, span)
+    return line.nbytes + cuts.nbytes
 
 
 @pytest.mark.parametrize("keys", [dict(), dict(illumination="far"),
@@ -572,20 +606,21 @@ def test_profiles_for_equals_the_plan_on_the_unzeroed_weight(keys):
     # at any width of a fit's coarse grid
     config = ScenarioConfig(**keys)
     profiles_for(config)
-    exponent, _, cuts = _kept_plan(config)
+    line, _, cuts = _kept_plan(config)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", SamplingWarning)
         for sigma in np.geomspace(*SIGMA_RANGE, COARSE_POINTS):
             got = profiles_for(config, sigma_um=float(sigma))
-            want = cuts(np.exp(exponent / (2.0 * sigma ** 2)))
+            want = cuts(pair_matrix(np.exp(line / (2.0 * sigma ** 2)), config.illumination))
             for got_cut, want_cut in zip(got, want):
                 assert np.array_equal(got_cut.values, want_cut.values), sigma
 
 
 def test_profiles_for_plan_holds_under_two_mib():
-    # over a fit's rows at n = 2048 the plan keeps the m x m exponent
-    # (8*m**2 bytes, m = 155), the m x |K| array U^T and Phi
-    # (16*m*(|K| + 4t + 1) bytes, |K| = 403 rows with t = 15), the angles and the kernel
+    # over a fit's rows at n = 2048 the plan keeps the 2m - 1 pair exponents
+    # (8*(2m - 1) bytes, m = 155), the m x |K| array U^T and Phi
+    # (16*m*(|K| + 4t + 1) bytes, |K| = 403 rows with t = 15), the
+    # (2t + 1) x (4t + 1) shifted kernels, the angles and the kernel
     config = ScenarioConfig(grid_n=2048, window_um=2400.0)
     scenario._support_plan.cache_clear()
     tracemalloc.start()
@@ -594,9 +629,11 @@ def test_profiles_for_plan_holds_under_two_mib():
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    exponent, _, cuts = _kept_plan(config, FIT_SPAN)
-    rows, m, reach = cuts._singles_angles.size, exponent.shape[0], cuts._kernel.size // 2
-    arrays = 8 * m * m + 16 * m * (rows + 2 * reach + 4 * reach + 1)
+    line, _, cuts = _kept_plan(config, FIT_SPAN)
+    rows, m, reach = cuts._singles_angles.size, cuts._power.size, cuts._kernel.size // 2
+    assert line.size == 2 * m - 1
+    arrays = (8 * line.size + 16 * m * (rows + 2 * reach + 4 * reach + 1)
+              + 8 * (2 * reach + 1) * (4 * reach + 1))
     assert arrays <= _plan_bytes(config, FIT_SPAN) < arrays + 16 * 2 ** 10
     assert held < 2 * 2 ** 20
 
@@ -666,7 +703,7 @@ def test_profiles_for_warm_call_allocates_no_m_by_n_array():
     # array (4.84 MiB at m = 155)
     config = ScenarioConfig(grid_n=2048, window_um=2400.0, resolution_mrad=0.0)
     profiles_for(config, span=FIT_SPAN)
-    m = _kept_plan(config, FIT_SPAN)[0].shape[0]
+    m = _kept_plan(config, FIT_SPAN)[2]._power.size
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
