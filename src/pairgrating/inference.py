@@ -283,17 +283,14 @@ def _model_on_angles(scenario: ScenarioConfig, sigma_um: float, angles: np.ndarr
 
 
 def _scale_and_background(model: np.ndarray, rates: np.ndarray, weights: np.ndarray,
-                          s1: float | None = None,
-                          sr: float | None = None) -> tuple[float, float]:
+                          s1: float, sr: float) -> tuple[float, float]:
     """Closed-form weighted least squares for rates ~ scale*model + background.
 
     s1 = sum(weights) and sr = sum(weights*rates) depend on the scan
-    alone; a fit passes them once computed.  background is clamped at
+    alone, so a fit computes them once.  background is clamped at
     zero; a model flat up to rounding leaves the scale undefined and
     returns scale 0.
     """
-    s1 = float(weights.sum()) if s1 is None else s1
-    sr = float((weights * rates).sum()) if sr is None else sr
     weighted = weights * model
     sm = float(weighted.sum())
     smm = float((weighted * model).sum())

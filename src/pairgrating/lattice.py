@@ -15,8 +15,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ParameterError
-
 TWO_PI = 2.0 * np.pi
 
 
@@ -58,13 +56,7 @@ class SpatialGrid:
 
 
 def make_grid(n: int, window: float) -> SpatialGrid:
-    """Build a SpatialGrid with n (even, >= 4) samples over window um."""
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
-        raise ParameterError(f"sample count must be an integer, got {n!r}")
-    if n < 4 or n % 2 != 0:
-        raise ParameterError(f"sample count must be even and >= 4, got {n}")
-    if not np.isfinite(window) or window <= 0.0:
-        raise ParameterError(f"window must be a positive finite length in um, got {window!r}")
+    """Build a SpatialGrid with n (even, >= 4) samples over window um (ScenarioConfig's rules)."""
     return SpatialGrid(n=int(n), window=float(window))
 
 
@@ -74,6 +66,4 @@ def angles_of(grid: SpatialGrid, wavelength: float) -> np.ndarray:
     This is the paraxial diffraction angle k_perp/k; it inherits the
     grid ordering, so theta(-k) = -theta(k) holds exactly.
     """
-    if not (wavelength > 0.0):
-        raise ParameterError(f"wavelength must be positive, got {wavelength!r}")
     return grid.k * (wavelength / TWO_PI)

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ParameterError
 from .lattice import SpatialGrid, angles_of
 from .propagation import RateProfile, fourier_1d
 
@@ -43,6 +44,8 @@ def _unit_mass(values: np.ndarray, bin_width: float) -> np.ndarray:
 
 def _limit_profiles(grid: SpatialGrid, wavelength: float, diagonal, singles) -> LimitProfiles:
     """Both profiles on the grid's angle lattice, each normalized to unit mass over it."""
+    if not (wavelength > 0.0):
+        raise ParameterError(f"wavelength must be positive, got {wavelength!r}")
     angles = angles_of(grid, wavelength)
     bin_width = float(angles[1] - angles[0])
     return LimitProfiles(RateProfile(angles, _unit_mass(diagonal, bin_width)),

@@ -22,12 +22,6 @@ def blaze_phase(x, period: float, blaze_wavelength: float, wavelength: float):
     grating period and zero at x = 0.  Far-field magnitudes do not
     depend on where the sawtooth starts; evaluate at x - x0 to move it.
     """
-    if not (period > 0.0):
-        raise ParameterError(f"grating period must be positive, got {period!r}")
-    if not (blaze_wavelength > 0.0):
-        raise ParameterError(f"blaze wavelength must be positive, got {blaze_wavelength!r}")
-    if not (wavelength > 0.0):
-        raise ParameterError(f"wavelength must be positive, got {wavelength!r}")
     frac = np.mod(np.asarray(x, dtype=float) / period, 1.0)
     return TWO_PI * (blaze_wavelength / wavelength) * frac
 
@@ -38,25 +32,15 @@ def transmission(grid: SpatialGrid, period: float, blaze_wavelength: float,
 
     A(x_j) = exp(-x_j**2/w0**2) * exp(i*blaze_phase(x_j)), normalized so
     that sum(|A|**2)*dx = 1, with w0 = spot_diameter/2 (the 1/e^2 intensity
-    full width of the spot).  A w0 that is not positive, a grid coarser than
-    dx <= period/4 or an envelope that vanishes on it raises ParameterError.
+    full width of the spot).  ScenarioConfig guarantees w0 > 0 and
+    0 < dx <= period/4; the envelope is 1 at x = 0, so the sum is positive.
     """
-    # the phase first: it checks the period, which the dx check below divides
     phase = blaze_phase(grid.x, period, blaze_wavelength, wavelength)
     w0 = spot_diameter / 2.0
-    if not (w0 > 0.0):
-        raise ParameterError(f"half the spot diameter must be positive, got {spot_diameter!r}")
-    if grid.dx > period / 4.0:
-        raise ParameterError(
-            f"grid spacing {grid.dx:.6g} um under-resolves the {period:.6g} um "
-            f"period; need dx <= period/4")
     with np.errstate(over="ignore"):  # x/w0 past sqrt(max double) is an envelope of 0
         envelope = np.exp(-((grid.x / w0) ** 2))
     amp = envelope * np.exp(1j * phase)
-    norm_sq = np.sum(np.abs(amp) ** 2) * grid.dx
-    if norm_sq == 0.0:
-        raise ParameterError("illumination envelope vanished everywhere on the grid")
-    amp /= np.sqrt(norm_sq)
+    amp /= np.sqrt(np.sum(np.abs(amp) ** 2) * grid.dx)
     amp.setflags(write=False)
     return amp
 

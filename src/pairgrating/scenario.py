@@ -45,13 +45,18 @@ import numpy as np
 
 from .biphoton import pair_exponent_line, pair_matrix, pair_weight, two_photon_amplitude
 from .errors import ParameterError, read_lines, read_number
-from .lattice import SpatialGrid, angles_of, make_grid
+from .lattice import TWO_PI, SpatialGrid, angles_of, make_grid
 from .optics import transmission
 from .propagation import (RateMap, RateProfile, SupportPlan, _blur_kernel, _cut_angles,
                           _snap_shift, blur, coincidence_map, to_far_field)
 
 # The full-map chain holds several n x n complex128 arrays at once.
 MAX_GRID_N = 4096
+
+# Every window below this has a finite square, and so does every pair exponent
+# -(x_j -+ x_l)**2 on its lattice.  At the bound itself the lattice's rounding makes
+# |x_j + x_l| exceed it for 405 of the 2047 allowed grid_n.
+MAX_WINDOW_UM = float(np.sqrt(np.finfo(float).max))
 
 # profiles_for keeps a plan only while its arrays fit in this: the 2m - 1 pair
 # exponents (8*(2m - 1) bytes) and SupportPlan.nbytes, which is U^T and Phi
@@ -130,6 +135,23 @@ class ScenarioConfig:
                 f"grid too coarse for the grating: window_um/grid_n = "
                 f"{self.window_um / self.grid_n:.6g} um exceeds period/4 = "
                 f"{self.grating_period_um / 4.0:.6g} um")
+        for name, length, rule in (
+                ("wavelength_nm", self.wavelength_um, "wavelength_nm*1e-3 um"),
+                ("blaze_wavelength_nm", self.blaze_wavelength_um, "blaze_wavelength_nm*1e-3 um"),
+                ("spot_diameter_um", self.spot_diameter_um / 2.0, "half of it")):
+            if not length > 0.0:
+                raise ParameterError(
+                    f"{name} is too small: {rule} rounds to 0, got {getattr(self, name)!r}")
+        # (n/2)*dk, the magnitude of grid.k[0], in Python floats: they overflow to inf
+        # with no warning
+        if not np.isfinite(int(self.grid_n) // 2 * (TWO_PI / float(self.window_um))):
+            raise ParameterError(
+                f"window_um is too small: the largest wavevector grid_n*pi/window_um is not "
+                f"a finite double, got {self.window_um!r}")
+        if self.window_um >= MAX_WINDOW_UM:
+            raise ParameterError(
+                f"window_um must be below sqrt(max double) = {MAX_WINDOW_UM:.6g} um, got "
+                f"{self.window_um!r}: the pair exponent (x_j -+ x_l)**2 leaves the doubles")
 
     @property
     def wavelength_um(self) -> float:

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from pairgrating import make_grid, transmission
+from pairgrating.lattice import make_grid
+from pairgrating.optics import transmission
 
 WAVELENGTH = 0.78      # um
 PERIOD = 25.0          # um

@@ -20,13 +20,14 @@ import warnings
 import numpy as np
 import pytest
 
-from pairgrating import (ScenarioConfig, coincidence_map, delta_correlated_profiles,
-                         diagonal_profile, fit_sigma, forward_on_angles,
-                         make_grid, Measurement, od_ratio, order_efficiency,
-                         profiles_for, rate_map_for, singles_profile,
-                         to_far_field, two_photon_amplitude,
-                         uncorrelated_profiles, visibility)
+from pairgrating import (ScenarioConfig, delta_correlated_profiles, fit_sigma,
+                         forward_on_angles, Measurement, od_ratio, order_efficiency,
+                         profiles_for, rate_map_for, uncorrelated_profiles, visibility)
+from pairgrating.biphoton import two_photon_amplitude
 from pairgrating.errors import SamplingWarning
+from pairgrating.lattice import angles_of, make_grid
+from pairgrating.propagation import (blur, coincidence_map, diagonal_profile, fourier_1d,
+                                     singles_profile, to_far_field)
 
 from conftest import BLUE_ORDER, PERIOD, RED_ORDER, WAVELENGTH, matched_deviation
 
@@ -218,7 +219,6 @@ def test_criterion_6_blur_lowers_contrast():
     vis_coarse = visibility(_quiet_profiles(coarse, 9.0)[0], SCAN_WINDOW)
 
     unblurred = rate_map_for(ScenarioConfig(spot_diameter_um=30.0, resolution_mrad=0.0))
-    from pairgrating import blur
     mass_drift = abs(blur(unblurred, 0.010).values.sum() / unblurred.values.sum() - 1.0)
     _report("6", vis_coarse < vis_sharp and mass_drift <= 1e-12,
             f"diagonal visibility {vis_coarse:.5f} at 10 mrad < {vis_sharp:.5f} "
@@ -302,7 +302,6 @@ def test_criterion_9_blaze_efficiency():
     grid = make_grid(512, 600.0)
     config = ScenarioConfig(spot_diameter_um=200.0, resolution_mrad=0.0)
     from pairgrating.scenario import transmission_for
-    from pairgrating import angles_of, fourier_1d
     amp = transmission_for(config, grid)
     power = np.abs(fourier_1d(amp, grid)) ** 2 * grid.dk
     theta = angles_of(grid, WAVELENGTH)

@@ -329,7 +329,8 @@ def _assert_coarse_best(result, rates, config):
     for sigma in np.geomspace(*inference.SIGMA_RANGE, inference.COARSE_POINTS):
         model = _quiet_model(config, sigma)
         weights = np.ones_like(rates)
-        scale, background = inference._scale_and_background(model, rates, weights)
+        scale, background = inference._scale_and_background(
+            model, rates, weights, float(weights.sum()), float((weights * rates).sum()))
         residual = rates - (scale * model + background)
         landscape.append((sigma, float(np.sum(weights * residual * residual)), scale, background))
     best = min(landscape, key=lambda point: point[1])
@@ -369,8 +370,8 @@ def test_scale_and_background_flat_model():
     # a flat model cannot tell scale from background: scale 0, the clamped mean as background
     weights = np.ones(5)
     rates = np.arange(1.0, 6.0)
-    assert inference._scale_and_background(np.ones(5), rates, weights) == (0.0, 3.0)
-    assert inference._scale_and_background(np.ones(5), -rates, weights) == (0.0, 0.0)
+    assert inference._scale_and_background(np.ones(5), rates, weights, 5.0, 15.0) == (0.0, 3.0)
+    assert inference._scale_and_background(np.ones(5), -rates, weights, 5.0, -15.0) == (0.0, 0.0)
 
 
 @pytest.mark.parametrize("level", [0.1, 0.3])
@@ -378,7 +379,8 @@ def test_scale_and_background_model_flat_up_to_rounding(level):
     # seven copies of 0.1 leave s1*smm - sm**2 at +1 eps of s1*smm, and of 0.3
     # at -0.9 eps: both are flat, not a model of scale 32
     rates = np.arange(1.0, 8.0)
-    assert inference._scale_and_background(np.full(7, level), rates, np.ones(7)) == (0.0, 4.0)
+    assert inference._scale_and_background(np.full(7, level), rates, np.ones(7),
+                                           7.0, 28.0) == (0.0, 4.0)
 
 
 @pytest.mark.parametrize("count", [0, 1, 2])

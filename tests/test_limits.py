@@ -3,10 +3,11 @@ import warnings
 import numpy as np
 import pytest
 
-from pairgrating import (coincidence_map, delta_correlated_profiles, diagonal_profile,
-                         fourier_1d, singles_profile, to_far_field,
-                         two_photon_amplitude, uncorrelated_profiles)
-from pairgrating.errors import SamplingWarning
+from pairgrating import delta_correlated_profiles, uncorrelated_profiles
+from pairgrating.biphoton import two_photon_amplitude
+from pairgrating.errors import ParameterError, SamplingWarning
+from pairgrating.propagation import (coincidence_map, diagonal_profile, fourier_1d,
+                                     singles_profile, to_far_field)
 
 from conftest import BLUE_ORDER, RED_ORDER, WAVELENGTH, matched_deviation
 
@@ -31,6 +32,14 @@ def test_uncorrelated_profiles_structure(grid256, amp_spot100_256):
     assert limit.diagonal.values.sum() * bin_width == pytest.approx(1.0, rel=1e-12)
     # diagonal is the squared singles up to one global factor, entrywise
     assert matched_deviation(limit.singles.values ** 2, limit.diagonal.values) <= 1e-13
+
+
+def test_oracles_need_positive_wavelength(grid256, amp_spot100_256):
+    # the oracles take a raw wavelength, not a ScenarioConfig
+    for oracle in (uncorrelated_profiles, delta_correlated_profiles):
+        for wavelength in (0.0, -1.0, float("nan")):
+            with pytest.raises(ParameterError, match="wavelength must be positive"):
+                oracle(amp_spot100_256, grid256, wavelength)
 
 
 def test_delta_profiles_structure(grid512, amp_spot100):

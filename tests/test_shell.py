@@ -3,7 +3,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +14,7 @@ from pairgrating import scenario
 from pairgrating import (ScenarioConfig, forward_on_angles, load_measurement, od_ratio,
                          parse_config, profiles_for, rate_map_for, visibility)
 from pairgrating.errors import BinSnapWarning, ParameterError, SamplingWarning
-from pairgrating.scenario import MAX_GRID_N
+from pairgrating.scenario import MAX_GRID_N, MAX_WINDOW_UM
 from pairgrating.propagation import RateProfile, diagonal_profile, singles_profile
 from pairgrating.shell import _write_csv, _write_map_csv, main, run_fit, run_simulate, run_sweep
 
@@ -72,10 +72,77 @@ def test_comments_and_blank_lines(tmp_path):
     ("resolution_mrad=-1\n", "resolution_mrad must be nonnegative"),
     ("detector_separation_mrad=nan\n", "detector_separation_mrad must be finite"),
     ("angle_offset_mrad=inf\n", "angle_offset_mrad must be finite"),
+    ("grid_n=0\n", "grid_n must be even and >= 4, got 0"),
+    ("grid_n=2\n", "grid_n must be even and >= 4, got 2"),
+    ("grid_n=-8\n", "grid_n must be even and >= 4, got -8"),
+    ("window_um=0\n", "window_um must be positive, got 0.0"),
+    ("window_um=-1\n", "window_um must be positive, got -1.0"),
+    ("window_um=nan\n", "window_um must be positive, got nan"),
+    ("grating_period_um=0\n", "grating_period_um must be positive, got 0.0"),
+    ("grating_period_um=-25\n", "grating_period_um must be positive, got -25.0"),
+    ("blaze_wavelength_nm=0\n", "blaze_wavelength_nm must be positive, got 0.0"),
+    ("blaze_wavelength_nm=-1\n", "blaze_wavelength_nm must be positive, got -1.0"),
+    ("spot_diameter_um=0\n", "spot_diameter_um must be positive, got 0.0"),
+    # positive, but the length the chain computes from the key rounds to 0
+    ("wavelength_nm=1e-321\n", r"wavelength_nm is too small: wavelength_nm\*1e-3 um rounds to 0"),
+    ("blaze_wavelength_nm=1e-321\n", r"blaze_wavelength_nm is too small: blaze_wavelength_nm\*"),
+    ("spot_diameter_um=5e-324\n", "spot_diameter_um is too small: half of it rounds to 0"),
+    # 2*pi/window_um overflows, and the wavevector lattice would read inf*0 = nan
+    ("grid_n=256\nwindow_um=5e-318\nwavelength_nm=1e-315\nblaze_wavelength_nm=1e-315\n"
+     "grating_period_um=2e-318\nspot_diameter_um=1e-300\n",
+     r"window_um is too small: the largest wavevector grid_n\*pi/window_um is not a finite"),
+    # the reference lengths times 1e153: (x_j - x_l)**2 would overflow to inf
+    ("grid_n=256\nwindow_um=3e155\nwavelength_nm=7.8e155\nblaze_wavelength_nm=5e155\n"
+     "grating_period_um=2.5e154\nspot_diameter_um=2.9e154\nsigma_corr_um=9e153\n",
+     r"window_um must be below sqrt\(max double\) = 1.34078e\+154 um, got 3e\+155"),
 ])
-def test_config_errors(tmp_path, text, fragment):
+def test_config_errors(tmp_path, monkeypatch, text, fragment):
+    path = _config(tmp_path, text)
     with pytest.raises(ParameterError, match=fragment):
-        parse_config(_config(tmp_path, text))
+        parse_config(path)
+    monkeypatch.chdir(tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["simulate", str(path)]) == 2
+        assert main(["sweep", str(path), "9"]) == 2
+    assert [entry.name for entry in tmp_path.iterdir()] == ["scenario.cfg"]
+
+
+# every length of the FAST config, sigma_corr_um among them; scaled by 1e153 the
+# window breaks MAX_WINDOW_UM (test_config_errors)
+FAST_LENGTHS = dict(window_um=300.0, wavelength_nm=780.0, blaze_wavelength_nm=500.0,
+                    grating_period_um=25.0, spot_diameter_um=29.0, sigma_corr_um=9.0)
+
+
+def test_sweep_is_scale_free_below_the_largest_window(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    rows = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for factor in (1.0, 1e150):
+            config = ScenarioConfig(grid_n=256, **{key: value * factor
+                                                   for key, value in FAST_LENGTHS.items()})
+            rows.append(run_sweep(config, [config.sigma_corr_um])[0][1:])
+    np.testing.assert_allclose(rows[1], rows[0], rtol=1e-12, atol=0.0)
+    assert rows[0] == pytest.approx((0.2903, 0.8862), abs=5e-5)
+
+
+def test_window_one_ulp_below_the_bound_runs_without_overflow():
+    # at grid_n = 24, far mode, the lattice's |x_j + x_l| reaches past a window of
+    # exactly MAX_WINDOW_UM, and its square overflowed
+    window = float(np.nextafter(MAX_WINDOW_UM, 0.0))
+    period = window / 2.5
+    config = ScenarioConfig(grid_n=24, window_um=window, grating_period_um=period,
+                            wavelength_nm=period * 1e2, blaze_wavelength_nm=period * 1e2,
+                            spot_diameter_um=window / 2.0, sigma_corr_um=window / 5.0,
+                            illumination="far", resolution_mrad=0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        values = [profile.values for profile in profiles_for(config)]
+        values.append(rate_map_for(config).values)
+    assert all(np.all(np.isfinite(v)) and v.max() > 0.0 for v in values)
+    with pytest.raises(ParameterError, match="window_um must be below sqrt"):
+        replace(config, window_um=MAX_WINDOW_UM)
 
 
 @pytest.mark.parametrize("grid_n", [512.0, True, np.float64(256)])
@@ -485,7 +552,7 @@ def test_cli_exit_codes(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
     assert main(["sweep", str(pinpoint), "9"]) == 2               # half the spot rounds to 0
     assert capsys.readouterr().err == (
-        "error: half the spot diameter must be positive, got 5e-324\n")
+        "error: spot_diameter_um is too small: half of it rounds to 0, got 5e-324\n")
     for text, key in [("window_um=1e-300\n", "window_um"),    # lengths that left the doubles
                       ("window_um=1e-150\n", "window_um"),
                       ("window_um=1e-299\ngrating_period_um=1e-300\n", "grating_period_um"),
