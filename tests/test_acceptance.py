@@ -26,8 +26,8 @@ from pairgrating import (ScenarioConfig, delta_correlated_profiles, fit_sigma,
 from pairgrating.biphoton import two_photon_amplitude
 from pairgrating.errors import SamplingWarning
 from pairgrating.lattice import angles_of, make_grid
-from pairgrating.propagation import (blur, coincidence_map, diagonal_profile, fourier_1d,
-                                     singles_profile, to_far_field)
+from pairgrating.propagation import (blur, coincidence_map, fourier_1d, singles_profile,
+                                     to_far_field)
 
 from conftest import BLUE_ORDER, PERIOD, RED_ORDER, WAVELENGTH, matched_deviation
 

@@ -108,20 +108,18 @@ def test_config_errors(tmp_path, monkeypatch, text, fragment):
     assert [entry.name for entry in tmp_path.iterdir()] == ["scenario.cfg"]
 
 
-# every length of the FAST config, sigma_corr_um among them; scaled by 1e153 the
-# window breaks MAX_WINDOW_UM (test_config_errors)
-FAST_LENGTHS = dict(window_um=300.0, wavelength_nm=780.0, blaze_wavelength_nm=500.0,
-                    grating_period_um=25.0, spot_diameter_um=29.0, sigma_corr_um=9.0)
-
-
 def test_sweep_is_scale_free_below_the_largest_window(tmp_path, monkeypatch):
+    # every length of the FAST config, sigma_corr_um among them; scaled by 1e153 the
+    # window reaches MAX_WINDOW_UM (test_config_errors)
+    lengths = dict(window_um=300.0, wavelength_nm=780.0, blaze_wavelength_nm=500.0,
+                   grating_period_um=25.0, spot_diameter_um=29.0, sigma_corr_um=9.0)
     monkeypatch.chdir(tmp_path)
     rows = []
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         for factor in (1.0, 1e150):
             config = ScenarioConfig(grid_n=256, **{key: value * factor
-                                                   for key, value in FAST_LENGTHS.items()})
+                                                   for key, value in lengths.items()})
             rows.append(run_sweep(config, [config.sigma_corr_um])[0][1:])
     np.testing.assert_allclose(rows[1], rows[0], rtol=1e-12, atol=0.0)
     assert rows[0] == pytest.approx((0.2903, 0.8862), abs=5e-5)
