@@ -42,10 +42,17 @@ def _unit_mass(values: np.ndarray, bin_width: float) -> np.ndarray:
     return values / total if total > 0.0 else values
 
 
-def _limit_profiles(grid: SpatialGrid, wavelength: float, diagonal, singles) -> LimitProfiles:
-    """Both profiles on the grid's angle lattice, each normalized to unit mass over it."""
+def _check_inputs(grid: SpatialGrid, wavelength: float) -> None:
+    """The oracles take a raw grid and wavelength, not a ScenarioConfig, so they check them."""
+    if not (grid.n >= 4 and grid.n % 2 == 0 and 0.0 < grid.window < np.inf):
+        raise ParameterError("grid must have an even n >= 4 and a positive finite window, "
+                             f"got {grid!r}")
     if not (wavelength > 0.0):
         raise ParameterError(f"wavelength must be positive, got {wavelength!r}")
+
+
+def _limit_profiles(grid: SpatialGrid, wavelength: float, diagonal, singles) -> LimitProfiles:
+    """Both profiles on the grid's angle lattice, each normalized to unit mass over it."""
     angles = angles_of(grid, wavelength)
     bin_width = float(angles[1] - angles[0])
     return LimitProfiles(RateProfile(angles, _unit_mass(diagonal, bin_width)),
@@ -58,6 +65,7 @@ def uncorrelated_profiles(amplitude, grid: SpatialGrid, wavelength: float) -> Li
     Both profiles are normalized to unit mass over the angle lattice, so
     the diagonal equals the squared singles up to one global scale.
     """
+    _check_inputs(grid, wavelength)
     power = np.abs(fourier_1d(np.asarray(amplitude, dtype=complex), grid)) ** 2
     return _limit_profiles(grid, wavelength, power ** 2, power)
 
@@ -70,6 +78,7 @@ def delta_correlated_profiles(amplitude, grid: SpatialGrid, wavelength: float) -
     carry energy outside the angular range and are set to zero.  The
     singles rate is constant.  Both are normalized to unit mass.
     """
+    _check_inputs(grid, wavelength)
     power = np.abs(fourier_1d(np.asarray(amplitude, dtype=complex) ** 2, grid)) ** 2
     doubled = 2 * np.arange(grid.n) - grid.n // 2
     diagonal = np.where((doubled >= 0) & (doubled < grid.n), power[doubled % grid.n], 0.0)

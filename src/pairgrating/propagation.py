@@ -127,11 +127,13 @@ def _snap_shift(angles: np.ndarray, separation: float) -> tuple[int, str]:
     The text is empty when the separation is already a whole number of bins.
     """
     bin_width = angles[1] - angles[0]
-    shift_exact = separation / bin_width
-    shift = int(round(shift_exact))
-    if abs(shift) >= angles.size:
+    # in Python floats, which give inf with no warning; |x| < n - 1/2 is |round(x)| < n
+    # for even n
+    shift_exact = float(separation) / float(bin_width)
+    if not abs(shift_exact) < angles.size - 0.5:
         raise ParameterError(
             f"detector separation {separation:.6g} rad exceeds the angular window")
+    shift = round(shift_exact)
     if abs(shift_exact - shift) <= 1e-9:
         return shift, ""
     return shift, (f"detector separation {separation:.6g} rad is not a multiple of the "

@@ -142,12 +142,25 @@ class ScenarioConfig:
             if not length > 0.0:
                 raise ParameterError(
                     f"{name} is too small: {rule} rounds to 0, got {getattr(self, name)!r}")
+        # optics.blaze_phase's depth, in Python floats as it computes it: an inf depth
+        # makes A nan everywhere
+        if not np.isfinite(TWO_PI * (self.blaze_wavelength_um / self.wavelength_um)):
+            raise ParameterError(
+                f"blaze_wavelength_nm is too large for wavelength_nm = {self.wavelength_nm!r}: "
+                f"the phase depth 2*pi*blaze_wavelength_nm/wavelength_nm is not a finite "
+                f"double, got {self.blaze_wavelength_nm!r}")
         # (n/2)*dk, the magnitude of grid.k[0], in Python floats: they overflow to inf
         # with no warning
         if not np.isfinite(int(self.grid_n) // 2 * (TWO_PI / float(self.window_um))):
             raise ParameterError(
                 f"window_um is too small: the largest wavevector grid_n*pi/window_um is not "
                 f"a finite double, got {self.window_um!r}")
+        # the angle lattice's step: at 0, SupportPlan and the blur divide by it
+        if self.wavelength_um / self.window_um < np.finfo(float).tiny:
+            raise ParameterError(
+                f"window_um is too large for wavelength_nm = {self.wavelength_nm!r}: the angular "
+                f"step wavelength_nm*1e-3/window_um is below the normal doubles, got "
+                f"{self.window_um!r}")
         if self.window_um >= MAX_WINDOW_UM:
             raise ParameterError(
                 f"window_um must be below sqrt(max double) = {MAX_WINDOW_UM:.6g} um, got "

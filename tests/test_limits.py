@@ -6,6 +6,7 @@ import pytest
 from pairgrating import delta_correlated_profiles, uncorrelated_profiles
 from pairgrating.biphoton import two_photon_amplitude
 from pairgrating.errors import ParameterError, SamplingWarning
+from pairgrating.lattice import make_grid
 from pairgrating.propagation import (coincidence_map, diagonal_profile, fourier_1d,
                                      singles_profile, to_far_field)
 
@@ -40,6 +41,19 @@ def test_oracles_need_positive_wavelength(grid256, amp_spot100_256):
         for wavelength in (0.0, -1.0, float("nan")):
             with pytest.raises(ParameterError, match="wavelength must be positive"):
                 oracle(amp_spot100_256, grid256, wavelength)
+
+
+@pytest.mark.parametrize("n, window", [(5, 4.0), (0, 4.0), (2, 4.0), (8, 0.0), (8, -1.0),
+                                       (8, float("inf")), (8, float("nan"))])
+def test_oracles_check_the_grid(n, window):
+    # make_grid leaves its rules to ScenarioConfig; delta_correlated_profiles' index
+    # doubling is exact only for even n
+    grid = make_grid(n, window)
+    fragment = (r"grid must have an even n >= 4 and a positive finite window, "
+                rf"got SpatialGrid\(n={n}, window={window}\)")
+    for oracle in (uncorrelated_profiles, delta_correlated_profiles):
+        with pytest.raises(ParameterError, match=fragment):
+            oracle(np.ones(n, dtype=complex), grid, WAVELENGTH)
 
 
 def test_delta_profiles_structure(grid512, amp_spot100):

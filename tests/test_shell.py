@@ -95,6 +95,14 @@ def test_comments_and_blank_lines(tmp_path):
     ("grid_n=256\nwindow_um=3e155\nwavelength_nm=7.8e155\nblaze_wavelength_nm=5e155\n"
      "grating_period_um=2.5e154\nspot_diameter_um=2.9e154\nsigma_corr_um=9e153\n",
      r"window_um must be below sqrt\(max double\) = 1.34078e\+154 um, got 3e\+155"),
+    # 2*pi*blaze/wavelength overflows to inf, and the transmission would be nan everywhere
+    ("wavelength_nm=1e-300\nblaze_wavelength_nm=1e8\n",
+     r"blaze_wavelength_nm is too large for wavelength_nm = 1e-300: the phase depth"),
+    # wavelength/window rounds to 0: the angle lattice would be all zeros, and the blur
+    # and SupportPlan divided by its step
+    ("grid_n=64\nwavelength_nm=1e-297\ngrating_period_um=1e29\nwindow_um=1e30\n"
+     "spot_diameter_um=1e28\nresolution_mrad=0\n",
+     r"window_um is too large for wavelength_nm = 1e-297: the angular step"),
 ])
 def test_config_errors(tmp_path, monkeypatch, text, fragment):
     path = _config(tmp_path, text)
@@ -337,6 +345,21 @@ def test_simulate_checks_the_separation_before_the_pair(tmp_path, monkeypatch, c
     assert captured.out == ""
     assert captured.err == "error: detector separation 10 rad exceeds the angular window\n"
     assert not list(tmp_path.glob("far_*.csv"))
+
+
+def test_a_separation_past_the_doubles_in_bins_exits_2(tmp_path, monkeypatch, capsys):
+    # 1e297 rad over a 1.7e-16 rad bin is inf bins, which int() cannot round
+    path = _config(tmp_path, FAST + "wavelength_nm=1e-10\nresolution_mrad=0\n"
+                                    "detector_separation_mrad=1e300\n")
+    monkeypatch.chdir(tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for command in (["simulate", str(path)], ["sweep", str(path), "9"]):
+            capsys.readouterr()
+            assert main(command) == 2
+            assert capsys.readouterr().err == (
+                "error: detector separation 1e+297 rad exceeds the angular window\n")
+    assert [entry.name for entry in tmp_path.iterdir()] == ["scenario.cfg"]
 
 
 def test_simulate_warns_once_of_a_snapped_separation(tmp_path, monkeypatch):
