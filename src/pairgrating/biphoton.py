@@ -6,22 +6,15 @@ factor tying their transverse positions together.  two_photon_amplitude
 symmetrizes the product under exchange explicitly: for identical scalar
 amplitudes that changes only rounding, and it makes F equal F.T bitwise.
 
-The Gaussian weight is built in two steps.  pair_exponent computes what
-does not depend on the correlation width (the exponent numerator
--(x_j -+ x_l)**2); pair_weight applies one width (the check, the
-sampling warning and the exponential, with weights below about 1e-200
-set to 0).
-
-On m consecutive lattice positions the exponent depends only on
-x_j - x_l (near) or on x_j + x_l (far), so it takes 2m - 1 distinct
-values.  scenario.profiles_for keeps those (pair_exponent_line) across
-evaluations that differ only in the width, weighs them with pair_weight,
-and reads the m x m weight as a strided view of the 2m - 1 weights
-(pair_matrix).  Where the spacing is dyadic every position, difference
-and sum is exact, and the view equals pair_weight on pair_exponent bit
-for bit.  Elsewhere pair_exponent inherits the rounding of the
-positions, which differs from pair to pair, and the two weights differ
-by at most about 1e-14 of the peak weight 1.
+Both evaluators build the weight G = exp(-(x_j -+ x_l)**2/(2*sigma**2))
+one way.  On m consecutive lattice positions the exponent depends only
+on x_j - x_l (near) or x_j + x_l (far), so it takes 2m - 1 distinct
+values, each at its exact lattice offset (pair_exponent_line: the whole
+grid for two_photon_amplitude, the spot's support for
+scenario.profiles_for).  pair_weight applies one width (the sampling
+warning and the exponential, with weights below about 1e-200 set to 0),
+and pair_matrix reads the m x m weight as a strided view of the 2m - 1
+weights.  The callers check the width (scenario).
 """
 
 from __future__ import annotations
@@ -38,29 +31,8 @@ from .errors import ParameterError, SamplingWarning, warn_caller
 WEIGHT_LOG_FLOOR = -460.0
 
 
-def _check_width(sigma_corr: float) -> None:
-    if not np.isfinite(sigma_corr) or not (sigma_corr > 0.0):
-        raise ParameterError(
-            f"correlation width must be positive and finite, got {sigma_corr!r}")
-    sigma = float(sigma_corr)  # unlike np.float64, a float product overflows with no warning
-    if not (0.0 < 2.0 * (sigma * sigma) < np.inf):
-        raise ParameterError(f"correlation width {sigma_corr!r} um is out of range: "
-                             "2*sigma**2 is not a positive finite double")
-
-
-def pair_exponent(mode: str, x) -> np.ndarray:
-    """Read-only exponent numerator -(x_j - x_l)**2 (near) or -(x_j + x_l)**2 (far)."""
-    x = np.asarray(x, dtype=float)
-    exponent = x[:, None] - x[None, :] if mode == "near" else x[:, None] + x[None, :]
-    # in place, so that a full-grid call holds few n x n temporaries at once
-    np.square(exponent, out=exponent)
-    np.negative(exponent, out=exponent)
-    exponent.setflags(write=False)
-    return exponent
-
-
 def pair_exponent_line(mode: str, first: int, m: int, dx: float) -> np.ndarray:
-    """Read-only 2m - 1 values of pair_exponent(mode, x) on the positions x_j = (first + j)*dx.
+    """Read-only 2m - 1 exponent numerators -(x_j -+ x_l)**2 on the positions x_j = (first + j)*dx.
 
     Entry k is the exponent of the pairs with l - j = k - (m - 1) (near)
     or j + l = k (far): -((k - m + 1)*dx)**2 or -((2*first + k)*dx)**2,
@@ -97,15 +69,14 @@ def pair_matrix(line, mode: str) -> np.ndarray:
 def pair_weight(exponent, sigma_corr: float, dx: float) -> np.ndarray:
     """New array exp(exponent/(2*sigma_corr**2)), 0 where that is below exp(WEIGHT_LOG_FLOOR).
 
-    Checks and warns as two_photon_amplitude does.
+    2*sigma_corr**2 must be a positive finite double (the callers check
+    it); a width below half the grid spacing dx warns as
+    two_photon_amplitude does.
     """
-    _check_width(sigma_corr)
     with np.errstate(over="ignore"):  # a subnormal 2*sigma**2 sends far pairs to -inf: weight 0
         scaled = exponent / (2.0 * sigma_corr ** 2)
     scaled[scaled < WEIGHT_LOG_FLOOR] = -np.inf
-    # out of place: an in-place exp changes the order in which simulate's n x n
-    # arrays are allocated and freed, and raised its peak RSS by about 2 MB
-    weight = np.exp(scaled)
+    weight = np.exp(scaled, out=scaled)
     if sigma_corr < dx / 2.0:
         warn_caller(
             f"correlation width {sigma_corr:.4g} um is below half the grid "
@@ -115,31 +86,28 @@ def pair_weight(exponent, sigma_corr: float, dx: float) -> np.ndarray:
     return weight
 
 
-def two_photon_amplitude(amplitude, sigma_corr: float, mode: str, x,
-                         dx: float) -> np.ndarray:
-    """Joint amplitude F(x_j, x_l) = A(x_j)*A(x_l)*G(x_j, x_l) at positions x, unit square sum.
+def two_photon_amplitude(amplitude, sigma_corr: float, mode: str, grid) -> np.ndarray:
+    """Joint amplitude F(x_j, x_l) = A(x_j)*A(x_l)*G(x_j, x_l) on the grid, unit square sum.
 
     G = exp(-(x_j -+ x_l)**2/(2*sigma_corr**2)) correlates the positions
     in mode "near" (minus: the source plane is imaged onto the grating)
     and anti-correlates them in mode "far" (plus: the source's momentum
-    plane sits on the grating); sigma_corr must be positive and finite.
-    x is the whole grid or any subset of it outside which A vanishes
-    (the spot's support); F is then len(x) x len(x).  Normalization
-    happens here (sum(|F|**2)*dx**2 = 1) so downstream rates stay
-    comparable across correlation-width sweeps.  Widths below half the
-    grid spacing dx leave the weight matrix effectively diagonal, which
-    is the perfect-correlation limit; that is acceptable but flagged
-    with a SamplingWarning.
+    plane sits on the grating); 2*sigma_corr**2 must be a positive
+    finite double.  amplitude is A on the n points of the SpatialGrid
+    grid, and F is n x n.  Normalization happens here
+    (sum(|F|**2)*dx**2 = 1) so downstream rates stay comparable across
+    correlation-width sweeps.  Widths below half the grid spacing dx
+    leave the weight matrix effectively diagonal, which is the
+    perfect-correlation limit; that is acceptable but flagged with a
+    SamplingWarning.
     """
+    n, dx = grid.n, grid.dx
     a = np.asarray(amplitude, dtype=complex)
-    x = np.asarray(x, dtype=float)
     product = a[:, None] * a[None, :]
     product = product + product.T      # exchange symmetrization (module docstring)
     product *= 0.5
-    exponent = pair_exponent(mode, x)
-    # product and exponent live until the return: freed earlier, the FFT and the
-    # blur that follow fault in about 1,000 fresh pages each at n = 512
-    joint = product * pair_weight(exponent, sigma_corr, dx)
+    line = pair_exponent_line(mode, -(n // 2), n, dx)
+    joint = product * pair_matrix(pair_weight(line, sigma_corr, dx), mode)
     with np.errstate(over="ignore", invalid="ignore"):
         total = np.sum(np.abs(joint) ** 2) * dx ** 2
     if not np.isfinite(total):

@@ -127,12 +127,8 @@ def _snap_shift(angles: np.ndarray, separation: float) -> tuple[int, str]:
     The text is empty when the separation is already a whole number of bins.
     """
     bin_width = angles[1] - angles[0]
-    # in Python floats, which give inf with no warning; |x| < n - 1/2 is |round(x)| < n
-    # for even n
+    # under n - 1/2 bins (ScenarioConfig), which rounds to under n
     shift_exact = float(separation) / float(bin_width)
-    if not abs(shift_exact) < angles.size - 0.5:
-        raise ParameterError(
-            f"detector separation {separation:.6g} rad exceeds the angular window")
     shift = round(shift_exact)
     if abs(shift_exact - shift) <= 1e-9:
         return shift, ""
@@ -183,14 +179,6 @@ def _box_kernel(width: float, bin_width: float) -> np.ndarray:
     return weights / weights.sum()
 
 
-def _blur_kernel(width: float, angles: np.ndarray) -> np.ndarray:
-    """Top-hat kernel for `width` rad on the angle lattice, after checking it against the window."""
-    if width > (angles[-1] - angles[0]) / 2.0:
-        raise ParameterError(
-            f"blur width {width:.6g} rad exceeds half the angular window")
-    return _box_kernel(width, angles[1] - angles[0])
-
-
 def blur(obj, width: float):
     """Convolve a RateMap or RateProfile with a unit-sum top-hat of full width `width` rad.
 
@@ -199,7 +187,7 @@ def blur(obj, width: float):
     independently).  Total mass is conserved and contrast can only
     decrease.  Returns the same type as the input.
     """
-    kernel = _blur_kernel(width, obj.angles)
+    kernel = _box_kernel(width, obj.angles[1] - obj.angles[0])
     n, reach = obj.angles.size, kernel.size // 2
     # Circular convolution: the discrete far field is periodic, and wrapping
     # conserves total mass exactly for a unit-sum kernel.  Taking row i of the
@@ -217,8 +205,9 @@ class SupportPlan:
 
     amplitude is A on the whole lattice, shape (n,); the support S is the
     slice support, m samples from the first to the last where |A|
-    exceeds SUPPORT_FLOOR times its peak.  width and separation are
-    checked as by blur and diagonal_profile.  The first-detector rows
+    exceeds SUPPORT_FLOOR times its peak.  width is at most half the
+    angular window and separation under n - 1/2 bins (ScenarioConfig's
+    rules).  The first-detector rows
     run over span = (lo, hi) in rad, or None for the whole lattice, one
     bin wider each side, clipped.  Called with a real m x m weight g on
     S, the plan returns those rows of diagonal_profile(blur(R, width),
@@ -244,7 +233,7 @@ class SupportPlan:
         step = wavelength / grid.window
         first = int(np.clip(np.floor(lo / step) + (n // 2 - 1), 0, n - 1))
         last = int(np.clip(np.ceil(hi / step) + (n // 2 + 1), first, n - 1))
-        kernel = _blur_kernel(width, angles)
+        kernel = _box_kernel(width, angles[1] - angles[0])
         shift, self._notice = _snap_shift(angles, separation)
         reach = kernel.size // 2
         # the diagonal keeps the rows whose partner row + shift is on the lattice

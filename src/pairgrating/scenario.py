@@ -1,26 +1,28 @@
-"""Scenario configuration and the forward chain from config to rate profiles.
+"""Scenario configuration, its checks, and the forward chain from config to rate profiles.
 
 A scenario bundles every knob of one simulated experiment.  The
 defaults reproduce the reference setup used throughout: 780 nm photons,
 25 um grating period blazed for 500 nm, 29 um spot imaged from the pair
 source (near mode), 10 mrad detector resolution, 512 samples over a
-600 um window.
+600 um window.  ScenarioConfig checks every rule the chain relies on,
+each in Python floats as the stage computes it, and profiles_for checks
+its sigma_um; the stages trust both.
 
 Two evaluators share the grid, the transmission A and the Gaussian pair
-weight (biphoton.pair_weight, on pair_exponent's m x m values for the
-one and pair_exponent_line's 2m - 1 for the other).  rate_map_for runs the
-full chain on the n x n grid (pair amplitude, 2D FFT, |F|**2, 2D blur)
-for the map that simulate writes, and stays the independent FFT
-reference.  profiles_for, which every fit and sweep evaluation calls,
-hands A to a propagation.SupportPlan, which finds the spot's support S
-(155 samples at the default 29 um spot and 1.17 um spacing, whatever n
-is) and the first-detector rows K that cover the span, and works on
-them: one real product of U = W_{K,S} diag(A_S sqrt(dx)) with the m x m
-weight, no FFT.
+weight: biphoton.pair_weight on the 2m - 1 distinct exponents
+-(x_j -+ x_l)**2 of m consecutive positions (pair_exponent_line),
+spread over the m x m pairs as a strided view (pair_matrix).
+rate_map_for runs the full chain on the n x n grid (pair amplitude on
+m = n positions, 2D FFT, |F|**2, 2D blur) for the map that simulate
+writes, and stays the independent FFT reference.  profiles_for, which
+every fit and sweep evaluation calls, hands A to a
+propagation.SupportPlan, which finds the spot's support S (155 samples
+at the default 29 um spot and 1.17 um spacing, whatever n is) and the
+first-detector rows K that cover the span, and works on them: one real
+product of U = W_{K,S} diag(A_S sqrt(dx)) with the m x m weight on S.
 
 The plan holds what does not depend on the width: the SupportPlan and
-the 2m - 1 distinct values of the exponent -(x_j -+ x_l)**2 on its
-support (biphoton.pair_exponent_line).  It is kept in a one-entry cache
+the 2m - 1 exponents on its support.  It is kept in a one-entry cache
 keyed on the values of the nine optics fields it reads (every config
 field except sigma_corr_um, angle_offset_mrad and output_prefix) and on
 the span, so the evaluations of a fit or a sweep share it, and a call
@@ -28,11 +30,9 @@ builds no config unless it builds the plan.  It holds
 8*(2m - 1) + 16*m*(|K| + 4t + 1) + 8*(2t + 1)*(4t + 1) bytes plus
 O(m + |K|): 0.29 MiB for a fit's +-60 mrad at the default spot and
 n = 512, 5.1 MiB for the whole lattice at n = 2048.  A plan over
-MAX_KEPT_PLAN_BYTES serves only the call that built it.  The apply step
-is biphoton.pair_weight on the 2m - 1 values for the width, spread over
-the m x m pairs as a strided view (biphoton.pair_matrix), then the
-plan's call for the channel asked for: a fit computes only its scan's
-cut, a sweep both.
+MAX_KEPT_PLAN_BYTES serves only the call that built it.  Each call
+weighs the exponents for its width, then runs the plan for the channel
+asked for: a fit computes only its scan's cut, a sweep both.
 """
 
 from __future__ import annotations
@@ -47,8 +47,8 @@ from .biphoton import pair_exponent_line, pair_matrix, pair_weight, two_photon_a
 from .errors import ParameterError, read_lines, read_number
 from .lattice import TWO_PI, SpatialGrid, angles_of, make_grid
 from .optics import transmission
-from .propagation import (RateMap, RateProfile, SupportPlan, _blur_kernel, _cut_angles,
-                          _snap_shift, blur, coincidence_map, to_far_field)
+from .propagation import (RateMap, RateProfile, SupportPlan, _cut_angles, _snap_shift, blur,
+                          coincidence_map, to_far_field)
 
 # The full-map chain holds several n x n complex128 arrays at once.
 MAX_GRID_N = 4096
@@ -75,6 +75,16 @@ _plan_key = attrgetter(*_PLAN_FIELDS)
 _READERS = {"float": (float, "a number"), "int": (int, "an integer"), "str": (str, "text")}
 
 
+def _check_width(value, name: str) -> float:
+    """value as a float, if it is positive and 2*value**2 is a positive finite double."""
+    sigma = float(value)
+    # in Python floats, which overflow to inf and underflow to 0 with no warning
+    if not (sigma > 0.0 and 0.0 < 2.0 * (sigma * sigma) < np.inf):
+        raise ParameterError(
+            f"{name} must be positive with 2*{name}**2 a positive finite double, got {sigma!r}")
+    return sigma
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Full forward-model configuration plus the CLI output prefix."""
@@ -94,7 +104,7 @@ class ScenarioConfig:
 
     def __post_init__(self):
         for name in ("wavelength_nm", "grating_period_um", "blaze_wavelength_nm",
-                     "spot_diameter_um", "sigma_corr_um", "window_um"):
+                     "spot_diameter_um", "window_um"):
             value = getattr(self, name)
             if not np.isfinite(value) or value <= 0.0:
                 raise ParameterError(f"{name} must be positive, got {value!r}")
@@ -149,9 +159,10 @@ class ScenarioConfig:
                 f"blaze_wavelength_nm is too large for wavelength_nm = {self.wavelength_nm!r}: "
                 f"the phase depth 2*pi*blaze_wavelength_nm/wavelength_nm is not a finite "
                 f"double, got {self.blaze_wavelength_nm!r}")
-        # (n/2)*dk, the magnitude of grid.k[0], in Python floats: they overflow to inf
-        # with no warning
-        if not np.isfinite(int(self.grid_n) // 2 * (TWO_PI / float(self.window_um))):
+        # the lattice in Python floats, which overflow to inf with no warning, as lattice
+        # computes it: (n/2)*dk is the magnitude of grid.k[0]
+        n, dk = int(self.grid_n), TWO_PI / float(self.window_um)
+        if not np.isfinite(n // 2 * dk):
             raise ParameterError(
                 f"window_um is too small: the largest wavevector grid_n*pi/window_um is not "
                 f"a finite double, got {self.window_um!r}")
@@ -165,6 +176,19 @@ class ScenarioConfig:
             raise ParameterError(
                 f"window_um must be below sqrt(max double) = {MAX_WINDOW_UM:.6g} um, got "
                 f"{self.window_um!r}: the pair exponent (x_j -+ x_l)**2 leaves the doubles")
+        _check_width(self.sigma_corr_um, "sigma_corr_um")
+        # angles_of's first, second and last angles
+        scale = float(self.wavelength_um) / TWO_PI
+        first, second, last = (((j - n // 2) * dk) * scale for j in (0, 1, n - 1))
+        if float(self.resolution_mrad) * 1e-3 > (last - first) / 2.0:
+            raise ParameterError(
+                f"resolution_mrad must be at most half the angular window, "
+                f"{(last - first) * 500.0:.6g} mrad, got {self.resolution_mrad!r}")
+        # in bins, as propagation._snap_shift divides: under n - 1/2 rounds to under n
+        if not abs(float(self.detector_separation_mrad) * 1e-3 / (second - first)) < n - 0.5:
+            raise ParameterError(
+                f"detector_separation_mrad must be under grid_n - 1/2 = {n - 0.5:g} angle bins "
+                f"of {(second - first) * 1e3:.6g} mrad, got {self.detector_separation_mrad!r}")
 
     @property
     def wavelength_um(self) -> float:
@@ -223,12 +247,8 @@ def transmission_for(config: ScenarioConfig, grid: SpatialGrid) -> np.ndarray:
 def rate_map_for(config: ScenarioConfig) -> RateMap:
     """Run the full forward chain on the n x n grid at config.sigma_corr_um."""
     grid = grid_for(config)
-    # the plan's checks, before the pair is built; diagonal_profile warns of a snap
-    angles = angles_of(grid, config.wavelength_um)
-    _blur_kernel(config.resolution_mrad * 1e-3, angles)
-    _snap_shift(angles, config.detector_separation_mrad * 1e-3)
     amp = transmission_for(config, grid)
-    pair = two_photon_amplitude(amp, config.sigma_corr_um, config.illumination, grid.x, grid.dx)
+    pair = two_photon_amplitude(amp, config.sigma_corr_um, config.illumination, grid)
     rmap = coincidence_map(to_far_field(pair, grid), grid, config.wavelength_um)
     return blur(rmap, config.resolution_mrad * 1e-3)
 
@@ -262,11 +282,11 @@ def profiles_for(config: ScenarioConfig, sigma_um: float | None = None,
     None in place of the other; None computes both.  A cut is the same,
     bit for bit, whichever channel asked for it.
     """
+    sigma = config.sigma_corr_um if sigma_um is None else _check_width(sigma_um, "sigma_um")
     line, dx, cuts = _support_plan(_plan_key(config),
                                    None if span is None else tuple(map(float, span)))
     if line.nbytes + cuts.nbytes > MAX_KEPT_PLAN_BYTES:
         _support_plan.cache_clear()
-    sigma = config.sigma_corr_um if sigma_um is None else float(sigma_um)
     weight = pair_matrix(pair_weight(line, sigma, dx), config.illumination)
     return cuts(weight, channel)
 

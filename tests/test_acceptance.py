@@ -280,7 +280,7 @@ def test_criterion_8_transform_correctness():
     config = ScenarioConfig(spot_diameter_um=100.0, resolution_mrad=0.0)
     from pairgrating.scenario import transmission_for
     amp = transmission_for(config, grid512)
-    far512 = to_far_field(two_photon_amplitude(amp, 9.0, "near", grid512.x, grid512.dx),
+    far512 = to_far_field(two_photon_amplitude(amp, 9.0, "near", grid512),
                           grid512)
     parseval = abs(np.sum(np.abs(far512) ** 2) * grid512.dk ** 2 - 1.0)
     rate_map = coincidence_map(far512, grid512, WAVELENGTH)

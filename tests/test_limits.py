@@ -16,7 +16,7 @@ from conftest import BLUE_ORDER, RED_ORDER, WAVELENGTH, matched_deviation
 def _pipeline_profiles(amp, grid, sigma, mode="near"):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", SamplingWarning)
-        f = two_photon_amplitude(amp, sigma, mode, grid.x, grid.dx)
+        f = two_photon_amplitude(amp, sigma, mode, grid)
     rate_map = coincidence_map(to_far_field(f, grid), grid, WAVELENGTH)
     return diagonal_profile(rate_map), singles_profile(rate_map)
 

@@ -103,6 +103,16 @@ def test_comments_and_blank_lines(tmp_path):
     ("grid_n=64\nwavelength_nm=1e-297\ngrating_period_um=1e29\nwindow_um=1e30\n"
      "spot_diameter_um=1e28\nresolution_mrad=0\n",
      r"window_um is too large for wavelength_nm = 1e-297: the angular step"),
+    # the rules the chain's stages relied on, named by key: 2*sigma**2 leaves the
+    # doubles, the blur passes half the window, the separation reaches n - 1/2 bins
+    # (the test_simulate_checks_* tests hold the CLI's whole message)
+    ("sigma_corr_um=1e200\n", r"sigma_corr_um must be positive with 2\*sigma_corr_um\*\*2 a "
+                              r"positive finite double, got 1e\+200"),
+    ("sigma_corr_um=1e-170\n", r"2\*sigma_corr_um\*\*2 a positive finite double, got 1e-170"),
+    ("resolution_mrad=700\n",
+     r"resolution_mrad must be at most half the angular window, 332.15 mrad, got 700.0"),
+    ("detector_separation_mrad=665\n",                                       # 511.54 bins
+     r"detector_separation_mrad must be under grid_n - 1/2 = 511.5 angle bins of 1.3 mrad"),
 ])
 def test_config_errors(tmp_path, monkeypatch, text, fragment):
     path = _config(tmp_path, text)
@@ -317,8 +327,8 @@ def test_sweep_reads_a_half_bin_order_as_the_whole_lattice(tmp_path, monkeypatch
 
 
 def test_simulate_checks_the_blur_before_the_pair(tmp_path, monkeypatch, capsys):
-    # at these lengths |A|**2 ~ 1/dx overflows when squared; simulate checks
-    # the blur width first and fails as sweep does, with no numpy warning
+    # at these lengths |A|**2 ~ 1/dx overflows when squared; the config rejects
+    # the blur width first, for simulate as for sweep, with no numpy warning
     monkeypatch.chdir(tmp_path)
     extreme = _config(tmp_path, "grid_n=256\nwavelength_nm=1e-300\ngrating_period_um=1e-299\n"
                                 "window_um=1e-298\noutput_prefix=extreme\n")
@@ -327,7 +337,8 @@ def test_simulate_checks_the_blur_before_the_pair(tmp_path, monkeypatch, capsys)
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: blur width 0.01 rad exceeds half the angular window\n"
+        assert captured.err == ("error: resolution_mrad must be at most half the angular "
+                                "window, 1.275 mrad, got 10.0\n")
     assert not list(tmp_path.glob("extreme_*.csv"))
 
 
@@ -343,7 +354,8 @@ def test_simulate_checks_the_separation_before_the_pair(tmp_path, monkeypatch, c
     assert main(["simulate", str(far)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: detector separation 10 rad exceeds the angular window\n"
+    assert captured.err == ("error: detector_separation_mrad must be under grid_n - 1/2 = "
+                            "255.5 angle bins of 2.6 mrad, got 10000.0\n")
     assert not list(tmp_path.glob("far_*.csv"))
 
 
@@ -358,7 +370,8 @@ def test_a_separation_past_the_doubles_in_bins_exits_2(tmp_path, monkeypatch, ca
             capsys.readouterr()
             assert main(command) == 2
             assert capsys.readouterr().err == (
-                "error: detector separation 1e+297 rad exceeds the angular window\n")
+                "error: detector_separation_mrad must be under grid_n - 1/2 = 255.5 angle "
+                "bins of 3.33333e-13 mrad, got 1e+300\n")
     assert [entry.name for entry in tmp_path.iterdir()] == ["scenario.cfg"]
 
 
@@ -531,7 +544,8 @@ def test_cli_exit_codes(tmp_path, monkeypatch, capsys):
     assert main(["sweep", str(cfg), "1,-3"]) == 2                 # the second width is bad
     captured = capsys.readouterr()
     assert captured.out == ""                                     # not even the first row
-    assert captured.err == "error: correlation width must be positive and finite, got -3.0\n"
+    assert captured.err == ("error: sigma_um must be positive with 2*sigma_um**2 a positive "
+                            "finite double, got -3.0\n")
     assert not (tmp_path / "out_sweep.csv").exists()
     assert main(["sweep", str(cfg), ","]) == 2                    # no widths
 
@@ -563,12 +577,9 @@ def test_cli_exit_codes(tmp_path, monkeypatch, capsys):
         assert main(["sweep", str(cfg), widths]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == (f"error: correlation width {float(widths[2:])!r} um is out of "
-                                "range: 2*sigma**2 is not a positive finite double\n")
+        assert captured.err == ("error: sigma_um must be positive with 2*sigma_um**2 a "
+                                f"positive finite double, got {float(widths[2:])!r}\n")
         assert not (tmp_path / "out_sweep.csv").exists()
-    huge = _config(tmp_path, FAST + "sigma_corr_um=1e200\noutput_prefix=huge\n", name="huge.cfg")
-    assert main(["simulate", str(huge)]) == 2
-    assert not list(tmp_path.glob("huge_*.csv"))
     pinpoint = _config(tmp_path, FAST + "spot_diameter_um=5e-324\n", name="pinpoint.cfg")
     capsys.readouterr()
     assert main(["sweep", str(pinpoint), "9"]) == 2               # half the spot rounds to 0
