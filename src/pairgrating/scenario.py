@@ -4,9 +4,9 @@ A scenario bundles every knob of one simulated experiment.  The
 defaults reproduce the reference setup used throughout: 780 nm photons,
 25 um grating period blazed for 500 nm, 29 um spot imaged from the pair
 source (near mode), 10 mrad detector resolution, 512 samples over a
-600 um window.  ScenarioConfig checks every rule the chain relies on,
-each in Python floats as the stage computes it, and profiles_for checks
-its sigma_um; the stages trust both.
+600 um window.  ScenarioConfig checks every field and every rule the
+chain relies on, each in Python floats as the stage computes it, and
+profiles_for checks its sigma_um and span; the stages trust both.
 
 Two evaluators share the grid, the transmission A and the Gaussian pair
 weight: biphoton.pair_weight on the 2m - 1 distinct exponents
@@ -37,6 +37,8 @@ asked for: a fit computes only its scan's cut, a sweep both.
 
 from __future__ import annotations
 
+import numbers
+from contextlib import suppress
 from dataclasses import dataclass, fields
 from functools import lru_cache
 from operator import attrgetter
@@ -70,14 +72,24 @@ _PLAN_FIELDS = ("wavelength_nm", "grating_period_um", "blaze_wavelength_nm", "sp
                 "window_um")
 _plan_key = attrgetter(*_PLAN_FIELDS)
 
-# How parse_config reads a value for each field annotation of ScenarioConfig,
-# and what a value that fails to read must be.
-_READERS = {"float": (float, "a number"), "int": (int, "an integer"), "str": (str, "text")}
+# For each field annotation of ScenarioConfig: how parse_config reads a value and the
+# config stores it, the type the config takes, and what a value that fails must be.
+_READERS = {"float": (float, numbers.Real, "a number"), "int": (int, numbers.Integral, "an integer"),
+            "str": (str, str, "text")}
+
+
+def _typed(value, kind: str, name: str):
+    """value as the Python type of the annotation kind; a bool or an int past the doubles is not."""
+    read, accepted, expected = _READERS[kind]
+    if isinstance(value, accepted) and not isinstance(value, bool):
+        with suppress(OverflowError):
+            return read(value)
+    raise ParameterError(f"{name} must be {expected}, got {value!r}")
 
 
 def _check_width(value, name: str) -> float:
     """value as a float, if it is positive and 2*value**2 is a positive finite double."""
-    sigma = float(value)
+    sigma = _typed(value, "float", name)
     # in Python floats, which overflow to inf and underflow to 0 with no warning
     if not (sigma > 0.0 and 0.0 < 2.0 * (sigma * sigma) < np.inf):
         raise ParameterError(
@@ -103,6 +115,8 @@ class ScenarioConfig:
     output_prefix: str = "out"
 
     def __post_init__(self):
+        for f in fields(self):
+            object.__setattr__(self, f.name, _typed(getattr(self, f.name), f.type, f.name))
         for name in ("wavelength_nm", "grating_period_um", "blaze_wavelength_nm",
                      "spot_diameter_um", "window_um"):
             value = getattr(self, name)
@@ -121,8 +135,6 @@ class ScenarioConfig:
         if self.illumination not in ("near", "far"):
             raise ParameterError(
                 f"illumination must be 'near' or 'far', got {self.illumination!r}")
-        if isinstance(self.grid_n, bool) or not isinstance(self.grid_n, (int, np.integer)):
-            raise ParameterError(f"grid_n must be an integer, got {self.grid_n!r}")
         if self.grid_n < 4 or self.grid_n % 2 != 0:
             raise ParameterError(f"grid_n must be even and >= 4, got {self.grid_n}")
         if self.grid_n > MAX_GRID_N:
@@ -161,7 +173,7 @@ class ScenarioConfig:
                 f"double, got {self.blaze_wavelength_nm!r}")
         # the lattice in Python floats, which overflow to inf with no warning, as lattice
         # computes it: (n/2)*dk is the magnitude of grid.k[0]
-        n, dk = int(self.grid_n), TWO_PI / float(self.window_um)
+        n, dk = self.grid_n, TWO_PI / self.window_um
         if not np.isfinite(n // 2 * dk):
             raise ParameterError(
                 f"window_um is too small: the largest wavevector grid_n*pi/window_um is not "
@@ -178,14 +190,14 @@ class ScenarioConfig:
                 f"{self.window_um!r}: the pair exponent (x_j -+ x_l)**2 leaves the doubles")
         _check_width(self.sigma_corr_um, "sigma_corr_um")
         # angles_of's first, second and last angles
-        scale = float(self.wavelength_um) / TWO_PI
+        scale = self.wavelength_um / TWO_PI
         first, second, last = (((j - n // 2) * dk) * scale for j in (0, 1, n - 1))
-        if float(self.resolution_mrad) * 1e-3 > (last - first) / 2.0:
+        if self.resolution_mrad * 1e-3 > (last - first) / 2.0:
             raise ParameterError(
                 f"resolution_mrad must be at most half the angular window, "
                 f"{(last - first) * 500.0:.6g} mrad, got {self.resolution_mrad!r}")
         # in bins, as propagation._snap_shift divides: under n - 1/2 rounds to under n
-        if not abs(float(self.detector_separation_mrad) * 1e-3 / (second - first)) < n - 0.5:
+        if not abs(self.detector_separation_mrad * 1e-3 / (second - first)) < n - 0.5:
             raise ParameterError(
                 f"detector_separation_mrad must be under grid_n - 1/2 = {n - 0.5:g} angle bins "
                 f"of {(second - first) * 1e3:.6g} mrad, got {self.detector_separation_mrad!r}")
@@ -225,7 +237,7 @@ def parse_config(path) -> ScenarioConfig:
             raise ParameterError(
                 f"{path}: line {line_no}: key {key!r} repeats the one on line {key_lines[key]}")
         key_lines[key] = line_no
-        read, expected = _READERS[kinds[key]]
+        read, _, expected = _READERS[kinds[key]]
         try:
             values[key] = text if read is str else read_number(text, read)
         except ValueError:
@@ -283,8 +295,13 @@ def profiles_for(config: ScenarioConfig, sigma_um: float | None = None,
     bit for bit, whichever channel asked for it.
     """
     sigma = config.sigma_corr_um if sigma_um is None else _check_width(sigma_um, "sigma_um")
-    line, dx, cuts = _support_plan(_plan_key(config),
-                                   None if span is None else tuple(map(float, span)))
+    if span is not None:
+        try:
+            lo, hi = span
+        except (TypeError, ValueError):
+            raise ParameterError(f"span must be two angles lo <= hi in rad, got {span!r}") from None
+        span = (_typed(lo, "float", "span"), _typed(hi, "float", "span"))
+    line, dx, cuts = _support_plan(_plan_key(config), span)
     if line.nbytes + cuts.nbytes > MAX_KEPT_PLAN_BYTES:
         _support_plan.cache_clear()
     weight = pair_matrix(pair_weight(line, sigma, dx), config.illumination)

@@ -1,11 +1,16 @@
-"""The package's public names, and a lint of its modules' imports (stdlib ast only)."""
+"""The package's public names, a lint of its modules' imports and a check of the
+README's signatures (stdlib ast, inspect and re only)."""
 
 import ast
+import importlib
+import inspect
+import re
 from pathlib import Path
 
 import pairgrating
 
 SOURCE_DIR = Path(__file__).resolve().parents[1] / "src" / "pairgrating"
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 # The boundary: the config, the evaluators, the scan reader and fit, the summary
 # metrics and the closed-form oracles.  The stage modules (lattice, optics,
@@ -50,3 +55,51 @@ def test_unused_import_lint_finds_dead_imports():
               "from .errors import ParameterError, warn_caller\n\n"
               "def f(x: np.ndarray):\n    warn_caller(x)\n")
     assert unused_imports(source) == ["line 2: os", "line 4: ParameterError"]
+
+
+def layout_signatures(readme: str) -> list[tuple[str, str, list[str]]]:
+    """(module, name, parameters) for each `name(args)` code span in the library-layout table.
+
+    A span may go on past the call, as `SupportPlan(...)(weight, channel)`
+    does; a dotted name, such as `dataclasses.replace(...)`, is not one of
+    the row's module.
+    """
+    table = readme.split("## Library layout", 1)[1].split("\n\n| module")[1].split("\n\n")[0]
+    calls = []
+    for row in table.splitlines()[2:]:
+        module = re.match(r"\| `(\w+)`", row).group(1)
+        for name, args in re.findall(r"`(\w+)\(([\w, ]*)\)", row):
+            calls.append((module, name, [arg.strip() for arg in args.split(",") if arg.strip()]))
+    return calls
+
+
+def stale_signatures(readme: str) -> list[str]:
+    """'module.name: README [...], code [...]' for each layout signature the code does not have.
+
+    The code is None where the module defines no such function (it may import one).
+    """
+    stale = []
+    for module, name, params in layout_signatures(readme):
+        function = getattr(importlib.import_module(f"pairgrating.{module}"), name, None)
+        defined = getattr(function, "__module__", None) == f"pairgrating.{module}"
+        actual = list(inspect.signature(function).parameters) if defined else None
+        if actual != params:
+            stale.append(f"{module}.{name}: README {params}, code {actual}")
+    return stale
+
+
+def test_readme_layout_signatures_are_the_functions():
+    readme = README.read_text(encoding="utf-8")
+    assert len(layout_signatures(readme)) >= 15
+    assert stale_signatures(readme) == []
+
+
+def test_readme_layout_check_finds_stale_signatures():
+    readme = ("## Library layout\n\n| module | contents |\n|---|---|\n"
+              "| `lattice` (internal) | `make_grid(n, window)`, `angles_of(grid)` |\n"
+              "| `scenario` | `rate_map_for(config)`, `dataclasses.replace(config, x=1)`, "
+              "`pair_weight(exponent)` |\n\nMore text, `angles_of(x)`.\n")
+    assert len(layout_signatures(readme)) == 4
+    assert stale_signatures(readme) == [
+        "lattice.angles_of: README ['grid'], code ['grid', 'wavelength']",
+        "scenario.pair_weight: README ['exponent'], code None"]

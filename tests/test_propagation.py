@@ -419,7 +419,8 @@ def test_profiles_for_span_past_the_diagonal_gives_no_rows():
         assert diagonal.angles.size == diagonal.values.size == 0
 
 
-@pytest.mark.parametrize("span", [(0.1, -0.1), (float("nan"), 0.1)])
+@pytest.mark.parametrize("span", [(0.1, -0.1), (float("nan"), 0.1), (0.01,), 0.01,
+                                  (0.01, 0.02, 0.03)])
 def test_profiles_for_rejects_a_reversed_span(span):
     with pytest.raises(ParameterError, match="span must be two angles lo <= hi"):
         profiles_for(ScenarioConfig(grid_n=256, window_um=300.0), span=span)
@@ -728,7 +729,7 @@ def test_profiles_for_peak_memory_is_below_four_support_arrays():
     assert peak < 4 * config.grid_n * (support.stop - support.start) * 16
 
 
-@pytest.mark.parametrize("sigma", [0.0, -1.0, float("nan"), float("inf")])
+@pytest.mark.parametrize("sigma", [0.0, -1.0, float("nan"), float("inf"), "abc", True])
 @pytest.mark.parametrize("forward", [profiles_for])
 def test_forward_chain_rejects_bad_sigma_override(forward, sigma):
     # checked before the pair amplitude is built, so no SamplingWarning comes first

@@ -167,6 +167,35 @@ def test_grid_n_must_be_an_integer(grid_n):
         ScenarioConfig(grid_n=grid_n)
 
 
+@pytest.mark.parametrize("keys,fragment", [
+    (dict(wavelength_nm="780"), "wavelength_nm must be a number, got '780'"),
+    (dict(resolution_mrad=None), "resolution_mrad must be a number, got None"),
+    (dict(sigma_corr_um=True), "sigma_corr_um must be a number, got True"),
+    (dict(window_um=np.bool_(True)), "window_um must be a number"),
+    (dict(spot_diameter_um=np.array(29.0)), "spot_diameter_um must be a number"),
+    (dict(angle_offset_mrad=10 ** 400), "angle_offset_mrad must be a number"),  # past the doubles
+    (dict(output_prefix=5), "output_prefix must be text, got 5"),
+    (dict(illumination=None), "illumination must be text, got None"),
+])
+def test_config_fields_must_have_their_types(keys, fragment):
+    # parse_config reads every value by its field's type; a config built in Python
+    # is held to the same types, and no value reaches numpy's checks first
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParameterError, match=fragment):
+            ScenarioConfig(**keys)
+
+
+def test_config_stores_numbers_as_python_floats():
+    # np.float32 would overflow in the comparison with MAX_WINDOW_UM and carry
+    # float32 into the chain
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        config = ScenarioConfig(window_um=np.float32(600.3), grid_n=np.int64(512))
+    assert config == ScenarioConfig(window_um=float(np.float32(600.3)))
+    assert type(config.window_um) is float and type(config.grid_n) is int
+
+
 def test_grid_n_accepts_numpy_integers():
     assert ScenarioConfig(grid_n=np.int64(256), window_um=300.0).grid_n == 256
 
