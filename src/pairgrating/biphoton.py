@@ -22,6 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ParameterError, SamplingWarning, warn_caller
+from .lattice import SpatialGrid
 
 # pair_weight sets weights below exp(WEIGHT_LOG_FLOOR) ~ 1e-200 to exactly 0.  No
 # output can tell: a weight under 1e-154 squares to 0 in the norm sum(|F|**2), and
@@ -86,20 +87,20 @@ def pair_weight(exponent, sigma_corr: float, dx: float) -> np.ndarray:
     return weight
 
 
-def two_photon_amplitude(amplitude, sigma_corr: float, mode: str, grid) -> np.ndarray:
+def two_photon_amplitude(amplitude, sigma_corr: float, mode: str,
+                         grid: SpatialGrid) -> np.ndarray:
     """Joint amplitude F(x_j, x_l) = A(x_j)*A(x_l)*G(x_j, x_l) on the grid, unit square sum.
 
     G = exp(-(x_j -+ x_l)**2/(2*sigma_corr**2)) correlates the positions
     in mode "near" (minus: the source plane is imaged onto the grating)
     and anti-correlates them in mode "far" (plus: the source's momentum
     plane sits on the grating); 2*sigma_corr**2 must be a positive
-    finite double.  amplitude is A on the n points of the SpatialGrid
-    grid, and F is n x n.  Normalization happens here
-    (sum(|F|**2)*dx**2 = 1) so downstream rates stay comparable across
-    correlation-width sweeps.  Widths below half the grid spacing dx
-    leave the weight matrix effectively diagonal, which is the
-    perfect-correlation limit; that is acceptable but flagged with a
-    SamplingWarning.
+    finite double.  amplitude is A on the n points of grid, and F is
+    n x n.  Normalization happens here (sum(|F|**2)*dx**2 = 1) so
+    downstream rates stay comparable across correlation-width sweeps.
+    Widths below half the grid spacing dx leave the weight matrix
+    effectively diagonal, which is the perfect-correlation limit; that
+    is acceptable but flagged with a SamplingWarning.
     """
     n, dx = grid.n, grid.dx
     a = np.asarray(amplitude, dtype=complex)

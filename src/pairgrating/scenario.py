@@ -38,7 +38,6 @@ asked for: a fit computes only its scan's cut, a sweep both.
 from __future__ import annotations
 
 import numbers
-from contextlib import suppress
 from dataclasses import dataclass, fields
 from functools import lru_cache
 from operator import attrgetter
@@ -79,11 +78,13 @@ _READERS = {"float": (float, numbers.Real, "a number"), "int": (int, numbers.Int
 
 
 def _typed(value, kind: str, name: str):
-    """value as the Python type of the annotation kind; a bool or an int past the doubles is not."""
+    """value as the Python type of the annotation kind, of which a bool is not one."""
     read, accepted, expected = _READERS[kind]
     if isinstance(value, accepted) and not isinstance(value, bool):
-        with suppress(OverflowError):
+        try:
             return read(value)
+        except OverflowError:  # an int past the doubles, too long to print
+            raise ParameterError(f"{name} must be {expected} within the doubles") from None
     raise ParameterError(f"{name} must be {expected}, got {value!r}")
 
 
@@ -171,8 +172,8 @@ class ScenarioConfig:
                 f"blaze_wavelength_nm is too large for wavelength_nm = {self.wavelength_nm!r}: "
                 f"the phase depth 2*pi*blaze_wavelength_nm/wavelength_nm is not a finite "
                 f"double, got {self.blaze_wavelength_nm!r}")
-        # the lattice in Python floats, which overflow to inf with no warning, as lattice
-        # computes it: (n/2)*dk is the magnitude of grid.k[0]
+        # (n/2)*dk, the magnitude of grid.k[0], as lattice computes it but in Python
+        # floats, which overflow to inf with no warning
         n, dk = self.grid_n, TWO_PI / self.window_um
         if not np.isfinite(n // 2 * dk):
             raise ParameterError(
@@ -195,7 +196,7 @@ class ScenarioConfig:
         if self.resolution_mrad * 1e-3 > (last - first) / 2.0:
             raise ParameterError(
                 f"resolution_mrad must be at most half the angular window, "
-                f"{(last - first) * 500.0:.6g} mrad, got {self.resolution_mrad!r}")
+                f"{(last - first) / 2.0 * 1e3:.6g} mrad, got {self.resolution_mrad!r}")
         # in bins, as propagation._snap_shift divides: under n - 1/2 rounds to under n
         if not abs(self.detector_separation_mrad * 1e-3 / (second - first)) < n - 0.5:
             raise ParameterError(

@@ -105,7 +105,8 @@ def test_comments_and_blank_lines(tmp_path):
      r"window_um is too large for wavelength_nm = 1e-297: the angular step"),
     # the rules the chain's stages relied on, named by key: 2*sigma**2 leaves the
     # doubles, the blur passes half the window, the separation reaches n - 1/2 bins
-    # (the test_simulate_checks_* tests hold the CLI's whole message)
+    # (the two test_simulate_checks_* tests and the 1e300 separation test below hold
+    # the CLI's whole message)
     ("sigma_corr_um=1e200\n", r"sigma_corr_um must be positive with 2\*sigma_corr_um\*\*2 a "
                               r"positive finite double, got 1e\+200"),
     ("sigma_corr_um=1e-170\n", r"2\*sigma_corr_um\*\*2 a positive finite double, got 1e-170"),
@@ -173,7 +174,7 @@ def test_grid_n_must_be_an_integer(grid_n):
     (dict(sigma_corr_um=True), "sigma_corr_um must be a number, got True"),
     (dict(window_um=np.bool_(True)), "window_um must be a number"),
     (dict(spot_diameter_um=np.array(29.0)), "spot_diameter_um must be a number"),
-    (dict(angle_offset_mrad=10 ** 400), "angle_offset_mrad must be a number"),  # past the doubles
+    (dict(angle_offset_mrad=10 ** 5000), "angle_offset_mrad must be a number within the doubles"),
     (dict(output_prefix=5), "output_prefix must be text, got 5"),
     (dict(illumination=None), "illumination must be text, got None"),
 ])
