@@ -14,14 +14,14 @@ grid for two_photon_amplitude, the spot's support for
 scenario.profiles_for).  pair_weight applies one width (the sampling
 warning and the exponential, with weights below about 1e-200 set to 0),
 and pair_matrix reads the m x m weight as a strided view of the 2m - 1
-weights.  The callers check the width (scenario).
+weights.  The callers check the width and the grid spacing (scenario).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import ParameterError, SamplingWarning, warn_caller
+from .errors import SamplingWarning, warn_caller
 from .lattice import SpatialGrid
 
 # pair_weight sets weights below exp(WEIGHT_LOG_FLOOR) ~ 1e-200 to exactly 0.  No
@@ -94,13 +94,13 @@ def two_photon_amplitude(amplitude, sigma_corr: float, mode: str,
     G = exp(-(x_j -+ x_l)**2/(2*sigma_corr**2)) correlates the positions
     in mode "near" (minus: the source plane is imaged onto the grating)
     and anti-correlates them in mode "far" (plus: the source's momentum
-    plane sits on the grating); 2*sigma_corr**2 must be a positive
-    finite double.  amplitude is A on the n points of grid, and F is
-    n x n.  Normalization happens here (sum(|F|**2)*dx**2 = 1) so
-    downstream rates stay comparable across correlation-width sweeps.
-    Widths below half the grid spacing dx leave the weight matrix
-    effectively diagonal, which is the perfect-correlation limit; that
-    is acceptable but flagged with a SamplingWarning.
+    plane sits on the grating); 2*sigma_corr**2 must be a positive finite
+    double and dx at least scenario.MIN_GRID_SPACING_UM.  amplitude is A
+    on the n points of grid, and F is n x n.  Normalization happens here
+    (sum(|F|**2)*dx**2 = 1) so downstream rates stay comparable across
+    correlation-width sweeps.  Widths below half the grid spacing dx leave
+    the weight matrix effectively diagonal, which is the perfect-correlation
+    limit; that is acceptable but flagged with a SamplingWarning.
     """
     n, dx = grid.n, grid.dx
     a = np.asarray(amplitude, dtype=complex)
@@ -109,10 +109,6 @@ def two_photon_amplitude(amplitude, sigma_corr: float, mode: str,
     product *= 0.5
     line = pair_exponent_line(mode, -(n // 2), n, dx)
     joint = product * pair_matrix(pair_weight(line, sigma_corr, dx), mode)
-    with np.errstate(over="ignore", invalid="ignore"):
-        total = np.sum(np.abs(joint) ** 2) * dx ** 2
-    if not np.isfinite(total):
-        raise ParameterError(f"grid spacing {dx:.6g} um puts sum(|F|**2)*dx**2 outside the doubles")
-    joint /= np.sqrt(total)
+    joint /= np.sqrt(np.sum(np.abs(joint) ** 2) * dx ** 2)
     joint.setflags(write=False)
     return joint

@@ -246,6 +246,8 @@ def forward_on_angles(scenario: ScenarioConfig, sigma_um: float, angles,
     or "singles".
     """
     _check_channel(channel)
+    if sigma_um is None:  # profiles_for would read None as the config's width
+        raise ParameterError("sigma_um must be a number, got None")
     angles = np.asarray(angles, dtype=float)
     if angles.ndim != 1 or angles.size == 0:
         raise ParameterError(

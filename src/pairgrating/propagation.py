@@ -35,8 +35,8 @@ p' = p - n/2, omega = exp(-2*pi*i/n) and a = A*sqrt(dx) on S:
 - singles: Parseval along the second axis (S has no repeats) gives
   sum_q R[p, q] = n * sum_l |E[p, l]|**2;
 - scale: (dx/(2*pi))**2/T with T = b^T (g o g) b, b = |a|**2, gives P a
-  unit square sum; sqrt(dx) in a keeps every product inside the doubles
-  (a diagonal factor below the normal doubles is rejected).
+  unit square sum; sqrt(dx) in a keeps every product inside the doubles,
+  and ScenarioConfig's smallest grid spacing keeps the factor normal.
 
 This is the matrix Fourier transform (Soummer et al., Opt. Express 15,
 15935 (2007)) on the rows read, O(|K|*m**2) work in one small product.
@@ -52,27 +52,24 @@ from dataclasses import dataclass, replace
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import BinSnapWarning, ParameterError, warn_caller
+from .errors import BinSnapWarning, warn_caller
 from .lattice import TWO_PI, SpatialGrid, angles_of
 
 # SupportPlan leaves out samples where |A| is at most this fraction of its peak: their
 # terms sit far below rounding, and its cuts agree with the full map's to ~3e-14 relative.
 SUPPORT_FLOOR = 1e-17
 
-# The two cuts a scan or a SupportPlan call may name: the diagonal and the singles.
+# The two cuts a scan or profiles_for may name: the diagonal and the singles.
 CHANNELS = ("coincidences", "singles")
 
 
 def fourier_1d(values, grid: SpatialGrid) -> np.ndarray:
     """Unitary centered 1D transform: out_m = dx/sqrt(2*pi) * sum_j v_j exp(-i*k_m*x_j).
 
-    Centered ordering in and out; Parseval holds as
-    sum(|out|**2)*dk = sum(|v|**2)*dx.
+    Centered ordering in and out, shape (n,) (the oracles check it);
+    Parseval holds as sum(|out|**2)*dk = sum(|v|**2)*dx.
     """
-    v = np.asarray(values)
-    if v.shape != (grid.n,):
-        raise ParameterError(f"values must have shape ({grid.n},), got {v.shape}")
-    return np.fft.fftshift(np.fft.fft(np.fft.ifftshift(v))) * (grid.dx / np.sqrt(TWO_PI))
+    return np.fft.fftshift(np.fft.fft(np.fft.ifftshift(values))) * (grid.dx / np.sqrt(TWO_PI))
 
 
 def to_far_field(values, grid: SpatialGrid) -> np.ndarray:
@@ -203,33 +200,30 @@ def blur(obj, width: float):
 class SupportPlan:
     """Blurred diagonal and singles cuts, over a span, of pairs A_j*g[j, l]*A_l on one support.
 
-    amplitude is A on the whole lattice, shape (n,); the support S is the
-    slice support, m samples from the first to the last where |A|
+    amplitude is A on the whole lattice, complex, shape (n,); the support
+    S is the slice support, m samples from the first to the last where |A|
     exceeds SUPPORT_FLOOR times its peak.  width is at most half the
     angular window and separation under n - 1/2 bins (ScenarioConfig's
-    rules).  The first-detector rows
-    run over span = (lo, hi) in rad, or None for the whole lattice, one
-    bin wider each side, clipped.  Called with a real m x m weight g on
+    rules).  The first-detector rows run over span = (lo, hi) in rad with
+    lo <= hi (profiles_for's rule), or None for the whole lattice, one
+    bin wider each side, clipped.  Called with a float m x m weight g on
     S, the plan returns those rows of diagonal_profile(blur(R, width),
     separation) and blur(singles_profile(R), width), up to rounding, for
     R the rate map of P = A_j*g[j, l]*A_l on S x S with a unit square
-    sum, or the one of them that channel names.  The diagonal drops rows
-    whose partner leaves the lattice, so it may hold none.  The snap
-    warning, if any, is raised on every call.
-    The plan's arrays (nbytes) are read-only, so threads may share a plan.
+    sum, or the one of them that channel, in CHANNELS, names.  The
+    diagonal drops rows whose partner leaves the lattice, so it may hold
+    none.  The snap warning, if any, is raised on every call.  The plan's
+    arrays (nbytes) are read-only, so threads may share a plan.
     """
 
     def __init__(self, amplitude, grid: SpatialGrid, wavelength: float, width: float,
                  separation: float, span: tuple[float, float] | None):
         n = grid.n
-        amplitude = np.asarray(amplitude, dtype=complex)
         magnitude = np.abs(amplitude)
         inside = np.flatnonzero(magnitude > SUPPORT_FLOOR * magnitude.max())
         self.support = slice(int(inside[0]), int(inside[-1]) + 1)
         angles = angles_of(grid, wavelength)
-        lo, hi = (-np.inf, np.inf) if span is None else (float(angle) for angle in span)
-        if not lo <= hi:
-            raise ParameterError(f"span must be two angles lo <= hi in rad, got {span!r}")
+        lo, hi = (-np.inf, np.inf) if span is None else span
         step = wavelength / grid.window
         first = int(np.clip(np.floor(lo / step) + (n // 2 - 1), 0, n - 1))
         last = int(np.clip(np.ceil(hi / step) + (n // 2 + 1), first, n - 1))
@@ -272,24 +266,18 @@ class SupportPlan:
 
     def __call__(self, weight,
                  channel: str | None = None) -> tuple[RateProfile | None, RateProfile | None]:
-        """Blurred diagonal and singles rows for the real m x m weight g on the plan's support.
+        """Blurred diagonal and singles rows for the float m x m weight g on the plan's support.
 
         channel "coincidences" or "singles" computes that cut alone and
         puts None in place of the other; None computes both.  A cut is the
         same, bit for bit, whichever channel asked for it.
         """
         kernel = self._kernel
-        if channel is not None and channel not in CHANNELS:
-            raise ParameterError(f"channel must be one of {CHANNELS} or None, got {channel!r}")
         if self._notice:
             warn_caller(self._notice, BinSnapWarning)
-        weight = np.asarray(weight, dtype=float)
         power = self._power
         norm = power @ np.square(weight) @ power
         scale = self._dx / TWO_PI
-        if scale ** 2 / norm < np.finfo(float).tiny:
-            raise ParameterError(
-                f"grid spacing {self._dx:.6g} um puts the coincidence rates below the doubles")
 
         # V^T = g^T U^T as one real product on the interleaved real and
         # imaginary parts, then E^T = V^T o U^T in place

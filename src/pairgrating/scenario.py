@@ -5,8 +5,9 @@ defaults reproduce the reference setup used throughout: 780 nm photons,
 25 um grating period blazed for 500 nm, 29 um spot imaged from the pair
 source (near mode), 10 mrad detector resolution, 512 samples over a
 600 um window.  ScenarioConfig checks every field and every rule the
-chain relies on, each in Python floats as the stage computes it, and
-profiles_for checks its sigma_um and span; the stages trust both.
+chain relies on, each in Python floats as the stage computes it, the
+grid spacing among them, so no stage leaves the doubles; profiles_for
+checks its sigma_um, span and channel.  The stages trust both.
 
 Two evaluators share the grid, the transmission A and the Gaussian pair
 weight: biphoton.pair_weight on the 2m - 1 distinct exponents
@@ -48,8 +49,8 @@ from .biphoton import pair_exponent_line, pair_matrix, pair_weight, two_photon_a
 from .errors import ParameterError, read_lines, read_number
 from .lattice import TWO_PI, SpatialGrid, angles_of, make_grid
 from .optics import transmission
-from .propagation import (RateMap, RateProfile, SupportPlan, _cut_angles, _snap_shift, blur,
-                          coincidence_map, to_far_field)
+from .propagation import (CHANNELS, RateMap, RateProfile, SupportPlan, _cut_angles, _snap_shift,
+                          blur, coincidence_map, to_far_field)
 
 # The full-map chain holds several n x n complex128 arrays at once.
 MAX_GRID_N = 4096
@@ -58,6 +59,11 @@ MAX_GRID_N = 4096
 # -(x_j -+ x_l)**2 on its lattice.  At the bound itself the lattice's rounding makes
 # |x_j + x_l| exceed it for 405 of the 2047 allowed grid_n.
 MAX_WINDOW_UM = float(np.sqrt(np.finfo(float).max))
+
+# The smallest grid spacing, 2*pi*sqrt(tiny) with a margin for sum(b) rounding above 1:
+# SupportPlan's diagonal factor (dx/(2*pi))**2/T is then normal, as T <= sum(b)**2 = 1
+# for every width, and the full map's sum(|F|**2) <= 1/dx**2 finite (|A|**2 <= 1/dx).
+MIN_GRID_SPACING_UM = TWO_PI * float(np.sqrt(np.finfo(float).tiny)) * (1.0 + 1e-9)
 
 # profiles_for keeps a plan only while its arrays fit in this: the 2m - 1 pair
 # exponents (8*(2m - 1) bytes) and SupportPlan.nbytes, which is U^T and Phi
@@ -172,15 +178,18 @@ class ScenarioConfig:
                 f"blaze_wavelength_nm is too large for wavelength_nm = {self.wavelength_nm!r}: "
                 f"the phase depth 2*pi*blaze_wavelength_nm/wavelength_nm is not a finite "
                 f"double, got {self.blaze_wavelength_nm!r}")
-        # (n/2)*dk, the magnitude of grid.k[0], as lattice computes it but in Python
-        # floats, which overflow to inf with no warning
+        # the grid spacing as grid.dx computes it; it keeps grid_n*pi/window_um finite too
         n, dk = self.grid_n, TWO_PI / self.window_um
-        if not np.isfinite(n // 2 * dk):
+        if self.window_um / n < MIN_GRID_SPACING_UM:
             raise ParameterError(
-                f"window_um is too small: the largest wavevector grid_n*pi/window_um is not "
-                f"a finite double, got {self.window_um!r}")
-        # the angle lattice's step: at 0, SupportPlan and the blur divide by it
-        if self.wavelength_um / self.window_um < np.finfo(float).tiny:
+                f"window_um is too small for grid_n = {n}: the grid spacing window_um/grid_n "
+                f"is below {MIN_GRID_SPACING_UM:.6g} um, where the rates leave the doubles, "
+                f"got {self.window_um!r}")
+        # angles_of's first, second and last angles
+        scale = self.wavelength_um / TWO_PI
+        first, second, last = (((j - n // 2) * dk) * scale for j in (0, 1, n - 1))
+        # the angular step as angles_of and SupportPlan compute it, which the blur divides by
+        if not min(second - first, self.wavelength_um / self.window_um) >= np.finfo(float).tiny:
             raise ParameterError(
                 f"window_um is too large for wavelength_nm = {self.wavelength_nm!r}: the angular "
                 f"step wavelength_nm*1e-3/window_um is below the normal doubles, got "
@@ -190,9 +199,6 @@ class ScenarioConfig:
                 f"window_um must be below sqrt(max double) = {MAX_WINDOW_UM:.6g} um, got "
                 f"{self.window_um!r}: the pair exponent (x_j -+ x_l)**2 leaves the doubles")
         _check_width(self.sigma_corr_um, "sigma_corr_um")
-        # angles_of's first, second and last angles
-        scale = self.wavelength_um / TWO_PI
-        first, second, last = (((j - n // 2) * dk) * scale for j in (0, 1, n - 1))
         if self.resolution_mrad * 1e-3 > (last - first) / 2.0:
             raise ParameterError(
                 f"resolution_mrad must be at most half the angular window, "
@@ -302,6 +308,10 @@ def profiles_for(config: ScenarioConfig, sigma_um: float | None = None,
         except (TypeError, ValueError):
             raise ParameterError(f"span must be two angles lo <= hi in rad, got {span!r}") from None
         span = (_typed(lo, "float", "span"), _typed(hi, "float", "span"))
+        if not span[0] <= span[1]:
+            raise ParameterError(f"span must be two angles lo <= hi in rad, got {span!r}")
+    if channel is not None and channel not in CHANNELS:
+        raise ParameterError(f"channel must be one of {CHANNELS} or None, got {channel!r}")
     line, dx, cuts = _support_plan(_plan_key(config), span)
     if line.nbytes + cuts.nbytes > MAX_KEPT_PLAN_BYTES:
         _support_plan.cache_clear()

@@ -508,6 +508,12 @@ def test_forward_on_angles_rejects_bad_angle_arrays(fast_config, angles, message
         forward_on_angles(fast_config, 9.0, angles)
 
 
+def test_forward_on_angles_needs_a_width(fast_config):
+    # profiles_for reads a width of None as the config's; forward_on_angles takes a number
+    with pytest.raises(ParameterError, match="sigma_um must be a number, got None"):
+        forward_on_angles(fast_config, None, SCAN)
+
+
 def test_forward_on_angles_rejects_unknown_channel(fast_config):
     with pytest.raises(ParameterError, match="'coincidence'"):
         forward_on_angles(fast_config, 9.0, SCAN, channel="coincidence")

@@ -56,6 +56,12 @@ def test_oracles_check_the_grid(n, window):
             oracle(np.ones(n, dtype=complex), grid, WAVELENGTH)
 
 
+def test_oracles_check_the_amplitude_shape():
+    for oracle in (uncorrelated_profiles, delta_correlated_profiles):
+        with pytest.raises(ParameterError, match=r"values must have shape \(16,\), got \(5,\)"):
+            oracle(np.ones(5), make_grid(16, 16.0), WAVELENGTH)
+
+
 def test_delta_profiles_structure(grid512, amp_spot100):
     limit = delta_correlated_profiles(amp_spot100, grid512, WAVELENGTH)
     assert np.unique(limit.singles.values).size == 1

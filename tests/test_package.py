@@ -57,6 +57,45 @@ def test_unused_import_lint_finds_dead_imports():
     assert unused_imports(source) == ["line 2: os", "line 4: ParameterError"]
 
 
+def parameter_error_sites(source: str) -> list[str]:
+    """The enclosing function, dotted through its classes, of each `raise ParameterError`,
+    in source order; '<module>' for one outside every function and class."""
+    sites = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + [child.name])
+                continue
+            if isinstance(child, ast.Raise) and child.exc is not None:
+                error = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
+                if getattr(error, "id", getattr(error, "attr", None)) == "ParameterError":
+                    sites.append(".".join(scope) or "<module>")
+            visit(child, scope)
+
+    visit(ast.parse(source), [])
+    return sites
+
+
+def test_stage_modules_raise_parameter_error_only_in_order_efficiency():
+    # the config, profiles_for, the scan readers and the oracles check input; the
+    # stage modules trust them, but for the public order_efficiency
+    found = [f"{module}.{site}" for module in ("lattice", "optics", "biphoton", "propagation")
+             for site in parameter_error_sites((SOURCE_DIR / f"{module}.py").read_text(
+                 encoding="utf-8"))]
+    assert found == ["optics.order_efficiency"]
+
+
+def test_parameter_error_lint_finds_every_raise():
+    source = ("from . import errors\nfrom .errors import ParameterError\n\n"
+              "if False:\n    raise ParameterError\n\n"
+              "class Plan:\n    def __call__(self, x):\n        if x:\n"
+              "            raise ParameterError(f'{x}')\n        raise ValueError(x)\n\n"
+              "def f(x):\n    def g():\n        raise errors.ParameterError('g')\n"
+              "    try:\n        g()\n    except ParameterError:\n        raise\n")
+    assert parameter_error_sites(source) == ["<module>", "Plan.__call__", "f.g"]
+
+
 def layout_signatures(readme: str) -> list[tuple[str, str, list[str]]]:
     """(module, name, parameters) for each `name(args)` code span in the library-layout table.
 

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -14,13 +15,22 @@ from pairgrating import scenario
 from pairgrating import (ScenarioConfig, forward_on_angles, load_measurement, od_ratio,
                          parse_config, profiles_for, rate_map_for, visibility)
 from pairgrating.errors import BinSnapWarning, ParameterError, SamplingWarning
-from pairgrating.scenario import MAX_GRID_N, MAX_WINDOW_UM
+from pairgrating.scenario import MAX_GRID_N, MAX_WINDOW_UM, MIN_GRID_SPACING_UM
 from pairgrating.propagation import RateProfile, diagonal_profile, singles_profile
 from pairgrating.shell import _write_csv, _write_map_csv, main, run_fit, run_simulate, run_sweep
 
 from conftest import matched_deviation
 
 FAST = "grid_n=256\nwindow_um=300\n"
+
+
+def _spacing_text(dx, illumination):
+    """Config text at grid_n = 64 and grid spacing dx, every length in the defaults' ratios."""
+    f = dx / (600.0 / 512)
+    return (f"grid_n=64\nwindow_um={64 * dx!r}\nwavelength_nm={780 * f!r}\n"
+            f"blaze_wavelength_nm={500 * f!r}\ngrating_period_um={25 * f!r}\n"
+            f"spot_diameter_um={29 * f!r}\nsigma_corr_um={9 * f!r}\n"
+            f"illumination={illumination}\n")
 
 
 def _config(tmp_path, text="", name="scenario.cfg"):
@@ -87,10 +97,17 @@ def test_comments_and_blank_lines(tmp_path):
     ("wavelength_nm=1e-321\n", r"wavelength_nm is too small: wavelength_nm\*1e-3 um rounds to 0"),
     ("blaze_wavelength_nm=1e-321\n", r"blaze_wavelength_nm is too small: blaze_wavelength_nm\*"),
     ("spot_diameter_um=5e-324\n", "spot_diameter_um is too small: half of it rounds to 0"),
-    # 2*pi/window_um overflows, and the wavevector lattice would read inf*0 = nan
+    # 2*pi/window_um overflows, and the wavevector lattice would read inf*0 = nan; the
+    # grid spacing's rule, which implies a finite wavevector, names it
     ("grid_n=256\nwindow_um=5e-318\nwavelength_nm=1e-315\nblaze_wavelength_nm=1e-315\n"
      "grating_period_um=2e-318\nspot_diameter_um=1e-300\n",
-     r"window_um is too small: the largest wavevector grid_n\*pi/window_um is not a finite"),
+     r"window_um is too small for grid_n = 256: the grid spacing window_um/grid_n is below"),
+    # one ulp below the smallest grid spacing, where the rates would leave the doubles
+    (_spacing_text(math.nextafter(MIN_GRID_SPACING_UM, 0.0), "near"),
+     r"window_um is too small for grid_n = 64: the grid spacing window_um/grid_n is below "
+     r"9.37243e-154 um, where the rates leave the doubles"),
+    (_spacing_text(math.nextafter(MIN_GRID_SPACING_UM, 0.0), "far"),
+     r"window_um is too small for grid_n = 64: the grid spacing"),
     # the reference lengths times 1e153: (x_j - x_l)**2 would overflow to inf
     ("grid_n=256\nwindow_um=3e155\nwavelength_nm=7.8e155\nblaze_wavelength_nm=5e155\n"
      "grating_period_um=2.5e154\nspot_diameter_um=2.9e154\nsigma_corr_um=9e153\n",
@@ -125,6 +142,26 @@ def test_config_errors(tmp_path, monkeypatch, text, fragment):
         assert main(["simulate", str(path)]) == 2
         assert main(["sweep", str(path), "9"]) == 2
     assert [entry.name for entry in tmp_path.iterdir()] == ["scenario.cfg"]
+
+
+@pytest.mark.parametrize("illumination", ["near", "far"])
+@pytest.mark.parametrize("dx", [MIN_GRID_SPACING_UM, math.nextafter(MIN_GRID_SPACING_UM, 1.0)])
+def test_simulate_and_sweep_run_at_the_smallest_grid_spacing(tmp_path, monkeypatch, capsys,
+                                                             dx, illumination):
+    # at the bound and one ulp above it (test_config_errors holds one ulp below)
+    path = _config(tmp_path, _spacing_text(dx, illumination))
+    assert parse_config(path).window_um / 64 == dx
+    monkeypatch.chdir(tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["simulate", str(path)]) == 0
+        assert main(["sweep", str(path), "9"]) == 0
+    assert "warning:" not in capsys.readouterr().err
+    for name in ("out_diagonal.csv", "out_singles.csv", "out_map.csv"):
+        rates = np.loadtxt(tmp_path / name, delimiter=",", skiprows=1)[:, -1]
+        assert np.all(np.isfinite(rates)) and np.all(rates >= 0.0) and rates.max() > 0.0
+    ratio = np.loadtxt(tmp_path / "out_sweep.csv", delimiter=",", skiprows=1)[1]
+    assert 0.0 < ratio < np.inf
 
 
 def test_sweep_is_scale_free_below_the_largest_window(tmp_path, monkeypatch):
@@ -357,11 +394,17 @@ def test_sweep_reads_a_half_bin_order_as_the_whole_lattice(tmp_path, monkeypatch
 
 
 def test_simulate_checks_the_blur_before_the_pair(tmp_path, monkeypatch, capsys):
-    # at these lengths |A|**2 ~ 1/dx overflows when squared; the config rejects
-    # the blur width first, for simulate as for sweep, with no numpy warning
+    # lengths near 1e-150 (the default spot and width among them, every ratio kept
+    # from 1e-300, where the grid spacing's rule fires first): the config rejects
+    # the blur width before the pair is built, for simulate as for sweep
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the pair amplitude was built")
+
     monkeypatch.chdir(tmp_path)
-    extreme = _config(tmp_path, "grid_n=256\nwavelength_nm=1e-300\ngrating_period_um=1e-299\n"
-                                "window_um=1e-298\noutput_prefix=extreme\n")
+    monkeypatch.setattr(scenario, "two_photon_amplitude", unreachable)
+    extreme = _config(tmp_path, "grid_n=256\nwavelength_nm=1e-150\ngrating_period_um=1e-149\n"
+                                "window_um=1e-148\nspot_diameter_um=2.9e151\n"
+                                "sigma_corr_um=9e150\noutput_prefix=extreme\n")
     for argv in (["simulate", str(extreme)], ["sweep", str(extreme), "9"]):
         capsys.readouterr()
         assert main(argv) == 2
@@ -414,9 +457,14 @@ def test_simulate_warns_once_of_a_snapped_separation(tmp_path, monkeypatch):
     assert [w.category for w in caught] == [BinSnapWarning]
 
 
+SPACING_ERROR = ("error: window_um is too small for grid_n = 256: the grid spacing "
+                 "window_um/grid_n is below 9.37243e-154 um, where the rates leave the "
+                 "doubles, got 1e-298\n")
+
+
 def test_simulate_rejects_a_pair_that_leaves_the_doubles(tmp_path, monkeypatch, capsys):
-    # with the blur off the blur check passes; the pair's square sum then
-    # overflows, and simulate names the grid spacing instead of writing nan rates
+    # with the blur off the blur check passes; the pair's square sum would overflow,
+    # and the config names the grid spacing instead of simulate writing nan rates
     monkeypatch.chdir(tmp_path)
     extreme = _config(tmp_path, "grid_n=256\nwavelength_nm=1e-300\ngrating_period_um=1e-299\n"
                                 "window_um=1e-298\nresolution_mrad=0\noutput_prefix=extreme\n")
@@ -424,14 +472,14 @@ def test_simulate_rejects_a_pair_that_leaves_the_doubles(tmp_path, monkeypatch, 
     assert main(["simulate", str(extreme)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: grid spacing 3.90625e-301 um puts sum(|F|**2)")
-    assert captured.err.count("\n") == 1 and "warning:" not in captured.err
+    assert captured.err == SPACING_ERROR
     assert not list(tmp_path.glob("extreme_*.csv"))
 
 
 def test_sweep_rejects_rates_below_the_doubles(tmp_path, monkeypatch, capsys):
     # with the blur off at these lengths the diagonal's factor (dx/(2*pi))**2/T
-    # underflows to 0; sweep names the grid spacing instead of printing od_ratio = inf
+    # would underflow to 0; the config names the grid spacing instead of sweep
+    # printing od_ratio = inf
     monkeypatch.chdir(tmp_path)
     extreme = _config(tmp_path, "grid_n=256\nwavelength_nm=1e-300\ngrating_period_um=1e-299\n"
                                 "window_um=1e-298\nresolution_mrad=0\noutput_prefix=extreme\n")
@@ -439,8 +487,7 @@ def test_sweep_rejects_rates_below_the_doubles(tmp_path, monkeypatch, capsys):
     assert main(["sweep", str(extreme), "9"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == ("error: grid spacing 3.90625e-301 um puts the coincidence rates "
-                            "below the doubles\n")
+    assert captured.err == SPACING_ERROR
     assert not list(tmp_path.glob("extreme_*.csv"))
 
 
