@@ -394,8 +394,7 @@ def test_sweep_reads_a_half_bin_order_as_the_whole_lattice(tmp_path, monkeypatch
 
 
 def test_simulate_checks_the_blur_before_the_pair(tmp_path, monkeypatch, capsys):
-    # lengths near 1e-150 (the default spot and width among them, every ratio kept
-    # from 1e-300, where the grid spacing's rule fires first): the config rejects
+    # lengths near 1e-150 and a spot far wider than the window: the config rejects
     # the blur width before the pair is built, for simulate as for sweep
     def unreachable(*args, **kwargs):
         raise AssertionError("the pair amplitude was built")
