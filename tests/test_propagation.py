@@ -320,6 +320,19 @@ def test_support_profiles_match_extended_precision_sums(n, shifts, width_bins):
             np.testing.assert_allclose(profile.values, want.astype(float), rtol=1e-12, atol=0.0)
 
 
+@pytest.mark.parametrize("span", [(0.1, -0.1), (float("nan"), 0.1), (0.0, float("nan"))])
+def test_support_plan_rejects_a_reversed_span(span, monkeypatch):
+    # SupportPlan takes its span as given: profiles_for rejects a reversed
+    # or NaN span before any plan is built
+    def no_plan(*args):
+        raise AssertionError("a SupportPlan was built for a reversed span")
+
+    monkeypatch.setattr(scenario, "SupportPlan", no_plan)
+    scenario._support_plan.cache_clear()
+    with pytest.raises(ParameterError, match="span must be two angles lo <= hi in rad"):
+        profiles_for(ScenarioConfig(grid_n=256, window_um=300.0), span=span)
+
+
 PROFILE_CONFIGS = [
     (dict(), 0),
     (dict(illumination="far"), 0),
