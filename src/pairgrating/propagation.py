@@ -187,12 +187,23 @@ def blur(obj, width: float):
     kernel = _box_kernel(width, obj.angles[1] - obj.angles[0])
     n, reach = obj.angles.size, kernel.size // 2
     # Circular convolution: the discrete far field is periodic, and wrapping
-    # conserves total mass exactly for a unit-sum kernel.  Taking row i of the
-    # table, (j + reach - i) mod n, is np.roll(values, i - reach).
-    table = (np.arange(n) - np.arange(-reach, reach + 1)[:, None]) % n
+    # conserves total mass exactly for a unit-sum kernel.  With the values
+    # wrapped by reach each side, entries 2*reach - i .. 2*reach - i + n - 1
+    # along the axis are np.roll(values, i - reach); the taps add up in kernel
+    # order from 0, as sum() of the rolled terms would.
     values = obj.values
     for axis in range(values.ndim):
-        values = sum(weight * np.take(values, table[i], axis) for i, weight in enumerate(kernel))
+        pad = [(0, 0)] * values.ndim
+        pad[axis] = (reach, reach)
+        wrapped = np.pad(values, pad, mode="wrap")
+        dtype = np.result_type(kernel, values)
+        total, term = np.zeros_like(values, dtype=dtype), np.empty_like(values, dtype=dtype)
+        for i, weight in enumerate(kernel):
+            tap = [slice(None)] * values.ndim
+            tap[axis] = slice(2 * reach - i, 2 * reach - i + n)
+            np.multiply(weight, wrapped[tuple(tap)], out=term)
+            total += term
+        values = total
     values.setflags(write=False)
     return replace(obj, values=values)
 

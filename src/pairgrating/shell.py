@@ -43,22 +43,114 @@ def _write_csv(path: str, header: str, columns) -> None:
         out.write(row * values.shape[0] % tuple(values.ravel().tolist()))
 
 
+# A value v in (0, 1) whose decimal exponent e, after rounding to 10 digits, is -99 .. -1 is
+# written by _format_rates from those digits, D = round(v * 10**(9 - e)), as five
+# little-endian uint32 words, with nulls where %.10g has no character:
+#   word 0 and byte 0 of word 1: "0." and -e - 1 zeros (e >= -4 only);
+#   the rest of word 1: D's first digit, "." (e <= -5, when a digit follows), D's second;
+#   words 2 and 3: D's last eight digits;
+#   word 4: "e-XX" (e <= -5 only).
+# D's digits after the first end at the last that is not 0: _GROUPS[g] is "%04d" % g, and
+# _GROUPS[10000 + g] the same with its trailing zeros as nulls.  _PREFIXES, _POINTS (two
+# entries each, without and with the point) and _EXPONENTS are indexed by k = -e.
+# _POWERS[k] is 10**k correctly rounded, as float's parse is and numpy.power need not be.
+_RATE_WIDTH = 20
+
+
+def _words(texts) -> np.ndarray:
+    """ASCII strings of up to 4 characters as little-endian uint32, padded with nulls."""
+    return np.frombuffer(b"".join(text.encode().ljust(4, b"\0") for text in texts), dtype="<u4")
+
+
+def _digit_groups() -> np.ndarray:
+    """_GROUPS, built in numpy: 20,000 Python strings would cost 20 ms and 4 MB at import."""
+    places = np.array([1000, 100, 10, 1], dtype=np.int16)
+    chars = (np.arange(10000, dtype=np.int16)[:, None] // places % 10 + ord("0")).astype(np.uint8)
+    kept = np.logical_or.accumulate(chars[:, ::-1] != ord("0"), axis=1)[:, ::-1]
+    return np.concatenate([chars, chars * kept]).view("<u4").ravel()
+
+
+_GROUPS = _digit_groups()
+_PREFIXES = _words([("0." + "0" * (k - 1))[:4] if 0 < k < 5 else "" for k in range(101)])
+_POINTS = _words([("0" if k == 4 else "\0") + ("\0." if k > 4 and point else "")
+                  for k in range(101) for point in (False, True)])
+_EXPONENTS = _words([f"e-{k:02d}" if 4 < k < 100 else "" for k in range(101)])
+_POWERS = np.array([float(f"1e{k}") for k in range(111)])
+
+# Map rows formatted and written at once by _write_map_csv.
+_MAP_BLOCK_ROWS = 8
+
+
+def _format_rates(values: np.ndarray, fields: np.ndarray) -> int:
+    """Write _NUMBER % v of each value into its row of fields, a (size, _RATE_WIDTH) uint8 array.
+
+    The characters are in order with nulls between them.  A value in (0,
+    1) with a decimal exponent e from -99 to -1 is formatted in numpy,
+    unless v * 10**(9 - e) lies within 1e-5 of a half: that product is off
+    by at most 2.3e-6 (two roundings below 1e10), so elsewhere it rounds
+    to the digits that %-formatting, correctly rounded, gives.  Every other
+    value, near-ties included, is formatted by _NUMBER %, and the count of
+    those is returned.
+    """
+    fast = (values >= 1e-99) & (values < 1.0)       # no 0, negative, nan or inf
+    v = np.where(fast, values, 0.5)
+    k = -np.floor(np.log10(v)).astype(np.intp)
+    # log10 is not correctly rounded: move e until the product has 10 integer digits, or
+    # is 1e10, which rounds and carries as the 10 digits one e up would
+    m = v * _POWERS[9 + k]
+    k += m < 1e9
+    m = v * _POWERS[9 + k]
+    k -= m > 1e10
+    m = v * _POWERS[9 + k]
+    digits = np.floor(m + 0.5)                      # m + 0.5 is exact below 2**34
+    fast &= (m >= 1e9) & (m <= 1e10) & (np.abs(m - digits) < 0.5 - 1e-5)
+    carry = digits == 1e10
+    digits[carry] = 1e9
+    k -= carry
+    fast &= (k >= 1) & (k <= 99)
+
+    hi, rest = np.divmod(digits.astype(np.int64), 10 ** 8)
+    mid, lo = np.divmod(rest, 10 ** 4)
+    words = np.empty((values.size, 5), dtype="<u4")
+    words[:, 0] = _PREFIXES[k]
+    # bytes "0", "0", D's first digit, its second or a null: the first moves to byte 1
+    high = _GROUPS[hi + 10000 * (rest == 0)]
+    words[:, 1] = _POINTS[2 * k + (high >= 1 << 24)] | (high >> 8 & 0xFF00) | (high & 0xFF000000)
+    words[:, 2] = _GROUPS[mid + 10000 * (lo == 0)]
+    words[:, 3] = _GROUPS[lo + 10000]
+    words[:, 4] = _EXPONENTS[k]
+    fields[:] = words.view(np.uint8)
+
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        fields[slow] = np.array([_NUMBER % x for x in values[slow].tolist()],
+                                dtype=f"S{_RATE_WIDTH}").view(np.uint8).reshape(-1, _RATE_WIDTH)
+    return slow.size
+
+
 def _write_map_csv(path: str, angles_mrad: np.ndarray, rates: np.ndarray) -> None:
     """The n x n map as angle1,angle2,rate rows, angle1 outer, in _write_csv's format.
 
-    Each angle is formatted once, into the labels of a one-map-row
-    template, so each map row costs one format call on its n rates and
+    Each angle is formatted once, as "label,"; a block of map rows is
+    laid out as lines of fixed-width fields with null padding, the rates
+    formatted by _format_rates, and written with the nulls removed, so
     no n**2-row array is built.
     """
-    labels = [_NUMBER % angle for angle in angles_mrad.tolist()]
-    template = "".join(f"%s,{label},{_NUMBER}\n" for label in labels)
-    pairs = [None] * (2 * len(labels))
+    n = angles_mrad.size
+    labels = np.array([_NUMBER % angle + "," for angle in angles_mrad.tolist()], dtype=bytes)
+    width = labels.itemsize
+    labels = labels.view(np.uint8).reshape(n, width)
+    lines = np.zeros((min(_MAP_BLOCK_ROWS, n), n, 2 * width + _RATE_WIDTH + 1), dtype=np.uint8)
+    lines[:, :, width:2 * width] = labels
+    lines[:, :, -1] = ord("\n")
+    fields = lines.reshape(-1, lines.shape[2])[:, 2 * width:-1]     # a view: lines is contiguous
     with open(path, "w", encoding="utf-8") as out:
         out.write("angle1_mrad,angle2_mrad,rate\n")
-        for label, row in zip(labels, rates):
-            pairs[0::2] = [label] * len(labels)
-            pairs[1::2] = row.tolist()
-            out.write(template % tuple(pairs))
+        for start in range(0, n, _MAP_BLOCK_ROWS):
+            block = lines[:min(_MAP_BLOCK_ROWS, n - start)]
+            block[:, :, :width] = labels[start:start + len(block), None, :]
+            _format_rates(rates[start:start + len(block)].ravel(), fields[:len(block) * n])
+            out.write(block.tobytes().translate(None, b"\0").decode("ascii"))
 
 
 def run_simulate(config: ScenarioConfig) -> list[str]:

@@ -17,7 +17,8 @@ from pairgrating import (ScenarioConfig, forward_on_angles, load_measurement, od
 from pairgrating.errors import BinSnapWarning, ParameterError, SamplingWarning
 from pairgrating.scenario import MAX_GRID_N, MAX_WINDOW_UM, MIN_GRID_SPACING_UM
 from pairgrating.propagation import RateProfile, diagonal_profile, singles_profile
-from pairgrating.shell import _write_csv, _write_map_csv, main, run_fit, run_simulate, run_sweep
+from pairgrating.shell import (_NUMBER, _RATE_WIDTH, _format_rates, _write_csv, _write_map_csv,
+                              main, run_fit, run_simulate, run_sweep)
 
 from conftest import matched_deviation
 
@@ -493,11 +494,17 @@ def test_sweep_rejects_rates_below_the_doubles(tmp_path, monkeypatch, capsys):
 # ------------------------------------------------------------- CSV writers
 
 # numpy.savetxt with fmt="%.10g" is the writers' reference, byte for byte, on -0.0,
-# the smallest subnormal, extremes, values with no short binary form, and values
-# that round at the 10th significant digit.
+# the smallest subnormal, extremes, values with no short binary form, values that
+# round at the 10th significant digit, exact binary ties there (a half rounds to the
+# even digit: 0.10009765625 is written 0.1000976562), the neighbours of the powers
+# of ten where the map writer's layouts and its numpy path end, nan and inf.
 EDGE_VALUES = np.array([-0.0, 5e-324, 1e-300, 1e300, 0.1, 1.0, 123456789012.0, 1.0 / 3.0,
                         0.99999999995, 1.234567890500001, 9.9999999995e-5, -12345678905.0,
-                        2.5e-7, -1.00000000049])
+                        2.5e-7, -1.00000000049,
+                        0.10009765625, 0.00018310546875, 2.0 ** -15, 3 * 2.0 ** -15,
+                        *(math.nextafter(power, direction) for power in (1e-4, 1e-5, 1e-99)
+                          for direction in (0.0, 1.0)),
+                        math.nan, math.inf])
 
 
 def _savetxt_bytes(path, header, columns) -> bytes:
@@ -560,6 +567,66 @@ def test_simulate_files_match_savetxt(tmp_path, monkeypatch, grid_n, window_um, 
     ]
     for path, reference in zip(paths, references):
         assert (tmp_path / path).read_bytes() == reference, path
+
+
+def _formatted(values):
+    """_format_rates's text of each value, and how many took the per-value way."""
+    fields = np.zeros((values.size, _RATE_WIDTH + 1), dtype=np.uint8)
+    fields[:, -1] = ord("\n")
+    slow = _format_rates(values, fields[:, :-1])
+    return fields[fields != 0].tobytes().decode("ascii").splitlines(), slow
+
+
+def _near_boundaries(rng, count):
+    """Floats within 150 ulps of (D + 1/2) * 10**(e - 9), where 10-digit D turns to D + 1."""
+    exponents = rng.integers(-101, 1, count)
+    digits = rng.integers(10 ** 9, 10 ** 10, count)
+    digits[::10] = 10 ** 10 - 1                       # the carries: 0.99999999995, ...
+    centres = np.array([float(f"{d}5e{e - 10}") for d, e in zip(digits.tolist(),
+                                                                   exponents.tolist())])
+    values = [centres]
+    for steps in (1, 2, 3, 8, 20, 60, 150):
+        for direction in (0.0, 1.0):
+            shifted = centres
+            for _ in range(steps):
+                shifted = np.nextafter(shifted, direction)
+            values.append(shifted)
+    return np.concatenate(values)
+
+
+def test_rate_format_fuzz_matches_percent_format():
+    rng = np.random.default_rng(26)
+    # random bit patterns, binary exponents 2**-346 (1.4e-104) to 2**3, some negative
+    bits = (rng.integers(1023 - 346, 1023 + 4, 700_000, dtype=np.uint64) << np.uint64(52)
+            | rng.integers(0, 1 << 52, 700_000, dtype=np.uint64))
+    bits[::50] |= np.uint64(1 << 63)
+    random = bits.view(np.float64)
+    powers = np.array([float(f"1e-{k}") for k in range(101)])
+    values = np.concatenate([random, powers, np.nextafter(powers, 0.0), np.nextafter(powers, 1.0),
+                             _near_boundaries(rng, 22_000)])
+    assert values.size > 10 ** 6
+    for chunk in np.array_split(values, 16):
+        text, _ = _formatted(chunk)
+        expected = [_NUMBER % x for x in chunk.tolist()]
+        if text != expected:
+            assert len(text) == chunk.size
+            wrong = [(x, got, want) for x, got, want in zip(chunk.tolist(), text, expected)
+                     if got != want]
+            pytest.fail(f"{len(wrong)} values written differently, first {wrong[:5]}")
+    # the numpy path, not the per-value one, formats the random values it covers and
+    # the powers of ten inside its range, where log10 may give the exponent one off
+    covered = random[(random >= 1e-99) & (random < 0.9999999999)]
+    assert covered.size > 500_000
+    assert _formatted(covered)[1] < 1e-3 * covered.size
+    inside = powers[1:99]
+    assert _formatted(np.concatenate([inside, np.nextafter(inside, 0.0),
+                                      np.nextafter(inside, 1.0)]))[1] == 0
+
+
+def test_map_rates_take_the_numpy_path():
+    rmap = rate_map_for(ScenarioConfig())
+    rates = rmap.values / rmap.values.max()
+    assert _formatted(rates.ravel())[1] < 0.01 * rates.size
 
 
 def test_map_writer_builds_no_full_map_array(tmp_path):
