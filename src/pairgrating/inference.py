@@ -310,41 +310,34 @@ def _scale_and_background(model: np.ndarray, rates: np.ndarray, weights: np.ndar
     return scale, background
 
 
-def fit_sigma(measurement: Measurement, scenario: ScenarioConfig) -> FitResult:
-    """Fit the correlation width of a measured scan against the forward model.
+def _least_squares(rates: np.ndarray, weights: np.ndarray):
+    """A scan's inner solver, model -> (sse, (scale, background)), and sum(w*rate**2).
 
-    Minimizes sum_i w_i*(rate_i - scale*model(theta_i) - background)**2
-    where the model is the blurred forward profile (matching the
-    measurement channel) interpolated to the scan angles.  The width
-    search is a 25-point logarithmic grid over [0.5, 200] um followed by
-    golden-section refinement to a relative width of 1e-3, evaluating
-    each width once.  Fully deterministic; a flat landscape or a
-    boundary minimum yields a non-converged result at the coarse-grid
-    best, with diagnostics rather than a silent answer.  The scan needs
-    at least 3 samples, one per fitted parameter.
+    The solver is weighted least squares by _scale_and_background.
     """
-    rates = measurement.rates
-    if rates.size < 3:
-        raise ParameterError(
-            f"fit needs at least 3 scan samples for width, scale and background, "
-            f"got {rates.size}")
-    if measurement.rate_errors is not None:
-        weights = 1.0 / np.square(measurement.rate_errors)
-    else:
-        weights = np.ones_like(rates)
-    # what the scan alone fixes; Measurement has checked the angles and the channel
     s1, sr = float(weights.sum()), float((weights * rates).sum())
-    data_scale = float(np.sum(weights * rates * rates))
 
-    evaluations: list[tuple[float, float, float, float]] = []
-
-    def objective(sigma: float) -> float:
-        model = _model_on_angles(scenario, sigma, measurement.angles, measurement.channel)
+    def solve(model: np.ndarray) -> tuple[float, tuple[float, float]]:
         scale, background = _scale_and_background(model, rates, weights, s1, sr)
         residual = rates - (scale * model + background)
-        sse = float(np.sum(weights * residual * residual))
-        evaluations.append((sigma, sse, scale, background))
-        return sse
+        return float(np.sum(weights * residual * residual)), (scale, background)
+
+    return solve, float(np.sum(weights * rates * rates))
+
+
+def _search_width(objective, data_scale: float):
+    """Minimize objective(sigma) -> (loss, params) over the width in SIGMA_RANGE um.
+
+    A logarithmic grid of COARSE_POINTS, then golden-section refinement in
+    the best one's bracket to REFINE_REL_WIDTH, each width evaluated once.
+    Returns ((sigma, loss, params), evaluations, message): the last one, or
+    the coarse best with a flat (against data_scale) or grid-end message.
+    """
+    log = []  # (sigma, loss, params) of each evaluation
+
+    def evaluate(sigma: float) -> float:
+        log.append((sigma, *objective(sigma)))
+        return log[-1][1]
 
     coarse = np.geomspace(SIGMA_RANGE[0], SIGMA_RANGE[1], COARSE_POINTS)
     message = ""
@@ -352,39 +345,56 @@ def fit_sigma(measurement: Measurement, scenario: ScenarioConfig) -> FitResult:
         # the search grid probes widths below the sampling limit by design;
         # warning on every probe would only be noise
         warnings.simplefilter("ignore", SamplingWarning)
-        coarse_sse = np.array([objective(float(s)) for s in coarse])
-        best = int(np.argmin(coarse_sse))
-        sse_spread = float(coarse_sse.max() - coarse_sse.min())
-        # Flatness is judged against the data scale, not against the SSE values
+        coarse_loss = np.array([evaluate(float(s)) for s in coarse])
+        best = int(np.argmin(coarse_loss))
+        spread = float(coarse_loss.max() - coarse_loss.min())
+        # Flatness is judged against the data scale, not against the losses
         # themselves: data the model fits exactly for every width (for example a
         # constant rate) leave only rounding noise in the landscape.
-        if sse_spread <= FLAT_LANDSCAPE_REL * max(float(coarse_sse.max()), data_scale):
+        if spread <= FLAT_LANDSCAPE_REL * max(float(coarse_loss.max()), data_scale):
             message = "flat objective: the data do not constrain the correlation width"
         elif best in (0, COARSE_POINTS - 1):
             message = (f"minimum at the search boundary sigma = {coarse[best]:.6g} um "
                        f"(range {SIGMA_RANGE[0]} to {SIGMA_RANGE[1]} um)")
         else:
-            # Golden-section refinement inside the bracketing coarse interval.
             inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
             lo, hi = float(coarse[best - 1]), float(coarse[best + 1])
-            c = hi - inv_phi * (hi - lo)
-            d = lo + inv_phi * (hi - lo)
-            f_c = objective(c)
-            f_d = objective(d)
+            c, d = hi - inv_phi * (hi - lo), lo + inv_phi * (hi - lo)
+            f_c, f_d = evaluate(c), evaluate(d)
             while hi - lo > REFINE_REL_WIDTH * 0.5 * (lo + hi):
                 if f_c <= f_d:
                     hi, d, f_d = d, c, f_c
                     c = hi - inv_phi * (hi - lo)
-                    f_c = objective(c)
+                    f_c = evaluate(c)
                 else:
                     lo, c, f_c = c, d, f_d
                     d = lo + inv_phi * (hi - lo)
-                    f_d = objective(d)
-            objective(0.5 * (lo + hi))
+                    f_d = evaluate(d)
+            evaluate(0.5 * (lo + hi))
+    return log[best] if message else log[-1], len(log), message
 
-    # A non-converged search reports its coarse best, a refined one its last evaluation.
-    sigma, sse, scale, background = evaluations[best] if message else evaluations[-1]
+
+def fit_sigma(measurement: Measurement, scenario: ScenarioConfig) -> FitResult:
+    """Fit the correlation width of a measured scan against the forward model.
+
+    Minimizes sum_i w_i*(rate_i - scale*model(theta_i) - background)**2 by
+    _search_width and _least_squares, the model being the blurred forward
+    profile of the scan's channel at its angles.  A refined fit whose scale
+    is not positive, or loss not finite, is degenerate.  Needs 3 samples.
+    """
+    rates = measurement.rates
+    if rates.size < 3:
+        raise ParameterError(
+            f"fit needs at least 3 scan samples for width, scale and background, "
+            f"got {rates.size}")
+    errors = measurement.rate_errors
+    weights = np.ones_like(rates) if errors is None else 1.0 / np.square(errors)
+    solve, data_scale = _least_squares(rates, weights)
+    # Measurement has checked the angles and the channel
+    (sigma, sse, (scale, background)), evaluations, message = _search_width(
+        lambda sigma: solve(_model_on_angles(scenario, sigma, measurement.angles,
+                                             measurement.channel)), data_scale)
     if not message and (not (scale > 0.0) or not math.isfinite(sse)):
         message = f"degenerate solution at sigma = {sigma:.6g} um: scale = {scale:.6g}"
     return FitResult(sigma_corr=sigma, scale=scale, background=background, residual_sse=sse,
-                     n_evaluations=len(evaluations), converged=not message, message=message)
+                     n_evaluations=evaluations, converged=not message, message=message)
