@@ -1,11 +1,13 @@
 """Measured-scan ingestion, summary metrics, and correlation-width fitting.
 
-The fit is deliberately plain: a sum-of-squares objective over
-(width, scale, background) where scale and background solve a linear
-subproblem in closed form, and the width search is a coarse logarithmic
-grid followed by golden-section refinement.  The one-dimensional width
-landscape is smooth and unimodal in every regime of interest, and full
-determinism is worth more than optimizer generality here.
+The fit is deliberately plain, and in two parts.  The driver,
+_search_width, searches the width on a coarse logarithmic grid followed by
+golden-section refinement, and owns the flat and boundary diagnostics.
+The inner solver of _least_squares takes the model at one width to its
+weighted sum of squares, with scale and background solved in closed form.
+The one-dimensional width landscape is smooth and unimodal in every
+regime of interest, and full determinism is worth more than optimizer
+generality here.
 """
 
 from __future__ import annotations
@@ -30,7 +32,16 @@ REFINE_REL_WIDTH = 1e-3
 FLAT_LANDSCAPE_REL = 1e-9
 # load_measurement's header lines and the number of columns each announces
 _HEADERS = {"angle_mrad,rate": 2, "angle_mrad,rate,rate_err": 3}
-_SAMPLE_FAULTS = ("non-finite value", "negative rate", "non-positive rate_err")
+_SAMPLE_FAULTS = ("non-finite value", "negative rate", "non-positive rate_err",
+                  "rate_err too small for the fit", "rate_err too large for the fit",
+                  "rate too large for the fit")
+# A scan of N samples keeps the fit's sums in the doubles when each sample's weight
+# w = 1/rate_err**2 (1 without rate_err) and w*rate**2 are at most _SUM_BOUND/N, and w
+# is at least _LEAST_WEIGHT.  Then sum(w) and sum(w*rate) (as w*rate <= the bound too)
+# are at most _SUM_BOUND, so the largest products of _scale_and_background, s1*smm and
+# s1*smr, stay below max/4, and s1*smm, at least the peak sample's w**2, is normal.
+_SUM_BOUND = float(np.sqrt(np.finfo(float).max)) / 2.0
+_LEAST_WEIGHT = float(np.sqrt(np.finfo(float).tiny))
 
 
 def unit_peak(values: np.ndarray) -> np.ndarray:
@@ -48,12 +59,17 @@ def _first_fault(angles, rates, rate_errors) -> tuple[int, str] | None:
 
     The per-sample faults come first, in scan order; a sample with several
     reports the first of: a non-finite value in any column, a negative
-    rate, a rate_err that is not positive.  Then comes the angle order:
-    the first angle that is not above the one before it.
+    rate, a rate_err that is not positive, a weight 1/rate_err**2 above or
+    below the fit's bounds, a weighted squared rate above them.  Then comes
+    the angle order: the first angle that is not above the one before it.
     """
     errors = np.ones_like(rates) if rate_errors is None else rate_errors
-    faults = np.stack([~np.isfinite([angles, rates, errors]).all(axis=0),
-                       rates < 0.0, errors <= 0.0])
+    most = _SUM_BOUND / max(rates.size, 1)
+    with np.errstate(all="ignore"):  # a bad sample's weight may leave the doubles
+        weights = 1.0 / np.square(errors)   # as fit_sigma weighs
+        faults = np.stack([~np.isfinite([angles, rates, errors]).all(axis=0),
+                           rates < 0.0, errors <= 0.0, weights > most,
+                           weights < _LEAST_WEIGHT, weights * rates * rates > most])
     bad = np.flatnonzero(faults.any(axis=0))
     if bad.size:
         return int(bad[0]), _SAMPLE_FAULTS[int(np.argmax(faults[:, bad[0]]))]
@@ -67,8 +83,11 @@ class Measurement:
 
     Every value is finite, the rates are nonnegative, and rate_errors,
     when present, are positive one-sigma uncertainties that the fit uses
-    as inverse-variance weights.  A sample that breaks a rule raises
-    ParameterError naming its index.
+    as inverse-variance weights w = 1/rate_err**2 (w = 1 without them).
+    For N samples, each w and w*rate**2 is at most sqrt(max double)/(2N)
+    and each w at least sqrt(tiny), the smallest normal double's root,
+    so that the fit's sums stay in the doubles.  A sample that breaks a
+    rule raises ParameterError naming its index.
     """
 
     angles: np.ndarray

@@ -187,6 +187,11 @@ class ScenarioConfig:
                 f"got {self.window_um!r}")
         # angles_of's first, second and last angles
         scale = self.wavelength_um / TWO_PI
+        # a subnormal scale would round the whole angle lattice off lambda/window_um
+        if not scale >= np.finfo(float).tiny:
+            raise ParameterError(
+                f"wavelength_nm is too small: wavelength_nm*1e-3/(2*pi) um is below the normal "
+                f"doubles, got {self.wavelength_nm!r}")
         first, second, last = (((j - n // 2) * dk) * scale for j in (0, 1, n - 1))
         # the angular step as angles_of and SupportPlan compute it, which the blur divides by
         if not min(second - first, self.wavelength_um / self.window_um) >= np.finfo(float).tiny:

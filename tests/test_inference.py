@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -551,6 +552,107 @@ def test_fit_pinned(keys, sigma, channel, fit_sigma_um, scale, background, evalu
     assert result.scale == pytest.approx(scale, rel=1e-9)
     assert result.background == pytest.approx(background, rel=1e-9)
     assert result.n_evaluations == evaluations
+
+
+# test_fit_pinned's scans with rate_err = sqrt(rate), as a counted scan carries it,
+# pinned at the commit before the width search and its inner solver were split
+PINNED_WEIGHTED_FITS = [
+    (dict(), 13.0, "coincidences",
+     12.986018411101686, 4969.444063890893, 100.30904988595294, 25.025324866561277, 41),
+    (dict(illumination="far"), 13.0, "coincidences",
+     12.970655424538162, 4965.056574794858, 100.22574373869718, 35.731437045816314, 41),
+    (dict(), 9.0, "singles",
+     8.975029008207613, 4973.422391442455, 99.96549194494735, 65.08241940232497, 42),
+]
+
+
+@pytest.mark.parametrize("keys,sigma,channel,fit_sigma_um,scale,background,sse,evaluations",
+                         PINNED_WEIGHTED_FITS)
+def test_fit_pinned_weighted(keys, sigma, channel, fit_sigma_um, scale, background, sse,
+                             evaluations):
+    config = ScenarioConfig(grid_n=256, window_um=300.0, **keys)
+    angles = np.linspace(-60.0, 60.0, 121) * 1e-3
+    ripple = 1.0 + 0.02 * np.random.default_rng(5).standard_normal(angles.size)
+    counts = 5e3 * forward_on_angles(config, sigma, angles, channel) * ripple + 100.0
+    result = fit_sigma(Measurement(angles, counts, rate_errors=np.sqrt(counts),
+                                   channel=channel), config)
+    assert result.converged
+    assert result.sigma_corr == pytest.approx(fit_sigma_um, rel=1e-9)
+    assert result.scale == pytest.approx(scale, rel=1e-9)
+    assert result.background == pytest.approx(background, rel=1e-9)
+    assert result.residual_sse == pytest.approx(sse, rel=1e-9)
+    assert result.n_evaluations == evaluations
+
+
+# ------------------------------------------------- the width search and the inner solver
+
+def _recorded_search(loss):
+    """_search_width on loss(sigma), with params the call's index; also the widths tried."""
+    widths = []
+
+    def objective(sigma):
+        widths.append(sigma)
+        return loss(sigma), len(widths) - 1
+
+    return inference._search_width(objective, 0.0), widths
+
+
+def test_search_width_refines_a_minimum_inside_the_grid():
+    ((sigma, loss, index), evaluations, message), widths = _recorded_search(
+        lambda s: math.log(s / 7.0) ** 2)
+    assert message == ""
+    assert abs(sigma - 7.0) <= inference.REFINE_REL_WIDTH * 7.0
+    assert loss == math.log(sigma / 7.0) ** 2
+    # a refined search reports its last evaluation, and evaluates each width once
+    assert sigma == widths[index] == widths[-1]
+    assert inference.COARSE_POINTS < evaluations == len(widths) == len(set(widths))
+
+
+def test_search_width_flat_objective():
+    ((sigma, loss, index), evaluations, message), widths = _recorded_search(lambda s: 5.0)
+    assert message == "flat objective: the data do not constrain the correlation width"
+    assert evaluations == len(widths) == inference.COARSE_POINTS
+    assert (sigma, loss, index) == (inference.SIGMA_RANGE[0], 5.0, 0)
+
+
+def test_search_width_flatness_reads_the_data_scale():
+    # the coarse losses spread by 1.1e-5: flat against a data scale of 1e6, not
+    # against losses near 1
+    def objective(sigma):
+        return 1.0 + 1e-6 * math.log(sigma / 7.0) ** 2, None
+    assert inference._search_width(objective, 0.0)[2] == ""
+    assert inference._search_width(objective, 1e6)[2].startswith("flat objective")
+
+
+@pytest.mark.parametrize("sign,end", [(1.0, 0), (-1.0, -1)])
+def test_search_width_boundary_minimum(sign, end):
+    coarse = np.geomspace(*inference.SIGMA_RANGE, inference.COARSE_POINTS)
+    ((sigma, loss, index), evaluations, message), widths = _recorded_search(lambda s: sign * s)
+    assert message == (f"minimum at the search boundary sigma = {coarse[end]:.6g} um "
+                       f"(range {inference.SIGMA_RANGE[0]} to {inference.SIGMA_RANGE[1]} um)")
+    assert evaluations == len(widths) == inference.COARSE_POINTS
+    assert (sigma, loss, index) == (coarse[end], sign * coarse[end], end % len(coarse))
+
+
+def test_least_squares_matches_weighted_lstsq():
+    rng = np.random.default_rng(13)
+    for _ in range(50):
+        n = int(rng.integers(3, 300))
+        model = rng.random(n)
+        weights = rng.uniform(0.01, 100.0, n)
+        rates = (rng.uniform(1.0, 1e4) * model + rng.uniform(10.0, 1e3)
+                 + rng.standard_normal(n) / np.sqrt(weights))
+        solve, data_scale = inference._least_squares(rates, weights)
+        sse, (scale, background) = solve(model)
+        root = np.sqrt(weights)
+        design = np.column_stack([model, np.ones(n)]) * root[:, None]
+        want_scale, want_background = np.linalg.lstsq(design, rates * root, rcond=None)[0]
+        want_sse = float(np.sum(weights * (rates - want_scale * model - want_background) ** 2))
+        assert background > 0.0                  # the clamp at zero is not in play
+        assert scale == pytest.approx(want_scale, rel=1e-12)
+        assert background == pytest.approx(want_background, rel=1e-12)
+        assert sse == pytest.approx(want_sse, rel=1e-12)
+        assert data_scale == pytest.approx(float(np.sum(weights * rates ** 2)), rel=1e-12)
 
 
 def test_fit_honors_rate_errors(fast_config):

@@ -121,6 +121,14 @@ def test_comments_and_blank_lines(tmp_path):
     ("grid_n=64\nwavelength_nm=1e-297\ngrating_period_um=1e29\nwindow_um=1e30\n"
      "spot_diameter_um=1e28\nresolution_mrad=0\n",
      r"window_um is too large for wavelength_nm = 1e-297: the angular step"),
+    # wavelength/(2*pi) is subnormal, and angles_of would scale the lattice by a rounded
+    # factor: every length of the defaults in um times 3e-15, with no blur, put the bin
+    # 4.9e-6 below wavelength/window_um and od_ratio at 0.300670 against 0.300688
+    ("window_um=1.8e-12\ngrating_period_um=7.5e-14\nspot_diameter_um=8.7e-14\n"
+     "sigma_corr_um=2.7e-14\nwavelength_nm=3e-316\nblaze_wavelength_nm=1.9230769e-316\n"
+     "resolution_mrad=0\n",
+     r"wavelength_nm is too small: wavelength_nm\*1e-3/\(2\*pi\) um is below the normal "
+     r"doubles, got 3e-316"),
     # the rules the chain's stages relied on, named by key: 2*sigma**2 leaves the
     # doubles, the blur passes half the window, the separation reaches n - 1/2 bins
     # (the two test_simulate_checks_* tests and the 1e300 separation test below hold
@@ -770,6 +778,56 @@ def test_cli_degenerate_fit_exits_4(tmp_path, monkeypatch, capsys):
     assert "converged        = False\n" in out
     assert "diagnostics      = degenerate solution at sigma = 12.9984 um: scale = -1\n" in out
     assert not (tmp_path / "out_fitcurve.csv").exists()
+
+
+def _write_scan(path, angles_mrad, rates, rate_err):
+    rows = "".join(f"{a:.17g},{r:.17g},{rate_err:.17g}\n" for a, r in zip(angles_mrad, rates))
+    path.write_text("angle_mrad,rate,rate_err\n" + rows, encoding="utf-8")
+
+
+@pytest.mark.parametrize("factor,rate_err,fault", [
+    (1.0, 1e160, "rate_err too large for the fit"),     # every weight is 0
+    (1.0, 1e-150, "rate_err too small for the fit"),    # sum(w)**2 overflows
+    (1e200, 1.0, "rate too large for the fit"),         # sum(w*rate**2) overflows
+])
+def test_cli_rejects_a_scan_whose_fit_sums_leave_the_doubles(tmp_path, monkeypatch, capsys,
+                                                             factor, rate_err, fault):
+    monkeypatch.chdir(tmp_path)
+    cfg = _config(tmp_path, FAST)
+    angles = np.linspace(-60.0, 60.0, 121)
+    rates = factor * (1000.0 * forward_on_angles(parse_config(cfg), 9.0, angles * 1e-3) + 20.0)
+    scan = tmp_path / "scan.csv"
+    _write_scan(scan, angles, rates, rate_err)
+    assert main(["fit", str(cfg), str(scan)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {scan}: line 2: {fault} in '-60,")
+    assert captured.err.count("\n") == 1 and "warning:" not in captured.err
+
+
+@pytest.mark.parametrize("case", ["largest rates", "largest weights", "least weights"])
+def test_cli_fits_a_scan_just_inside_the_sum_bounds(tmp_path, monkeypatch, capsys, case):
+    # the bounds of a 121-sample scan: w and w*rate**2 at most sqrt(max)/242, w at
+    # least sqrt(tiny), each missed by a relative 1e-9
+    monkeypatch.chdir(tmp_path)
+    cfg = _config(tmp_path, FAST)
+    angles = np.linspace(-60.0, 60.0, 121)
+    rates = 1000.0 * forward_on_angles(parse_config(cfg), 9.0, angles * 1e-3) + 20.0
+    most = math.sqrt(np.finfo(float).max) / (2 * angles.size)
+    rates, rate_err = {
+        "largest rates": (rates * (math.sqrt(most) / rates.max() * (1.0 - 1e-9)), 1.0),
+        "largest weights": (rates / rates.max() * (1.0 - 1e-9), (1.0 + 1e-9) / math.sqrt(most)),
+        "least weights": (rates, (1.0 - 1e-9) / math.sqrt(math.sqrt(np.finfo(float).tiny))),
+    }[case]
+    scan = tmp_path / "scan.csv"
+    _write_scan(scan, angles, rates, rate_err)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["fit", str(cfg), str(scan)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    sigma = float(captured.out.split("sigma_corr_um    = ")[1].split()[0])
+    assert sigma == pytest.approx(9.0, rel=0.02)
 
 
 def test_cli_fit_round_trip_exit_zero(tmp_path, monkeypatch):
