@@ -186,6 +186,28 @@ def test_measurement_length_rules(keys, message):
 
 # ---------------------------------------------------------------- metrics
 
+@pytest.mark.parametrize("size", [3, 1000])
+@pytest.mark.parametrize("past", [False, True])
+def test_measurement_bounds_the_fit_sums(size, past):
+    # for N samples, w = 1/rate_err**2 and w*rate**2 at most sqrt(max)/(2N), w at
+    # least sqrt(tiny); sample 1 sits a relative 1e-12 inside or past each bound
+    most = math.sqrt(np.finfo(float).max) / (2 * size)
+    least = math.sqrt(np.finfo(float).tiny)
+    step = 1e-12 if past else -1e-12
+    for column, value, fault in [
+            ("rate_errors", (1.0 - step) / math.sqrt(most), "rate_err too small for the fit"),
+            ("rate_errors", (1.0 + step) / math.sqrt(least), "rate_err too large for the fit"),
+            ("rates", (1.0 + step) * math.sqrt(most), "rate too large for the fit")]:
+        keys = dict(angles=np.arange(float(size)), rates=np.ones(size),
+                    rate_errors=np.ones(size))
+        keys[column][1] = value
+        if past:
+            with pytest.raises(ParameterError, match=f"^{fault} at sample 1$"):
+                Measurement(**keys)
+        else:
+            Measurement(**keys)
+
+
 def test_visibility_constant_profile():
     profile = RateProfile(angles=SCAN, values=np.full(SCAN.size, 4.0))
     assert visibility(profile, (-0.05, 0.05)) == 0.0
