@@ -105,10 +105,15 @@ def two_photon_amplitude(amplitude, sigma_corr: float, mode: str,
     n, dx = grid.n, grid.dx
     a = np.asarray(amplitude, dtype=complex)
     product = a[:, None] * a[None, :]
-    product = product + product.T      # exchange symmetrization (module docstring)
-    product *= 0.5
+    joint = product + product.T        # exchange symmetrization (module docstring)
+    joint *= 0.5
     line = pair_exponent_line(mode, -(n // 2), n, dx)
-    joint = product * pair_matrix(pair_weight(line, sigma_corr, dx), mode)
-    joint /= np.sqrt(np.sum(np.abs(joint) ** 2) * dx ** 2)
+    joint *= pair_matrix(pair_weight(line, sigma_corr, dx), mode)
+    # |joint|**2 in the first half of the product's buffer, a contiguous n x n float
+    # array as np.abs would return, so np.sum reduces the same layout
+    squares = product.reshape(-1).view(float)[:n * n].reshape(n, n)
+    np.abs(joint, out=squares)
+    np.square(squares, out=squares)
+    joint /= np.sqrt(np.sum(squares) * dx ** 2)
     joint.setflags(write=False)
     return joint

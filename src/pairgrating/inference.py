@@ -4,7 +4,9 @@ The fit is deliberately plain, and in two parts.  The driver,
 _search_width, searches the width on a coarse logarithmic grid followed by
 golden-section refinement, and owns the flat and boundary diagnostics.
 The inner solver of _least_squares takes the model at one width to its
-weighted sum of squares, with scale and background solved in closed form.
+weighted sum of squares, with scale and background solved in closed form,
+on the rates scaled by a power of two so that small rates keep their sums
+in the normal doubles.
 The one-dimensional width landscape is smooth and unimodal in every
 regime of interest, and full determinism is worth more than optimizer
 generality here.
@@ -329,19 +331,40 @@ def _scale_and_background(model: np.ndarray, rates: np.ndarray, weights: np.ndar
     return scale, background
 
 
+def _rate_exponent(rates: np.ndarray, weights: np.ndarray) -> int:
+    """The k that puts the largest w*(rate*2**k)**2 in [1, 4); 0 for a scan of zero rates."""
+    with np.errstate(divide="ignore"):  # log2(0) = -inf for a zero rate
+        top = float(np.max(np.log2(weights) + 2.0 * np.log2(rates)))
+    if top == -math.inf:
+        return 0
+    k = -math.floor(top / 2.0)   # log2's rounding may leave the peak just outside [1, 4)
+    scaled = np.ldexp(rates, k)
+    peak = float(np.max(weights * scaled * scaled))
+    return k - (math.frexp(peak)[1] - 1) // 2
+
+
 def _least_squares(rates: np.ndarray, weights: np.ndarray):
-    """A scan's inner solver, model -> (sse, (scale, background)), and sum(w*rate**2).
+    """A scan's inner solver, model -> (loss, (scale, background, sse)), and its data scale.
 
-    The solver is weighted least squares by _scale_and_background.
+    The solver is weighted least squares by _scale_and_background on the
+    rates times 2**k, where k puts the largest w*rate**2 in [1, 4): the
+    scaling is exact, and it keeps the sums of a scan of small rates off
+    the bottom of the doubles.  The loss is the scaled rates' SSE and the
+    data scale their sum(w*rate**2), which the width search compares;
+    scale, background and sse are the scan's own, scaled back exactly
+    (sse may round to 0 where the loss does not).
     """
-    s1, sr = float(weights.sum()), float((weights * rates).sum())
+    k = _rate_exponent(rates, weights)
+    scaled = np.ldexp(rates, k)
+    s1, sr = float(weights.sum()), float((weights * scaled).sum())
 
-    def solve(model: np.ndarray) -> tuple[float, tuple[float, float]]:
-        scale, background = _scale_and_background(model, rates, weights, s1, sr)
-        residual = rates - (scale * model + background)
-        return float(np.sum(weights * residual * residual)), (scale, background)
+    def solve(model: np.ndarray) -> tuple[float, tuple[float, float, float]]:
+        scale, background = _scale_and_background(model, scaled, weights, s1, sr)
+        residual = scaled - (scale * model + background)
+        loss = float(np.sum(weights * residual * residual))
+        return loss, (math.ldexp(scale, -k), math.ldexp(background, -k), math.ldexp(loss, -2 * k))
 
-    return solve, float(np.sum(weights * rates * rates))
+    return solve, float(np.sum(weights * scaled * scaled))
 
 
 def _search_width(objective, data_scale: float):
@@ -410,10 +433,10 @@ def fit_sigma(measurement: Measurement, scenario: ScenarioConfig) -> FitResult:
     weights = np.ones_like(rates) if errors is None else 1.0 / np.square(errors)
     solve, data_scale = _least_squares(rates, weights)
     # Measurement has checked the angles and the channel
-    (sigma, sse, (scale, background)), evaluations, message = _search_width(
+    (sigma, loss, (scale, background, sse)), evaluations, message = _search_width(
         lambda sigma: solve(_model_on_angles(scenario, sigma, measurement.angles,
                                              measurement.channel)), data_scale)
-    if not message and (not (scale > 0.0) or not math.isfinite(sse)):
+    if not message and (not (scale > 0.0) or not math.isfinite(loss)):
         message = f"degenerate solution at sigma = {sigma:.6g} um: scale = {scale:.6g}"
     return FitResult(sigma_corr=sigma, scale=scale, background=background, residual_sse=sse,
                      n_evaluations=evaluations, converged=not message, message=message)

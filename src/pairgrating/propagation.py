@@ -62,6 +62,10 @@ SUPPORT_FLOOR = 1e-17
 # The two cuts a scan or profiles_for may name: the diagonal and the singles.
 CHANNELS = ("coincidences", "singles")
 
+# Rows per block of the full map's passes (blur, the quadrant swap): a block of the
+# default n = 512 map and its work arrays fit in a core's L2 cache.
+_BLOCK_ROWS = 32
+
 
 def fourier_1d(values, grid: SpatialGrid) -> np.ndarray:
     """Unitary centered 1D transform: out_m = dx/sqrt(2*pi) * sum_j v_j exp(-i*k_m*x_j).
@@ -75,19 +79,38 @@ def fourier_1d(values, grid: SpatialGrid) -> np.ndarray:
 def to_far_field(values, grid: SpatialGrid) -> np.ndarray:
     """Transform both coordinates of an n x n joint amplitude over (x_j, x_l).
 
-    Entry (m, p) of the result is the amplitude over (k_m, k_p).  The
-    transform is unitary (factor dx**2/(2*pi) on a centered FFT), so
-    sum(|out|**2)*dk**2 equals the input's sum(|F|**2)*dx**2; exchange
-    symmetry is preserved.
+    n is even (the grid rule).  Entry (m, p) of the result is the
+    amplitude over (k_m, k_p).  The transform is unitary (factor
+    dx**2/(2*pi) on a centered FFT), so sum(|out|**2)*dk**2 equals the
+    input's sum(|F|**2)*dx**2; exchange symmetry is preserved.
     """
     v = np.asarray(values)
-    # fft2 runs in place on ifftshift's copy, in the dtype fft2 would return
-    ft = np.fft.ifftshift(v).astype(np.result_type(v, 1j), copy=False)
+    # ifftshift copies into one array in the dtype fft2 would return, fft2 runs in
+    # place on it, and fftshift swaps its quadrants in place: n is even, so both
+    # shifts move each quadrant to the opposite one
+    ft = np.empty(v.shape, np.result_type(v, 1j))
+    _swap_quadrants(v, ft)
     np.fft.fft2(ft, out=ft)
-    ft = np.fft.fftshift(ft)
+    _swap_quadrants(ft, ft)
     ft *= grid.dx ** 2 / TWO_PI
     ft.setflags(write=False)
     return ft
+
+
+def _swap_quadrants(source: np.ndarray, out: np.ndarray) -> None:
+    """out[i, j] = source[(i + n/2) mod n, (j + n/2) mod n] for an even n x n source.
+
+    out may be source itself; the rows go in blocks of _BLOCK_ROWS, through
+    one copy of the top block.
+    """
+    half = source.shape[0] // 2
+    for top in range(0, half, _BLOCK_ROWS):
+        bottom, stop = top + half, min(top + _BLOCK_ROWS, half)
+        upper = source[top:stop].copy()
+        lower = source[bottom:stop + half]
+        out[top:stop, :half], out[top:stop, half:] = lower[:, half:], lower[:, :half]
+        out[bottom:stop + half, :half] = upper[:, half:]
+        out[bottom:stop + half, half:] = upper[:, :half]
 
 
 @dataclass(frozen=True)
@@ -113,7 +136,8 @@ def coincidence_map(far, grid: SpatialGrid, wavelength: float) -> RateMap:
     The wavelength fixes the angle lattice theta = k*wavelength/(2*pi)
     used by cuts and blurring.
     """
-    values = np.abs(far) ** 2
+    values = np.abs(far)
+    np.square(values, out=values)
     values.setflags(write=False)
     return RateMap(grid=grid, angles=angles_of(grid, wavelength), values=values)
 
@@ -189,23 +213,44 @@ def blur(obj, width: float):
     # Circular convolution: the discrete far field is periodic, and wrapping
     # conserves total mass exactly for a unit-sum kernel.  With the values
     # wrapped by reach each side, entries 2*reach - i .. 2*reach - i + n - 1
-    # along the axis are np.roll(values, i - reach); the taps add up in kernel
-    # order from 0, as sum() of the rolled terms would.
+    # along an axis are np.roll(values, i - reach); the taps add up in kernel
+    # order from 0, as sum() of the rolled terms would, first along the rows
+    # of a map, then along its last axis.  The map goes in blocks of rows, a
+    # profile as one row: each block takes the first axis's taps into the
+    # middle of a row-wrapped work block, then the last axis's into the output.
     values = obj.values
-    for axis in range(values.ndim):
-        pad = [(0, 0)] * values.ndim
-        pad[axis] = (reach, reach)
-        wrapped = np.pad(values, pad, mode="wrap")
-        dtype = np.result_type(kernel, values)
-        total, term = np.zeros_like(values, dtype=dtype), np.empty_like(values, dtype=dtype)
+    rows = values.reshape(-1, n)
+    dtype = np.result_type(kernel, values)
+    out = np.empty(values.shape, dtype)
+    out_rows = out.reshape(-1, n)
+    block = min(_BLOCK_ROWS, rows.shape[0])
+    wrapped = np.empty((block, n + 2 * reach), dtype)
+    term = np.empty((block, n), dtype)
+    left = reach + np.arange(-reach, 0) % n            # columns that wrap to the front
+    right = reach + np.arange(n, n + reach) % n        # and to the back
+    for start in range(0, rows.shape[0], block):
+        stop = min(start + block, rows.shape[0])
+        size = stop - start
+        work, part = wrapped[:size], term[:size]
+        middle = work[:, reach:reach + n]
+        if values.ndim == 1:
+            middle[...] = rows
+        else:
+            first, last = start - reach, stop + reach
+            source = (rows[first:last] if first >= 0 and last <= n
+                      else rows[np.arange(first, last) % n])
+            middle.fill(0)
+            for i, weight in enumerate(kernel):
+                np.multiply(weight, source[2 * reach - i:2 * reach - i + size], out=part)
+                middle += part
+        work[:, :reach], work[:, reach + n:] = work[:, left], work[:, right]
+        total = out_rows[start:stop]
+        total.fill(0)
         for i, weight in enumerate(kernel):
-            tap = [slice(None)] * values.ndim
-            tap[axis] = slice(2 * reach - i, 2 * reach - i + n)
-            np.multiply(weight, wrapped[tuple(tap)], out=term)
-            total += term
-        values = total
-    values.setflags(write=False)
-    return replace(obj, values=values)
+            np.multiply(weight, work[:, 2 * reach - i:2 * reach - i + n], out=part)
+            total += part
+    out.setflags(write=False)
+    return replace(obj, values=out)
 
 
 class SupportPlan:

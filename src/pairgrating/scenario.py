@@ -15,7 +15,9 @@ weight: biphoton.pair_weight on the 2m - 1 distinct exponents
 spread over the m x m pairs as a strided view (pair_matrix).
 rate_map_for runs the full chain on the n x n grid (pair amplitude on
 m = n positions, 2D FFT, |F|**2, 2D blur) for the map that simulate
-writes, and stays the independent FFT reference.  profiles_for, which
+writes, and stays the independent FFT reference.  It holds at most two
+n x n complex128 arrays at once: a traced peak of 8.5 MiB at n = 512 and
+130 MiB at n = 2048.  profiles_for, which
 every fit and sweep evaluation calls, hands A to a
 propagation.SupportPlan, which finds the spot's support S (155 samples
 at the default 29 um spot and 1.17 um spacing, whatever n is) and the
@@ -52,7 +54,8 @@ from .optics import transmission
 from .propagation import (CHANNELS, RateMap, RateProfile, SupportPlan, _cut_angles, _snap_shift,
                           blur, coincidence_map, to_far_field)
 
-# The full-map chain holds several n x n complex128 arrays at once.
+# The full-map chain holds at most two n x n complex128 arrays at once, 512 MiB at
+# this n (a traced peak of about 520 MiB, four times n = 2048's 130 MiB).
 MAX_GRID_N = 4096
 
 # Every window below this has a finite square, and so does every pair exponent
@@ -149,7 +152,7 @@ class ScenarioConfig:
             raise ParameterError(
                 f"grid_n must be at most {MAX_GRID_N}, got {self.grid_n}: one "
                 f"{self.grid_n}x{self.grid_n} complex128 array is {nbytes} bytes "
-                f"({nbytes / 2 ** 20:.1f} MiB), and the forward chain holds several")
+                f"({nbytes / 2 ** 20:.1f} MiB), and the full-map chain holds two")
         if self.grating_period_um <= self.wavelength_um:
             raise ParameterError(
                 f"grating_period_um must exceed wavelength_nm/1000 = {self.wavelength_um:.6g} "
@@ -272,8 +275,12 @@ def rate_map_for(config: ScenarioConfig) -> RateMap:
     """Run the full forward chain on the n x n grid at config.sigma_corr_um."""
     grid = grid_for(config)
     amp = transmission_for(config, grid)
-    pair = two_photon_amplitude(amp, config.sigma_corr_um, config.illumination, grid)
-    rmap = coincidence_map(to_far_field(pair, grid), grid, config.wavelength_um)
+    # each stage's input is dropped when the next stage returns: the pair after
+    # to_far_field, the far field after coincidence_map
+    far = to_far_field(two_photon_amplitude(amp, config.sigma_corr_um, config.illumination, grid),
+                       grid)
+    rmap = coincidence_map(far, grid, config.wavelength_um)
+    del far
     return blur(rmap, config.resolution_mrad * 1e-3)
 
 

@@ -1,3 +1,4 @@
+import contextlib
 import warnings
 from dataclasses import replace
 
@@ -27,6 +28,35 @@ def _exponent(mode, x):
     """-(x_j - x_l)**2 (near) or -(x_j + x_l)**2 (far) on the positions x, pair by pair."""
     x = np.asarray(x, dtype=float)
     return -(x[:, None] - x[None, :]) ** 2 if mode == "near" else -(x[:, None] + x[None, :]) ** 2
+
+
+def _plain_two_photon_amplitude(amplitude, sigma_corr, mode, grid):
+    """two_photon_amplitude as plain expressions, each step a new array."""
+    n, dx = grid.n, grid.dx
+    a = np.asarray(amplitude, dtype=complex)
+    product = a[:, None] * a[None, :]
+    product = product + product.T
+    product *= 0.5
+    line = pair_exponent_line(mode, -(n // 2), n, dx)
+    joint = product * pair_matrix(pair_weight(line, sigma_corr, dx), mode)
+    joint /= np.sqrt(np.sum(np.abs(joint) ** 2) * dx ** 2)
+    return joint
+
+
+@pytest.mark.parametrize("mode", ["near", "far"])
+@pytest.mark.parametrize("sigma", [0.3, 9.0, 1e4])
+def test_two_photon_amplitude_is_bitwise_the_plain_expressions(sigma, mode):
+    # the amplitude is weighted in place and |F|**2 summed in the product's
+    # buffer; the result is the plain expressions', bit for bit
+    config = ScenarioConfig()
+    grid = scenario.grid_for(config)
+    amp = scenario.transmission_for(config, grid)
+    under_resolved = sigma < grid.dx / 2.0
+    with pytest.warns(SamplingWarning) if under_resolved else contextlib.nullcontext():
+        got = two_photon_amplitude(amp, sigma, mode, grid)
+        want = _plain_two_photon_amplitude(amp, sigma, mode, grid)
+    assert got.dtype == want.dtype and not got.flags.writeable
+    assert np.array_equal(got, want)
 
 
 def test_correlation_factor_on_diagonal():

@@ -338,6 +338,30 @@ def test_fit_scale_equivariance(fast_config):
     assert odd.sigma_corr == pytest.approx(base.sigma_corr, rel=1e-9)
 
 
+def test_fit_of_a_scan_times_a_power_of_two_is_bitwise_the_same(fast_config):
+    # the solver scales the rates by a power of two that puts the largest w*rate**2
+    # in [1, 4): a scan times 2**-600 is searched on the same numbers, bit for bit
+    rates = 1000.0 * forward_on_angles(fast_config, 9.0, SCAN) + 20.0
+    base = fit_sigma(Measurement(angles=SCAN, rates=rates), fast_config)
+    small = fit_sigma(Measurement(angles=SCAN, rates=rates * 2.0 ** -600), fast_config)
+    assert base.converged and small.converged
+    assert (small.sigma_corr, small.n_evaluations) == (base.sigma_corr, base.n_evaluations)
+    assert small.scale == base.scale * 2.0 ** -600
+    assert small.background == base.background * 2.0 ** -600
+
+
+@pytest.mark.parametrize("factor", [1e-170, 1e-200])
+def test_fit_of_a_scan_of_small_rates_converges(fast_config, factor):
+    # unscaled, the squared residuals of these scans underflow, and the landscape
+    # read as flat at sigma = 0.5 with residual_sse = 0
+    rates = 1000.0 * forward_on_angles(fast_config, 9.0, SCAN) + 20.0
+    base = fit_sigma(Measurement(angles=SCAN, rates=rates), fast_config)
+    small = fit_sigma(Measurement(angles=SCAN, rates=rates * factor), fast_config)
+    assert small.converged, small.message
+    assert small.sigma_corr == pytest.approx(base.sigma_corr, abs=1e-6)
+    assert small.scale == pytest.approx(base.scale * factor, rel=1e-6)
+
+
 def _quiet_model(config, sigma):
     """forward_on_angles on SCAN, also at widths below the grid's sampling limit."""
     with warnings.catch_warnings():
@@ -665,7 +689,7 @@ def test_least_squares_matches_weighted_lstsq():
         rates = (rng.uniform(1.0, 1e4) * model + rng.uniform(10.0, 1e3)
                  + rng.standard_normal(n) / np.sqrt(weights))
         solve, data_scale = inference._least_squares(rates, weights)
-        sse, (scale, background) = solve(model)
+        loss, (scale, background, sse) = solve(model)
         root = np.sqrt(weights)
         design = np.column_stack([model, np.ones(n)]) * root[:, None]
         want_scale, want_background = np.linalg.lstsq(design, rates * root, rcond=None)[0]
@@ -674,7 +698,13 @@ def test_least_squares_matches_weighted_lstsq():
         assert scale == pytest.approx(want_scale, rel=1e-12)
         assert background == pytest.approx(want_background, rel=1e-12)
         assert sse == pytest.approx(want_sse, rel=1e-12)
-        assert data_scale == pytest.approx(float(np.sum(weights * rates ** 2)), rel=1e-12)
+        # the loss and the data scale are the rates times 2**k's: sse and sum(w*rate**2)
+        # times 4**k, with the largest w*(rate*2**k)**2 in [1, 4)
+        k = inference._rate_exponent(rates, weights)
+        assert loss == math.ldexp(sse, 2 * k)
+        assert data_scale == pytest.approx(math.ldexp(float(np.sum(weights * rates ** 2)), 2 * k),
+                                           rel=1e-12)
+        assert 1.0 <= np.max(weights * np.ldexp(rates, k) ** 2) < 4.0
 
 
 def test_fit_honors_rate_errors(fast_config):

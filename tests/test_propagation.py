@@ -79,6 +79,20 @@ def test_far_field_is_the_scaled_centered_fft(dtype):
     assert np.array_equal(values, before)
 
 
+def test_far_field_at_full_size_is_the_scaled_centered_fft():
+    # at n = 512 the quadrant swaps run over several row blocks; a random input
+    # has no symmetry to hide a swap that goes wrong, and a read-only one stays
+    rng = np.random.default_rng(12)
+    grid = make_grid(512, 600.0)
+    values = rng.standard_normal((512, 512)) + 1j * rng.standard_normal((512, 512))
+    values.setflags(write=False)
+    before = values.copy()
+    expected = (np.fft.fftshift(np.fft.fft2(np.fft.ifftshift(values)))
+                * (grid.dx ** 2 / (2.0 * np.pi)))
+    assert np.array_equal(to_far_field(values, grid), expected)
+    assert np.array_equal(values, before)
+
+
 def test_double_sum_oracle_against_literal_loops():
     # sanity-check the kernel-matrix oracle itself with explicit loops
     rng = np.random.default_rng(3)
@@ -217,14 +231,25 @@ def test_blur_never_increases_contrast():
             assert visibility(blur(profile, width), window) <= reference + 1e-12
 
 
-@pytest.mark.parametrize("width_bins,taps", [(0.5, 1), (4.2, 5), (8.4, 9)])
+@pytest.mark.parametrize("width_bins,taps,n", [
+    pytest.param(0.5, 1, 512, id="0.5-1"),
+    pytest.param(4.2, 5, 512, id="4.2-5"),
+    pytest.param(8.4, 9, 512, id="8.4-9"),
+    # blur works through a map in blocks of 32 rows: a last block cut short, one
+    # block shorter than a full one, more taps than a block has rows (their rows
+    # wrap past both ends of the map), and a reach longer than a block
+    pytest.param(8.4, 9, 100, id="8.4-9-n100"),
+    pytest.param(4.2, 5, 20, id="4.2-5-n20"),
+    pytest.param(40.6, 41, 48, id="40.6-41-n48"),
+    pytest.param(80.6, 81, 160, id="80.6-81-n160"),
+])
 @pytest.mark.parametrize("ndim", [1, 2])
-def test_blur_is_bitwise_the_roll_sum(width_bins, taps, ndim):
+def test_blur_is_bitwise_the_roll_sum(width_bins, taps, n, ndim):
     # the circular convolution written as a sum of np.roll terms in kernel
     # order, one axis after the other
-    grid = make_grid(512, 512.0)
+    grid = make_grid(n, float(n))
     angles = angles_of(grid, 1.0)
-    values = np.random.default_rng(taps + ndim).random((512,) * ndim)
+    values = np.random.default_rng(taps + ndim).random((n,) * ndim)
     obj = (RateMap(grid=grid, angles=angles, values=values) if ndim == 2
            else RateProfile(angles=angles, values=values))
     width = width_bins * (angles[1] - angles[0])
@@ -625,10 +650,24 @@ def test_profiles_for_counts_the_row_stack_against_the_byte_cap(monkeypatch):
     assert scenario._support_plan.cache_info().currsize == 0
 
 
+def test_rate_map_for_peaks_below_two_and_a_half_full_arrays():
+    # the chain drops each stage's input when the next returns, weighs the pair in
+    # place, swaps the far field's quadrants in place and blurs in row blocks: at
+    # most two n x n complex128 arrays live at once (8.5 MiB measured at n = 512)
+    config = ScenarioConfig()
+    tracemalloc.start()
+    try:
+        rate_map_for(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * 16 * config.grid_n ** 2
+
+
 def test_profiles_for_whole_grid_support_peaks_below_three_full_arrays():
     # a spot far wider than the window puts the whole grid in the support
     # (m = n = 2048); over a fit's rows one cold call peaks below three n x n
-    # complex128 arrays (192 MiB), where rate_map_for peaks at 256 MiB
+    # complex128 arrays (192 MiB), where rate_map_for peaks at 130 MiB
     config = ScenarioConfig(grid_n=2048, window_um=2400.0, spot_diameter_um=1e5)
     scenario._support_plan.cache_clear()
     tracemalloc.start()
