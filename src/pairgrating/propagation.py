@@ -217,7 +217,8 @@ def blur(obj, width: float):
     # order from 0, as sum() of the rolled terms would, first along the rows
     # of a map, then along its last axis.  The map goes in blocks of rows, a
     # profile as one row: each block takes the first axis's taps into the
-    # middle of a row-wrapped work block, then the last axis's into the output.
+    # middle of a work block, wraps its end columns, then takes the last
+    # axis's taps into the output.
     values = obj.values
     rows = values.reshape(-1, n)
     dtype = np.result_type(kernel, values)
