@@ -33,6 +33,16 @@ def test_summary_counts_ties_for_neither_side():
         bench_pairs.summarize(parent, change[:3], "lower")
 
 
+def test_summary_reports_the_median_of_the_pair_ratios():
+    # the machine slows between pairs: each pair's ratio shows the change faster,
+    # the ratio of the sides' medians does not
+    parent = [2.0, 4.0, 10.0]
+    change = [1.0, 4.0, 9.0]     # ratios 0.5, 1.0, 0.9
+    summary = bench_pairs.summarize(parent, change, "lower")
+    assert summary["median_ratio_change_over_parent"] == 1.0
+    assert summary["median_pair_ratio_change_over_parent"] == pytest.approx(0.9)
+
+
 def test_direction_comes_from_the_benchmark_declaration():
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     better = bench_pairs.directions(benchmark)

@@ -409,7 +409,7 @@ def test_fit_negative_scale_is_degenerate(fast_config):
     rates = 2.0 - forward_on_angles(fast_config, 13.0, SCAN)
     result = fit_sigma(Measurement(angles=SCAN, rates=rates), fast_config)
     assert not result.converged
-    assert result.message == "degenerate solution at sigma = 12.9984 um: scale = -1"
+    assert result.message == "degenerate solution at sigma = 13.0005 um: scale = -0.999999"
     assert result.scale < 0.0
 
 
@@ -572,16 +572,15 @@ def test_forward_on_angles_accepts_the_model_edges(fast_config):
     assert np.all(np.isfinite(model))
 
 
-# Fit results at the commit before the blurred cuts were taken from the
-# unblurred map; the scans carry a fixed 2% multiplicative ripple so the
-# fit does not simply recover its input.
+# Fit results of the width search with Brent's parabolic refinement; the scans
+# carry a fixed 2% multiplicative ripple so the fit does not simply recover its input.
 PINNED_FITS = [
     (dict(), 13.0, "coincidences",
-     12.986018411101686, 4961.436933557459, 101.81834054417901, 41),
+     12.983290494837988, 4961.457398421363, 101.77146599944312, 31),
     (dict(illumination="far"), 13.0, "coincidences",
-     12.953479083391436, 4960.914436247362, 100.52219206477253, 41),
+     12.95132780206773, 4960.779599525499, 100.43610886737179, 31),
     (dict(), 9.0, "singles",
-     8.943693859151008, 4969.857900743222, 99.09607712184497, 42),
+     8.944742205481647, 4969.880467420006, 99.17855720680899, 31),
 ]
 
 
@@ -601,14 +600,14 @@ def test_fit_pinned(keys, sigma, channel, fit_sigma_um, scale, background, evalu
 
 
 # test_fit_pinned's scans with rate_err = sqrt(rate), as a counted scan carries it,
-# pinned at the commit before the width search and its inner solver were split
+# pinned with the same search
 PINNED_WEIGHTED_FITS = [
     (dict(), 13.0, "coincidences",
-     12.986018411101686, 4969.444063890893, 100.30904988595294, 25.025324866561277, 41),
+     12.984189796868874, 4969.343631402498, 100.2961665023472, 25.023801414052766, 31),
     (dict(illumination="far"), 13.0, "coincidences",
-     12.970655424538162, 4965.056574794858, 100.22574373869718, 35.731437045816314, 41),
+     12.970830013119572, 4965.09123843381, 100.22738914918942, 35.7316039681594, 31),
     (dict(), 9.0, "singles",
-     8.975029008207613, 4973.422391442455, 99.96549194494735, 65.08241940232497, 42),
+     8.97626644809549, 4973.573584271485, 100.0168875129207, 65.08262217168514, 31),
 ]
 
 
@@ -643,15 +642,68 @@ def _recorded_search(loss):
     return inference._search_width(objective, 0.0), widths
 
 
-def test_search_width_refines_a_minimum_inside_the_grid():
-    ((sigma, loss, index), evaluations, message), widths = _recorded_search(
-        lambda s: math.log(s / 7.0) ** 2)
+# the refinement evaluations of the golden section that Brent's steps replaced
+GOLDEN_SECTION_EVALUATIONS = 16
+
+
+def _assert_refined(loss, minimizer):
+    """A search of loss(sigma) refines, lands within REFINE_REL_WIDTH/2 of the minimizer,
+    reports its lowest-loss evaluation, evaluates each width once and refines in at most
+    as many evaluations as the golden section did; returns the report's index and the
+    widths tried."""
+    ((sigma, reported, index), evaluations, message), widths = _recorded_search(loss)
     assert message == ""
-    assert abs(sigma - 7.0) <= inference.REFINE_REL_WIDTH * 7.0
-    assert loss == math.log(sigma / 7.0) ** 2
-    # a refined search reports its last evaluation, and evaluates each width once
-    assert sigma == widths[index] == widths[-1]
+    assert abs(sigma - minimizer) <= 0.5 * inference.REFINE_REL_WIDTH * minimizer
+    assert sigma == widths[index]
+    assert reported == loss(sigma) == min(map(loss, widths))
     assert inference.COARSE_POINTS < evaluations == len(widths) == len(set(widths))
+    assert evaluations <= inference.COARSE_POINTS + GOLDEN_SECTION_EVALUATIONS
+    return index, widths
+
+
+def test_search_width_refines_a_minimum_inside_the_grid():
+    index, widths = _assert_refined(lambda s: math.log(s / 7.0) ** 2, 7.0)
+    # the lowest loss is a refinement evaluation's, after a few parabolic steps
+    assert index >= inference.COARSE_POINTS
+    assert len(widths) <= inference.COARSE_POINTS + 8
+
+
+COARSE = np.geomspace(*inference.SIGMA_RANGE, inference.COARSE_POINTS)
+_BETWEEN = 0.5 * (COARSE[9] + COARSE[11])   # the middle of COARSE[10]'s bracket
+
+
+@pytest.mark.parametrize("loss,minimizer", [
+    (lambda s: abs(math.log(s / 7.0)), 7.0),                 # a kink: no parabola fits it
+    (lambda s: math.log(s / 7.0) ** 4, 7.0),                 # flat at the minimum
+    (lambda s: math.log(s / COARSE[10]) ** 2, COARSE[10]),   # a minimum on a coarse width
+    (lambda s: (s - _BETWEEN) ** 2, _BETWEEN),               # equal losses at both neighbours
+], ids=["v-shape", "quartic", "on-a-coarse-width", "equal-neighbours"])
+def test_search_width_safeguards_its_parabolic_steps(loss, minimizer):
+    if minimizer == _BETWEEN:
+        assert loss(COARSE[9]) == loss(COARSE[11]) > loss(COARSE[10])
+    _assert_refined(loss, minimizer)
+
+
+@pytest.mark.parametrize("illumination", ["near", "far"])
+@pytest.mark.parametrize("channel", ["coincidences", "singles"])
+@pytest.mark.parametrize("sigma", [3.0, 9.0, 31.0])
+def test_fit_lands_on_a_dense_grid_minimizer(illumination, channel, sigma):
+    # a noise-free scan and a Poisson one with sqrt(counts) errors; the dense grid
+    # spans 2*REFINE_REL_WIDTH about the fit in steps of REFINE_REL_WIDTH/20
+    config = ScenarioConfig(grid_n=256, window_um=300.0, illumination=illumination)
+    mean = 1000.0 * forward_on_angles(config, sigma, SCAN, channel) + 20.0
+    counts = np.random.default_rng(11).poisson(mean).astype(float)
+    for rates, errors in ((mean, None), (counts, np.sqrt(np.maximum(counts, 1.0)))):
+        result = fit_sigma(Measurement(SCAN, rates, rate_errors=errors, channel=channel), config)
+        assert result.converged, result.message
+        assert result.n_evaluations <= inference.COARSE_POINTS + 10
+        solve, _ = inference._least_squares(
+            rates, np.ones_like(rates) if errors is None else 1.0 / np.square(errors))
+        grid = result.sigma_corr * (1.0 + inference.REFINE_REL_WIDTH * np.linspace(-1, 1, 41))
+        losses = [solve(inference._model_on_angles(config, s, SCAN, channel))[0] for s in grid]
+        best = int(np.argmin(losses))
+        assert 0 < best < grid.size - 1   # the grid holds the minimizer
+        assert abs(result.sigma_corr - grid[best]) <= 0.5 * inference.REFINE_REL_WIDTH * grid[best]
 
 
 def test_search_width_flat_objective():

@@ -776,7 +776,7 @@ def test_cli_degenerate_fit_exits_4(tmp_path, monkeypatch, capsys):
     assert main(["fit", str(cfg), str(scan)]) == 4
     out = capsys.readouterr().out
     assert "converged        = False\n" in out
-    assert "diagnostics      = degenerate solution at sigma = 12.9984 um: scale = -1\n" in out
+    assert "diagnostics      = degenerate solution at sigma = 13.0005 um: scale = -0.999999\n" in out
     assert not (tmp_path / "out_fitcurve.csv").exists()
 
 

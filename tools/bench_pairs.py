@@ -43,6 +43,9 @@ def summarize(parent, change, better: str) -> dict:
 
     A pair counts for the change when its value is better in the
     direction `better` ("lower" or "higher"); ties count for neither.
+    The median of the pairs' change/parent ratios reads each change
+    against the parent run beside it, so a drift of the machine within
+    a batch blurs it less than the ratio of the two sides' medians.
     """
     if better not in ("lower", "higher"):
         raise ValueError(f"better must be 'lower' or 'higher', got {better!r}")
@@ -53,7 +56,9 @@ def summarize(parent, change, better: str) -> dict:
     return {"parent": parent_stats, "change": change_stats, "pairs": len(parent),
             "change_wins": sum(sign * (p - c) > 0.0 for p, c in zip(parent, change)),
             "parent_iqr": parent_stats["q3"] - parent_stats["q1"],
-            "median_ratio_change_over_parent": change_stats["median"] / parent_stats["median"]}
+            "median_ratio_change_over_parent": change_stats["median"] / parent_stats["median"],
+            "median_pair_ratio_change_over_parent": statistics.median(
+                c / p for p, c in zip(parent, change))}
 
 
 def directions(benchmark: dict) -> dict:
@@ -156,7 +161,8 @@ def main(argv=None) -> int:
               f"the change first in even pairs. Each run's record is the final JSON line the "
               f"command prints. Medians and quartiles (q1, q3; inclusive method) are over the "
               f"runs of each side; change_wins counts pairs in which the change is better, "
-              f"ties for neither.")
+              f"ties for neither; median_pair_ratio_change_over_parent is the median over "
+              f"pairs of the change's value over the parent's.")
     if args.traced_seed is not None:
         method += (f" Each workload also holds one traced pair (--trace 1, seed "
                    f"{args.traced_seed}).")
