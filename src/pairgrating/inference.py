@@ -376,13 +376,13 @@ def _search_width(objective, data_scale: float):
     with golden-section safeguards (R. P. Brent, Algorithms for Minimization
     without Derivatives, 1973, ch. 5) in the best one's bracket, each width
     evaluated once.  It starts from the parabola through the coarse best and
-    its two neighbours, and stops when every point of the bracket lies
-    within REFINE_REL_WIDTH/2 of the bracket's centre from its best width,
-    so that the bracket is at most REFINE_REL_WIDTH of its centre.  On
-    measured fits the refinement takes 4 to 9 evaluations, about 31 in all.
-    Returns ((sigma, loss, params), evaluations, message): the evaluation of
-    lowest loss (the later one on a tie), which is the coarse best with a
-    flat (against data_scale) or grid-end message.
+    its two neighbours, and stops when no point of the bracket lies further
+    from the best width than REFINE_REL_WIDTH/2 of the bracket's centre:
+    the bracket is then at most REFINE_REL_WIDTH of its centre, and the best
+    width within half that of the minimum.  On measured fits the refinement
+    takes 4 to 9 evaluations, about 31 in all.  Returns ((sigma, loss,
+    params), evaluations, message): the evaluation of lowest loss, which is
+    the coarse best with a flat (against data_scale) or grid-end message.
     """
     log = []  # (sigma, loss, params) of each evaluation
 

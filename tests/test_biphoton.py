@@ -59,6 +59,18 @@ def test_two_photon_amplitude_is_bitwise_the_plain_expressions(sigma, mode):
     assert np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("grid_n", [32, 96, 200])
+def test_two_photon_amplitude_symmetrizes_part_tiles_bitwise(grid_n):
+    # the product meets its transpose in 64 x 64 tiles: a grid under one tile, and
+    # grids whose last tiles are cut short
+    config = ScenarioConfig(grid_n=grid_n, window_um=2.0 * grid_n)
+    grid = scenario.grid_for(config)
+    amp = scenario.transmission_for(config, grid)
+    for mode in ("near", "far"):
+        got = two_photon_amplitude(amp, 9.0, mode, grid)
+        assert np.array_equal(got, _plain_two_photon_amplitude(amp, 9.0, mode, grid))
+
+
 def test_correlation_factor_on_diagonal():
     weights = _pair_weights(7.3, 5.0, "near")     # positions 7.3 and 0
     assert weights[3, 3] / weights[2, 2] == 1.0

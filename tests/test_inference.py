@@ -674,10 +674,13 @@ _BETWEEN = 0.5 * (COARSE[9] + COARSE[11])   # the middle of COARSE[10]'s bracket
 
 @pytest.mark.parametrize("loss,minimizer", [
     (lambda s: abs(math.log(s / 7.0)), 7.0),                 # a kink: no parabola fits it
+    # a lopsided kink: parabolas creep towards it, and the golden-section steps the
+    # safeguard takes keep the count down (unguarded, this takes 192 refinement steps)
+    (lambda s: math.log(s / 7.0) * (3.0 if s > 7.0 else -1.0), 7.0),
     (lambda s: math.log(s / 7.0) ** 4, 7.0),                 # flat at the minimum
     (lambda s: math.log(s / COARSE[10]) ** 2, COARSE[10]),   # a minimum on a coarse width
     (lambda s: (s - _BETWEEN) ** 2, _BETWEEN),               # equal losses at both neighbours
-], ids=["v-shape", "quartic", "on-a-coarse-width", "equal-neighbours"])
+], ids=["v-shape", "lopsided-v-shape", "quartic", "on-a-coarse-width", "equal-neighbours"])
 def test_search_width_safeguards_its_parabolic_steps(loss, minimizer):
     if minimizer == _BETWEEN:
         assert loss(COARSE[9]) == loss(COARSE[11]) > loss(COARSE[10])
