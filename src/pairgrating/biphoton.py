@@ -6,15 +6,17 @@ factor tying their transverse positions together.  two_photon_amplitude
 symmetrizes the product under exchange explicitly: for identical scalar
 amplitudes that changes only rounding, and it makes F equal F.T bitwise.
 
-Both evaluators build the weight G = exp(-(x_j -+ x_l)**2/(2*sigma**2))
-one way.  On m consecutive lattice positions the exponent depends only
-on x_j - x_l (near) or x_j + x_l (far), so it takes 2m - 1 distinct
-values, each at its exact lattice offset (pair_exponent_line: the whole
-grid for two_photon_amplitude, the spot's support for
-scenario.profiles_for).  pair_weight applies one width (the sampling
-warning and the exponential, with weights below about 1e-200 set to 0),
-and pair_matrix reads the m x m weight as a strided view of the 2m - 1
-weights.  The callers check the width and the grid spacing (scenario).
+Both evaluators and their n x n reference build the weight
+G = exp(-(x_j -+ x_l)**2/(2*sigma**2)) one way.  On m consecutive
+lattice positions the exponent depends only on x_j - x_l (near) or
+x_j + x_l (far), so it takes 2m - 1 distinct values, each at its exact
+lattice offset (pair_exponent_line: the spot's support for scenario's
+rate_map_for and profiles_for, the whole grid for two_photon_amplitude,
+the reference the tests check them against).  pair_weight applies one
+width (the sampling warning and the exponential, with weights below
+about 1e-200 set to 0), and pair_matrix reads the m x m weight as a
+strided view of the 2m - 1 weights.  The callers check the width and
+the grid spacing (scenario).
 """
 
 from __future__ import annotations
@@ -30,10 +32,6 @@ from .lattice import SpatialGrid
 # below the terms they are added to.  Left in, they reach subnormal doubles in the
 # exponential and the matrix products, which run several times slower there.
 WEIGHT_LOG_FLOOR = -460.0
-# two_photon_amplitude adds the product to its transpose in square tiles of this side:
-# a whole-array add reads the transposed operand n elements apart, a 64 x 64 complex
-# tile (64 KiB) of each operand stays in cache.
-_TILE = 64
 
 
 def pair_exponent_line(mode: str, first: int, m: int, dx: float) -> np.ndarray:
@@ -109,19 +107,10 @@ def two_photon_amplitude(amplitude, sigma_corr: float, mode: str,
     n, dx = grid.n, grid.dx
     a = np.asarray(amplitude, dtype=complex)
     product = a[:, None] * a[None, :]
-    joint = np.empty_like(product)     # product + product.T: exchange symmetrization
-    for top in range(0, n, _TILE):
-        for left in range(0, n, _TILE):
-            rows, columns = slice(top, top + _TILE), slice(left, left + _TILE)
-            np.add(product[rows, columns], product[columns, rows].T, out=joint[rows, columns])
+    joint = product + product.T        # exchange symmetrization (module docstring)
     joint *= 0.5
     line = pair_exponent_line(mode, -(n // 2), n, dx)
     joint *= pair_matrix(pair_weight(line, sigma_corr, dx), mode)
-    # |joint|**2 in the first half of the product's buffer, a contiguous n x n float
-    # array as np.abs would return, so np.sum reduces the same layout
-    squares = product.reshape(-1).view(float)[:n * n].reshape(n, n)
-    np.abs(joint, out=squares)
-    np.square(squares, out=squares)
-    joint /= np.sqrt(np.sum(squares) * dx ** 2)
+    joint /= np.sqrt(np.sum(np.abs(joint) ** 2) * dx ** 2)
     joint.setflags(write=False)
     return joint

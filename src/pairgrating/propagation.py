@@ -62,8 +62,8 @@ SUPPORT_FLOOR = 1e-17
 # The two cuts a scan or profiles_for may name: the diagonal and the singles.
 CHANNELS = ("coincidences", "singles")
 
-# Rows per block of the full map's passes (blur, the quadrant swap): a block of the
-# default n = 512 map and its work arrays fit in a core's L2 cache.
+# Rows per block of a map's blur: a block of the default n = 512 map and its work
+# arrays fit in a core's L2 cache.
 _BLOCK_ROWS = 32
 
 
@@ -79,38 +79,14 @@ def fourier_1d(values, grid: SpatialGrid) -> np.ndarray:
 def to_far_field(values, grid: SpatialGrid) -> np.ndarray:
     """Transform both coordinates of an n x n joint amplitude over (x_j, x_l).
 
-    n is even (the grid rule).  Entry (m, p) of the result is the
-    amplitude over (k_m, k_p).  The transform is unitary (factor
-    dx**2/(2*pi) on a centered FFT), so sum(|out|**2)*dk**2 equals the
-    input's sum(|F|**2)*dx**2; exchange symmetry is preserved.
+    Entry (m, p) of the result is the amplitude over (k_m, k_p).  The
+    transform is unitary (factor dx**2/(2*pi) on a centered FFT), so
+    sum(|out|**2)*dk**2 equals the input's sum(|F|**2)*dx**2; exchange
+    symmetry is preserved.
     """
-    v = np.asarray(values)
-    # ifftshift copies into one array in the dtype fft2 would return, fft2 runs in
-    # place on it, and fftshift swaps its quadrants in place: n is even, so both
-    # shifts move each quadrant to the opposite one
-    ft = np.empty(v.shape, np.result_type(v, 1j))
-    _swap_quadrants(v, ft)
-    np.fft.fft2(ft, out=ft)
-    _swap_quadrants(ft, ft)
-    ft *= grid.dx ** 2 / TWO_PI
+    ft = np.fft.fftshift(np.fft.fft2(np.fft.ifftshift(values))) * (grid.dx ** 2 / TWO_PI)
     ft.setflags(write=False)
     return ft
-
-
-def _swap_quadrants(source: np.ndarray, out: np.ndarray) -> None:
-    """out[i, j] = source[(i + n/2) mod n, (j + n/2) mod n] for an even n x n source.
-
-    out may be source itself; the rows go in blocks of _BLOCK_ROWS, through
-    one copy of the top block.
-    """
-    half = source.shape[0] // 2
-    for top in range(0, half, _BLOCK_ROWS):
-        bottom, stop = top + half, min(top + _BLOCK_ROWS, half)
-        upper = source[top:stop].copy()
-        lower = source[bottom:stop + half]
-        out[top:stop, :half], out[top:stop, half:] = lower[:, half:], lower[:, :half]
-        out[bottom:stop + half, :half] = upper[:, half:]
-        out[bottom:stop + half, half:] = upper[:, :half]
 
 
 @dataclass(frozen=True)
@@ -136,8 +112,45 @@ def coincidence_map(far, grid: SpatialGrid, wavelength: float) -> RateMap:
     The wavelength fixes the angle lattice theta = k*wavelength/(2*pi)
     used by cuts and blurring.
     """
-    values = np.abs(far)
+    values = np.abs(far) ** 2
+    values.setflags(write=False)
+    return RateMap(grid=grid, angles=angles_of(grid, wavelength), values=values)
+
+
+def support_of(amplitude) -> slice:
+    """The spot's support S of A on the lattice: the first to the last sample where |A|
+    exceeds SUPPORT_FLOOR times its peak."""
+    magnitude = np.abs(amplitude)
+    inside = np.flatnonzero(magnitude > SUPPORT_FLOOR * magnitude.max())
+    return slice(int(inside[0]), int(inside[-1]) + 1)
+
+
+def support_map(amplitude, support: slice, weight, grid: SpatialGrid,
+                wavelength: float) -> RateMap:
+    """Rate map of the pair A_j*g[j, l]*A_l on support x support, with a unit square sum.
+
+    amplitude is A on the whole lattice, shape (n,), support its
+    support_of, and weight the float m x m g on it.  W[p, S_l] is
+    omega**(p*l)*(-1)**l, l counted from the start of S, times a unit
+    phase of row p, so with Q[j, l] = (-1)**(j + l)*a_j*g[j, l]*a_l the
+    map is coincidence_map's R = |fft2(Q, s=(n, n))|**2*(dx/(2*pi))**2/T
+    up to rounding (module docstring), with no shift and no n x n pair.
+    """
+    n = grid.n
+    signed = amplitude[support] * np.sqrt(grid.dx)
+    power = np.abs(signed) ** 2
+    norm = power @ np.square(weight) @ power
+    signed[1::2] *= -1
+    pair = signed[:, None] * weight
+    pair *= signed
+    # the m row transforms, then the n column transforms, as fft2(pair, s=(n, n))
+    # runs them; each pass's input is dropped when it returns
+    pair = np.fft.fft(pair, n, axis=1)
+    pair = np.fft.fft(pair, n, axis=0)
+    values = np.abs(pair)
+    del pair
     np.square(values, out=values)
+    values *= (grid.dx / TWO_PI) ** 2 / norm
     values.setflags(write=False)
     return RateMap(grid=grid, angles=angles_of(grid, wavelength), values=values)
 
@@ -276,9 +289,7 @@ class SupportPlan:
     def __init__(self, amplitude, grid: SpatialGrid, wavelength: float, width: float,
                  separation: float, span: tuple[float, float] | None):
         n = grid.n
-        magnitude = np.abs(amplitude)
-        inside = np.flatnonzero(magnitude > SUPPORT_FLOOR * magnitude.max())
-        self.support = slice(int(inside[0]), int(inside[-1]) + 1)
+        self.support = support_of(amplitude)
         angles = angles_of(grid, wavelength)
         lo, hi = (-np.inf, np.inf) if span is None else span
         step = wavelength / grid.window

@@ -9,20 +9,20 @@ chain relies on, each in Python floats as the stage computes it, the
 grid spacing among them, so no stage leaves the doubles; profiles_for
 checks its sigma_um, span and channel.  The stages trust both.
 
-Two evaluators share the grid, the transmission A and the Gaussian pair
-weight: biphoton.pair_weight on the 2m - 1 distinct exponents
--(x_j -+ x_l)**2 of m consecutive positions (pair_exponent_line),
+Both evaluators work on the spot's support S (propagation.support_of:
+155 samples at the default 29 um spot and 1.17 um spacing, whatever n
+is) with the Gaussian pair weight on it: biphoton.pair_weight on the
+2m - 1 distinct exponents -(x_j -+ x_l)**2 of S (pair_exponent_line),
 spread over the m x m pairs as a strided view (pair_matrix).
-rate_map_for runs the full chain on the n x n grid (pair amplitude on
-m = n positions, 2D FFT, |F|**2, 2D blur) for the map that simulate
-writes, and stays the independent FFT reference.  It holds at most two
-n x n complex128 arrays at once: a traced peak of 8.5 MiB at n = 512 and
-130 MiB at n = 2048.  profiles_for, which
-every fit and sweep evaluation calls, hands A to a
-propagation.SupportPlan, which finds the spot's support S (155 samples
-at the default 29 um spot and 1.17 um spacing, whatever n is) and the
-first-detector rows K that cover the span, and works on them: one real
-product of U = W_{K,S} diag(A_S sqrt(dx)) with the m x m weight on S.
+rate_map_for blurs propagation.support_map's n x n map of that pair for
+simulate: a traced peak of 6.0 MiB at n = 512 and 96 MiB at n = 2048,
+two n x n complex128 arrays when S covers the grid.  The n x n chain
+(two_photon_amplitude, to_far_field, coincidence_map) is the reference
+the tests check it against.  profiles_for, which every fit and sweep
+evaluation calls, hands A to a propagation.SupportPlan, which finds S
+and the first-detector rows K that cover the span, and works on them:
+one real product of U = W_{K,S} diag(A_S sqrt(dx)) with the m x m
+weight on S.
 
 The plan holds what does not depend on the width: the SupportPlan and
 the 2m - 1 exponents on its support.  It is kept in a one-entry cache
@@ -47,15 +47,15 @@ from operator import attrgetter
 
 import numpy as np
 
-from .biphoton import pair_exponent_line, pair_matrix, pair_weight, two_photon_amplitude
+from .biphoton import pair_exponent_line, pair_matrix, pair_weight
 from .errors import ParameterError, read_lines, read_number
 from .lattice import TWO_PI, SpatialGrid, angles_of, make_grid
 from .optics import transmission
 from .propagation import (CHANNELS, RateMap, RateProfile, SupportPlan, _cut_angles, _snap_shift,
-                          blur, coincidence_map, to_far_field)
+                          blur, support_map, support_of)
 
-# The full-map chain holds at most two n x n complex128 arrays at once, 512 MiB at
-# this n (a traced peak of about 520 MiB, four times n = 2048's 130 MiB).
+# rate_map_for holds at most two n x n complex128 arrays at once, 512 MiB at this n
+# (the traced peak when the support covers the grid; 384 MiB at the default spot).
 MAX_GRID_N = 4096
 
 # Every window below this has a finite square, and so does every pair exponent
@@ -64,8 +64,8 @@ MAX_GRID_N = 4096
 MAX_WINDOW_UM = float(np.sqrt(np.finfo(float).max))
 
 # The smallest grid spacing, 2*pi*sqrt(tiny) with a margin for sum(b) rounding above 1:
-# SupportPlan's diagonal factor (dx/(2*pi))**2/T is then normal, as T <= sum(b)**2 = 1
-# for every width, and the full map's sum(|F|**2) <= 1/dx**2 finite (|A|**2 <= 1/dx).
+# the factor (dx/(2*pi))**2/T of SupportPlan and support_map is then normal (T <= sum(b)**2
+# = 1 for every width), and the reference chain's sum(|F|**2) <= 1/dx**2 finite (|A|**2 <= 1/dx).
 MIN_GRID_SPACING_UM = TWO_PI * float(np.sqrt(np.finfo(float).tiny)) * (1.0 + 1e-9)
 
 # profiles_for keeps a plan only while its arrays fit in this: the 2m - 1 pair
@@ -152,7 +152,7 @@ class ScenarioConfig:
             raise ParameterError(
                 f"grid_n must be at most {MAX_GRID_N}, got {self.grid_n}: one "
                 f"{self.grid_n}x{self.grid_n} complex128 array is {nbytes} bytes "
-                f"({nbytes / 2 ** 20:.1f} MiB), and the full-map chain holds two")
+                f"({nbytes / 2 ** 20:.1f} MiB), and the rate map holds up to two")
         if self.grating_period_um <= self.wavelength_um:
             raise ParameterError(
                 f"grating_period_um must exceed wavelength_nm/1000 = {self.wavelength_um:.6g} "
@@ -272,16 +272,15 @@ def transmission_for(config: ScenarioConfig, grid: SpatialGrid) -> np.ndarray:
 
 
 def rate_map_for(config: ScenarioConfig) -> RateMap:
-    """Run the full forward chain on the n x n grid at config.sigma_corr_um."""
+    """Blurred rate map on the n x n angle lattice at config.sigma_corr_um (module docstring)."""
     grid = grid_for(config)
     amp = transmission_for(config, grid)
-    # each stage's input is dropped when the next stage returns: the pair after
-    # to_far_field, the far field after coincidence_map
-    far = to_far_field(two_photon_amplitude(amp, config.sigma_corr_um, config.illumination, grid),
-                       grid)
-    rmap = coincidence_map(far, grid, config.wavelength_um)
-    del far
-    return blur(rmap, config.resolution_mrad * 1e-3)
+    support = support_of(amp)
+    line = pair_exponent_line(config.illumination, support.start - grid.n // 2,
+                              support.stop - support.start, grid.dx)
+    weight = pair_matrix(pair_weight(line, config.sigma_corr_um, grid.dx), config.illumination)
+    return blur(support_map(amp, support, weight, grid, config.wavelength_um),
+                config.resolution_mrad * 1e-3)
 
 
 @lru_cache(maxsize=1)

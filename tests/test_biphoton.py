@@ -46,8 +46,8 @@ def _plain_two_photon_amplitude(amplitude, sigma_corr, mode, grid):
 @pytest.mark.parametrize("mode", ["near", "far"])
 @pytest.mark.parametrize("sigma", [0.3, 9.0, 1e4])
 def test_two_photon_amplitude_is_bitwise_the_plain_expressions(sigma, mode):
-    # the amplitude is weighted in place and |F|**2 summed in the product's
-    # buffer; the result is the plain expressions', bit for bit
+    # the amplitude is symmetrized, weighted and normalized in place; the result
+    # is the plain expressions', bit for bit
     config = ScenarioConfig()
     grid = scenario.grid_for(config)
     amp = scenario.transmission_for(config, grid)
@@ -57,18 +57,6 @@ def test_two_photon_amplitude_is_bitwise_the_plain_expressions(sigma, mode):
         want = _plain_two_photon_amplitude(amp, sigma, mode, grid)
     assert got.dtype == want.dtype and not got.flags.writeable
     assert np.array_equal(got, want)
-
-
-@pytest.mark.parametrize("grid_n", [32, 96, 200])
-def test_two_photon_amplitude_symmetrizes_part_tiles_bitwise(grid_n):
-    # the product meets its transpose in 64 x 64 tiles: a grid under one tile, and
-    # grids whose last tiles are cut short
-    config = ScenarioConfig(grid_n=grid_n, window_um=2.0 * grid_n)
-    grid = scenario.grid_for(config)
-    amp = scenario.transmission_for(config, grid)
-    for mode in ("near", "far"):
-        got = two_photon_amplitude(amp, 9.0, mode, grid)
-        assert np.array_equal(got, _plain_two_photon_amplitude(amp, 9.0, mode, grid))
 
 
 def test_correlation_factor_on_diagonal():

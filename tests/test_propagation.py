@@ -11,7 +11,7 @@ from pairgrating.biphoton import pair_matrix, two_photon_amplitude
 from pairgrating.lattice import angles_of, make_grid
 from pairgrating.propagation import (RateMap, RateProfile, SupportPlan, _box_kernel, blur,
                                      coincidence_map, diagonal_profile, fourier_1d,
-                                     singles_profile, to_far_field)
+                                     singles_profile, support_of, to_far_field)
 from pairgrating.errors import BinSnapWarning, ParameterError, SamplingWarning
 from pairgrating import scenario
 from pairgrating.inference import COARSE_POINTS, SIGMA_RANGE
@@ -65,8 +65,7 @@ def test_far_field_matches_direct_double_sum():
 
 @pytest.mark.parametrize("dtype", [complex, float])
 def test_far_field_is_the_scaled_centered_fft(dtype):
-    # fft2 runs in place on a copy: the result is the plain expression's, bit
-    # for bit, and the input is left alone
+    # the result is the plain expression's, bit for bit, and the input is left alone
     rng = np.random.default_rng(11)
     grid = make_grid(64, 64.0)
     values = rng.standard_normal((64, 64)).astype(dtype)
@@ -80,8 +79,8 @@ def test_far_field_is_the_scaled_centered_fft(dtype):
 
 
 def test_far_field_at_full_size_is_the_scaled_centered_fft():
-    # at n = 512 the quadrant swaps run over several row blocks; a random input
-    # has no symmetry to hide a swap that goes wrong, and a read-only one stays
+    # a random input has no symmetry to hide a shift that goes wrong, and a
+    # read-only one stays
     rng = np.random.default_rng(12)
     grid = make_grid(512, 600.0)
     values = rng.standard_normal((512, 512)) + 1j * rng.standard_normal((512, 512))
@@ -395,6 +394,28 @@ def test_profiles_for_matches_cuts_of_rate_map_for(keys, snaps):
         assert np.all(got.values >= 0.0)
 
 
+@pytest.mark.parametrize("keys", [keys for keys, _ in PROFILE_CONFIGS])
+def test_rate_map_for_matches_the_reference_chain(keys):
+    # the map from the m x m pair on the support against the n x n chain it no
+    # longer shares, the whole-grid support (spot_diameter_um=250) and the unblurred
+    # map (resolution_mrad=0) among the configs
+    config = ScenarioConfig(**keys)
+    grid = scenario.grid_for(config)
+    amp = scenario.transmission_for(config, grid)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", SamplingWarning)
+        got = rate_map_for(config)
+        pair = two_photon_amplitude(amp, config.sigma_corr_um, config.illumination, grid)
+    want = blur(coincidence_map(to_far_field(pair, grid), grid, config.wavelength_um),
+                config.resolution_mrad * 1e-3)
+    np.testing.assert_array_equal(got.angles, want.angles)
+    peak = want.values.max()
+    assert np.max(np.abs(got.values - want.values)) <= 1e-14 * peak
+    large = want.values > 1e-6 * peak
+    np.testing.assert_allclose(got.values[large], want.values[large], rtol=1e-12, atol=0.0)
+    assert np.all(got.values >= 0.0) and not got.values.flags.writeable
+
+
 FIT_SPAN = (-0.060, 0.060)   # the angles of a fit's scan, in rad
 
 # n = 256 over 300 um: 2.6 mrad bins, first-detector angles -332.8 to 330.2 mrad
@@ -650,24 +671,35 @@ def test_profiles_for_counts_the_row_stack_against_the_byte_cap(monkeypatch):
     assert scenario._support_plan.cache_info().currsize == 0
 
 
-def test_rate_map_for_peaks_below_two_and_a_half_full_arrays():
-    # the chain drops each stage's input when the next returns, weighs the pair in
-    # place, swaps the far field's quadrants in place and blurs in row blocks: at
-    # most two n x n complex128 arrays live at once (8.5 MiB measured at n = 512)
-    config = ScenarioConfig()
+def _rate_map_peak(config):
     tracemalloc.start()
     try:
         rate_map_for(config)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2.5 * 16 * config.grid_n ** 2
+
+
+def test_rate_map_for_peaks_below_one_and_three_quarter_full_arrays():
+    # at the default spot (m = 155 of n = 512) the map peaks at the n x n far field
+    # and its magnitudes, 1.5 n x n complex128 arrays (6.0 MiB measured)
+    config = ScenarioConfig()
+    assert _rate_map_peak(config) < 1.75 * 16 * config.grid_n ** 2
+
+
+def test_rate_map_for_peaks_below_two_and_a_half_full_arrays():
+    # a support that covers the grid (m = n) peaks at the m x n row transforms and
+    # the n x n far field, two n x n complex128 arrays (8.0 MiB measured)
+    config = ScenarioConfig(spot_diameter_um=250.0)
+    amp = scenario.transmission_for(config, scenario.grid_for(config))
+    assert support_of(amp) == slice(0, config.grid_n)
+    assert _rate_map_peak(config) < 2.5 * 16 * config.grid_n ** 2
 
 
 def test_profiles_for_whole_grid_support_peaks_below_three_full_arrays():
     # a spot far wider than the window puts the whole grid in the support
     # (m = n = 2048); over a fit's rows one cold call peaks below three n x n
-    # complex128 arrays (192 MiB), where rate_map_for peaks at 130 MiB
+    # complex128 arrays (192 MiB), where rate_map_for peaks at 128 MiB
     config = ScenarioConfig(grid_n=2048, window_um=2400.0, spot_diameter_um=1e5)
     scenario._support_plan.cache_clear()
     tracemalloc.start()
@@ -743,8 +775,8 @@ def test_profiles_for_shares_one_plan_across_threads():
 
 
 def test_profiles_for_builds_no_full_grid_array():
-    # one n x n complex128 array at n = 2048 is 64 MiB; the full-map chain
-    # peaks at several of them
+    # one n x n complex128 array at n = 2048 is 64 MiB; rate_map_for peaks at
+    # 1.5 of them at this spot
     config = ScenarioConfig(grid_n=2048, window_um=2400.0)
     tracemalloc.start()
     try:

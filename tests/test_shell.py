@@ -404,12 +404,12 @@ def test_sweep_reads_a_half_bin_order_as_the_whole_lattice(tmp_path, monkeypatch
 
 def test_simulate_checks_the_blur_before_the_pair(tmp_path, monkeypatch, capsys):
     # lengths near 1e-150 and a spot far wider than the window: the config rejects
-    # the blur width before the pair is built, for simulate as for sweep
+    # the blur width before the n x n map is built, for simulate as for sweep
     def unreachable(*args, **kwargs):
-        raise AssertionError("the pair amplitude was built")
+        raise AssertionError("the rate map was built")
 
     monkeypatch.chdir(tmp_path)
-    monkeypatch.setattr(scenario, "two_photon_amplitude", unreachable)
+    monkeypatch.setattr(scenario, "support_map", unreachable)
     extreme = _config(tmp_path, "grid_n=256\nwavelength_nm=1e-150\ngrating_period_um=1e-149\n"
                                 "window_um=1e-148\nspot_diameter_um=2.9e151\n"
                                 "sigma_corr_um=9e150\noutput_prefix=extreme\n")
@@ -424,12 +424,12 @@ def test_simulate_checks_the_blur_before_the_pair(tmp_path, monkeypatch, capsys)
 
 
 def test_simulate_checks_the_separation_before_the_pair(tmp_path, monkeypatch, capsys):
-    # a separation past the angular window fails before the n x n pair is built
+    # a separation past the angular window fails before the n x n map is built
     def unreachable(*args, **kwargs):
-        raise AssertionError("the pair amplitude was built")
+        raise AssertionError("the rate map was built")
 
     monkeypatch.chdir(tmp_path)
-    monkeypatch.setattr(scenario, "two_photon_amplitude", unreachable)
+    monkeypatch.setattr(scenario, "support_map", unreachable)
     far = _config(tmp_path, FAST + "detector_separation_mrad=1e4\noutput_prefix=far\n")
     capsys.readouterr()
     assert main(["simulate", str(far)]) == 2
