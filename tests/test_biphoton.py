@@ -46,8 +46,8 @@ def _plain_two_photon_amplitude(amplitude, sigma_corr, mode, grid):
 @pytest.mark.parametrize("mode", ["near", "far"])
 @pytest.mark.parametrize("sigma", [0.3, 9.0, 1e4])
 def test_two_photon_amplitude_is_bitwise_the_plain_expressions(sigma, mode):
-    # the amplitude is symmetrized, weighted and normalized in place; the result
-    # is the plain expressions', bit for bit
+    # the symmetrized pair is weighted and normalized in place; the result is the
+    # plain expressions', bit for bit
     config = ScenarioConfig()
     grid = scenario.grid_for(config)
     amp = scenario.transmission_for(config, grid)
