@@ -43,9 +43,7 @@ def pair_exponent_line(mode: str, first: int, m: int, dx: float) -> np.ndarray:
     spreads the values, or any function of them, over the m x m pairs.
     """
     offsets = np.arange(2 * m - 1) + (1 - m if mode == "near" else 2 * first)
-    line = offsets * dx
-    np.square(line, out=line)
-    np.negative(line, out=line)
+    line = -(offsets * dx) ** 2
     line.setflags(write=False)
     return line
 

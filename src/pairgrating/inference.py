@@ -185,12 +185,13 @@ def load_measurement(path) -> Measurement:
         raise ParameterError(f"{path}: no data rows" if n_columns
                              else f"{path}: no header line found")
     columns = np.array([numbers for _, _, numbers in rows]).T
+    angles = columns[0] * 1e-3   # checked in rad, as Measurement holds them
     errors = columns[2] if n_columns == 3 else None
-    fault = _first_fault(columns[0], columns[1], errors)
+    fault = _first_fault(angles, columns[1], errors)
     if fault:
         line_no, raw, _ = rows[fault[0]]
         raise ParameterError(f"{path}: line {line_no}: {fault[1]} in {raw!r}")
-    return Measurement(columns[0] * 1e-3, columns[1], rate_errors=errors, channel=channel)
+    return Measurement(angles, columns[1], rate_errors=errors, channel=channel)
 
 
 def visibility(profile, window) -> float:
@@ -410,7 +411,8 @@ def _search_width(objective, data_scale: float):
         else:
             # x has the lowest loss so far, w the next, v the one w held before.  Only x
             # of the widths evaluated lies inside the bracket (a, b), and each step lands
-            # inside it at least tol from x, so no width is evaluated twice.
+            # inside it at least tol from x, so no width is evaluated twice, and x, w and v,
+            # three distinct coarse widths at the start, stay distinct.
             a, b = float(coarse[best - 1]), float(coarse[best + 1])
             x, f_x = float(coarse[best]), float(coarse_loss[best])
             (w, f_w), (v, f_v) = sorted([(a, float(coarse_loss[best - 1])),
@@ -441,9 +443,9 @@ def _search_width(objective, data_scale: float):
                     best = len(log) - 1
                 else:
                     a, b = (u, b) if u < x else (a, u)
-                    if f_u <= f_w or w == x:
+                    if f_u <= f_w:
                         (v, f_v), (w, f_w) = (w, f_w), (u, f_u)
-                    elif f_u <= f_v or v in (x, w):
+                    elif f_u <= f_v:
                         v, f_v = u, f_u
     return log[best], len(log), message
 

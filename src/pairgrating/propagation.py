@@ -62,8 +62,8 @@ SUPPORT_FLOOR = 1e-17
 # The two cuts a scan or profiles_for may name: the diagonal and the singles.
 CHANNELS = ("coincidences", "singles")
 
-# Rows per block of a map's blur: a block of the default n = 512 map and its work
-# arrays fit in a core's L2 cache.
+# Rows per block of a map's blur: the work of a block is bounded by the block and
+# its 2t wrapped rows, which at the default n = 512 fit in a core's L2 cache.
 _BLOCK_ROWS = 32
 
 
@@ -226,43 +226,26 @@ def blur(obj, width: float):
     # Circular convolution: the discrete far field is periodic, and wrapping
     # conserves total mass exactly for a unit-sum kernel.  With the values
     # wrapped by reach each side, entries 2*reach - i .. 2*reach - i + n - 1
-    # along an axis are np.roll(values, i - reach); the taps add up in kernel
-    # order from 0, as sum() of the rolled terms would, first along the rows
-    # of a map, then along its last axis.  The map goes in blocks of rows, a
-    # profile as one row: each block takes the first axis's taps into the
-    # middle of a work block, wraps its end columns, then takes the last
-    # axis's taps into the output.
+    # along an axis are np.roll(values, i - reach), and sum() adds the taps
+    # in kernel order from 0.  A map goes in blocks of rows: a block reads
+    # its rows and reach more each side, wrapped, and takes the first axis's
+    # taps; then a block, or a profile as one row, wraps its columns and
+    # takes the last axis's taps.
     values = obj.values
     rows = values.reshape(-1, n)
-    dtype = np.result_type(kernel, values)
-    out = np.empty(values.shape, dtype)
+    columns = np.arange(-reach, n + reach) % n
+    out = np.empty(values.shape, np.result_type(kernel, values))
     out_rows = out.reshape(-1, n)
-    block = min(_BLOCK_ROWS, rows.shape[0])
-    wrapped = np.empty((block, n + 2 * reach), dtype)
-    term = np.empty((block, n), dtype)
-    left = reach + np.arange(-reach, 0) % n            # columns that wrap to the front
-    right = reach + np.arange(n, n + reach) % n        # and to the back
-    for start in range(0, rows.shape[0], block):
-        stop = min(start + block, rows.shape[0])
-        size = stop - start
-        work, part = wrapped[:size], term[:size]
-        middle = work[:, reach:reach + n]
-        if values.ndim == 1:
-            middle[...] = rows
-        else:
-            first, last = start - reach, stop + reach
-            source = (rows[first:last] if first >= 0 and last <= n
-                      else rows[np.arange(first, last) % n])
-            middle.fill(0)
-            for i, weight in enumerate(kernel):
-                np.multiply(weight, source[2 * reach - i:2 * reach - i + size], out=part)
-                middle += part
-        work[:, :reach], work[:, reach + n:] = work[:, left], work[:, right]
-        total = out_rows[start:stop]
-        total.fill(0)
-        for i, weight in enumerate(kernel):
-            np.multiply(weight, work[:, 2 * reach - i:2 * reach - i + n], out=part)
-            total += part
+    for start in range(0, rows.shape[0], _BLOCK_ROWS):
+        stop = min(start + _BLOCK_ROWS, rows.shape[0])
+        block = rows
+        if values.ndim == 2:
+            source = rows.take(np.arange(start - reach, stop + reach), axis=0, mode="wrap")
+            block = sum(weight * source[2 * reach - i:2 * reach - i + stop - start]
+                        for i, weight in enumerate(kernel))
+        wrapped = block[:, columns]
+        out_rows[start:stop] = sum(weight * wrapped[:, 2 * reach - i:2 * reach - i + n]
+                                   for i, weight in enumerate(kernel))
     out.setflags(write=False)
     return replace(obj, values=out)
 

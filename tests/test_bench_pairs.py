@@ -64,3 +64,35 @@ def test_direction_comes_from_the_benchmark_declaration():
 @pytest.mark.parametrize("text,seeds", [("101-104", [101, 102, 103, 104]), ("7-8", [7, 8])])
 def test_seed_ranges_are_inclusive(text, seeds):
     assert bench_pairs.parse_seeds(text) == seeds
+
+
+_STUB_RUN = """import json
+print("machine " + json.dumps({"cpus": 1}))
+print(json.dumps({"correct": True, "attempted": 1, "failed": 0,
+                  "metrics": {"command_s": {"value": 1.0}}}))
+"""
+
+
+def test_record_counts_the_package_lines_of_each_checkout(tmp_path, monkeypatch):
+    # two trees with a stub benchmark: the parent's package has 3 + 2 lines (the
+    # last without a newline, which wc -l does not count), the change's 1; files
+    # outside src/pairgrating/*.py do not count
+    benchmark = {"workloads": [{"name": "only"}],
+                 "end_to_end": [{"name": "command_s", "better": "lower"}]}
+    modules = {"parent": {"a.py": "1\n2\n3\n", "b.py": "1\n2\nlast"}, "change": {"a.py": "1\n"}}
+    for side, files in modules.items():
+        package = tmp_path / side / "src" / "pairgrating"
+        package.mkdir(parents=True)
+        for name, text in files.items():
+            (package / name).write_text(text, encoding="utf-8")
+        (package / "notes.txt").write_text("x\n" * 50, encoding="utf-8")
+        (tmp_path / side / "tools.py").write_text("x\n" * 50, encoding="utf-8")
+        (tmp_path / side / "perfbench").mkdir()
+        (tmp_path / side / "perfbench" / "run.py").write_text(_STUB_RUN, encoding="utf-8")
+        (tmp_path / side / "BENCHMARK.json").write_text(json.dumps(benchmark), encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    assert bench_pairs.main(["--parent", "parent", "--change", "change", "--label", "lines",
+                             "--seeds", "1-2", "--seconds", "1"]) == 0
+    record = json.loads((tmp_path / "BENCH_lines.json").read_text(encoding="utf-8"))
+    assert record["source_lines"] == {"parent": 5, "change": 1}
+    assert record["workloads"]["only"]["summary"]["command_s"]["pairs"] == 2

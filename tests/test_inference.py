@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -83,6 +84,14 @@ def test_load_non_numeric_row_names_line(tmp_path):
 def test_load_non_monotone_names_line(tmp_path):
     path = _write(tmp_path, "angle_mrad,rate\n1.0,1\n1.0,2\n2.0,3\n")
     with pytest.raises(ParameterError, match="line 3"):
+        load_measurement(path)
+
+
+def test_load_angles_that_tie_only_in_rad_name_the_line(tmp_path):
+    # +-1e-323 mrad are distinct in mrad but round to 0 rad, the angles the fit holds
+    path = _write(tmp_path, "angle_mrad,rate\n-1e-323,1\n0,2\n1e-323,3\n")
+    with pytest.raises(ParameterError,
+                       match=re.escape(f"{path}: line 3: non-increasing angle in '0,2'") + "$"):
         load_measurement(path)
 
 

@@ -16,8 +16,10 @@ every workload the change's BENCHMARK.json lists, pair k runs
 on the k-th seed in each checkout, the parent first in odd pairs and
 the change first in even pairs, one run at a time.  Each run's record
 is the final JSON line the command prints.  --traced-seed adds one
-traced pair per workload (--trace 1, parent first).  The file is
-written to the current directory; the standard library is all it uses.
+traced pair per workload (--trace 1, parent first).  The record also
+holds `source_lines`, the lines of src/pairgrating/*.py in each
+checkout as `wc -l` counts them.  The file is written to the current
+directory; the standard library is all it uses.
 """
 
 from __future__ import annotations
@@ -77,6 +79,12 @@ def parse_seeds(text: str) -> list[int]:
 def git(checkout: Path, *args) -> str | None:
     done = subprocess.run(["git", "-C", str(checkout), *args], capture_output=True, text=True)
     return done.stdout.strip() if done.returncode == 0 else None
+
+
+def source_lines(checkout: Path) -> int:
+    """Newlines in the checkout's src/pairgrating/*.py, the total `wc -l` prints."""
+    return sum(path.read_bytes().count(b"\n")
+               for path in (checkout / "src" / "pairgrating").glob("*.py"))
 
 
 def run(checkout: Path, workload: str, seed: int, seconds: float, trace: int):
@@ -169,6 +177,7 @@ def main(argv=None) -> int:
     record = {"label": args.label,
               "change": git(checkouts["change"], "log", "-1", "--format=%s"),
               "parent_commit": git(checkouts["parent"], "rev-parse", "HEAD"),
+              "source_lines": {side: source_lines(path) for side, path in checkouts.items()},
               "command": COMMAND.format(seconds=f"{args.seconds:g}"),
               "method": method,
               "machine": {**machine, "note": "the runs were sequential, one at a time"},
