@@ -26,7 +26,8 @@ p' = p - n/2, omega = exp(-2*pi*i/n) and a = A*sqrt(dx) on S:
   of the second-axis transform puts on column l;
 - band: row p + c of W is row p times Phi[c, l] = omega**(c*S'_l), so
   R[p, (p+c) mod n] = |(E Phi^T)[p, c]|**2 for c = s-2t..s+2t, taken
-  as re**2 + im**2;
+  as re**2 + im**2, on the diagonal's rows widened by t, which may be
+  fewer than K (a sweep reads two order positions);
 - blurred diagonal: with first-detector offset a - t and second b - t,
   D[i] = sum_a w_a sum_b w_b band[b - a + 2t, i + a].  Row a of one
   (2t+1) x (4t+1) matrix holds w_a*w at columns 2t - a .. 4t - a, so
@@ -250,6 +251,15 @@ def blur(obj, width: float):
     return replace(obj, values=out)
 
 
+def _span_rows(span: tuple[float, float] | None, step: float, n: int, low: int,
+               high: int) -> tuple[int, int]:
+    """First and last lattice rows of the angles span = (lo, hi) in rad at an angular step
+    of step, one bin wider each side, clipped to low .. high; all of them for None."""
+    lo, hi = (-np.inf, np.inf) if span is None else span
+    first = int(np.clip(np.floor(lo / step) + (n // 2 - 1), low, high))
+    return first, int(np.clip(np.ceil(hi / step) + (n // 2 + 1), first, high))
+
+
 class SupportPlan:
     """Blurred diagonal and singles cuts, over a span, of pairs A_j*g[j, l]*A_l on one support.
 
@@ -259,31 +269,35 @@ class SupportPlan:
     angular window and separation under n - 1/2 bins (ScenarioConfig's
     rules).  The first-detector rows run over span = (lo, hi) in rad with
     lo <= hi (profiles_for's rule), or None for the whole lattice, one
-    bin wider each side, clipped.  Called with a float m x m weight g on
-    S, the plan returns those rows of diagonal_profile(blur(R, width),
-    separation) and blur(singles_profile(R), width), up to rounding, for
-    R the rate map of P = A_j*g[j, l]*A_l on S x S with a unit square
-    sum, or the one of them that channel, in CHANNELS, names.  The
-    diagonal drops rows whose partner leaves the lattice, so it may hold
-    none.  The snap warning, if any, is raised on every call.  The plan's
-    arrays (nbytes) are read-only, so threads may share a plan.
+    bin wider each side, clipped.  The diagonal's rows run over
+    diagonal_span by the same rule, clipped to span's rows, or over
+    span's rows for None: the band and its blur run on those rows alone.
+    Called with a float m x m weight g on S, the plan returns those rows
+    of diagonal_profile(blur(R, width), separation) and
+    blur(singles_profile(R), width), up to rounding, for R the rate map
+    of P = A_j*g[j, l]*A_l on S x S with a unit square sum, or the one of
+    them that channel, in CHANNELS, names.  The diagonal drops rows whose
+    partner leaves the lattice, so it may hold none.  The snap warning,
+    if any, is raised on every call.  The plan's arrays (nbytes) are
+    read-only, so threads may share a plan.
     """
 
     def __init__(self, amplitude, grid: SpatialGrid, wavelength: float, width: float,
-                 separation: float, span: tuple[float, float] | None):
+                 separation: float, span: tuple[float, float] | None,
+                 diagonal_span: tuple[float, float] | None = None):
         n = grid.n
         self.support = support_of(amplitude)
         angles = angles_of(grid, wavelength)
-        lo, hi = (-np.inf, np.inf) if span is None else span
         step = wavelength / grid.window
-        first = int(np.clip(np.floor(lo / step) + (n // 2 - 1), 0, n - 1))
-        last = int(np.clip(np.ceil(hi / step) + (n // 2 + 1), first, n - 1))
+        first, last = _span_rows(span, step, n, 0, n - 1)
         kernel = _box_kernel(width, angles[1] - angles[0])
         shift, self._notice = _snap_shift(angles, separation)
         reach = kernel.size // 2
-        # the diagonal keeps the rows whose partner row + shift is on the lattice
-        cut_first = max(first, -shift)
-        cut_last = max(min(last, n - 1 - shift), cut_first - 1)
+        # the diagonal keeps the rows of diagonal_span whose partner row + shift is on
+        # the lattice
+        cut_first, cut_last = _span_rows(diagonal_span, step, n, first, last)
+        cut_first = max(cut_first, -shift)
+        cut_last = max(min(cut_last, n - 1 - shift), cut_first - 1)
 
         # U^T[l, p] = W[p, S_l]*a_l for p = first - t .. last + t, and Phi, from
         # the n roots of unity at integer exponents reduced mod n; |p'*S'_l| is
@@ -310,9 +324,9 @@ class SupportPlan:
         self._kernel, self._rows_t, self._phases = kernel, rows_t, phases
         self._blur_rows, self._power = blur_rows, power
         self._singles_angles, self._cut_angles = singles_angles, cut_angles
-        # band column of the diagonal's first row at first-detector offset -reach (any
-        # column in the band for an empty diagonal)
-        self._cut_start = cut_first - first if cut_angles.size else 0
+        # the columns of E^T the band reads: the diagonal's rows, reach more each side
+        start = cut_first - first
+        self._band_columns = slice(start, start + cut_angles.size + 2 * reach)
         self._dx = grid.dx
 
     def __call__(self, weight,
@@ -337,20 +351,21 @@ class SupportPlan:
         e_t *= self._rows_t
         diagonal_cut = singles_cut = None
         if channel != "singles":
-            # band[c, p] = R[p, p + shifts[c]]/scale as re**2 + im**2, in blocks:
-            # no (4t+1) x |K| complex array
-            band = np.empty((self._phases.shape[0], e_t.shape[1]))
+            # band[c, p] = R[p, p + shifts[c]]/scale as re**2 + im**2 on the diagonal's
+            # rows, in blocks: no (4t+1) x |K| complex array
+            rows = e_t[:, self._band_columns]
+            band = np.empty((self._phases.shape[0], rows.shape[1]))
             for lo in range(0, band.shape[1], 256):
-                parts = (self._phases @ e_t[:, lo:lo + 256]).view(float)
+                parts = (self._phases @ rows[:, lo:lo + 256]).view(float)
                 np.square(parts, out=parts)
                 np.add(parts[:, 0::2], parts[:, 1::2], out=band[:, lo:lo + 256])
             # first-detector offset a - t reads second-detector offsets b - t at
             # band row b - a + 2t: row a of blur_rows @ band is w_a*sum_b w_b*band[...],
-            # and the cut sums row a at columns start + a + i, one skewed read
+            # and the cut sums row a at columns a + i, one skewed read
             blurred = self._blur_rows @ band
             step, cols = blurred.itemsize, blurred.shape[1]
             skewed = np.ndarray((kernel.size, self._cut_angles.size), float, buffer=blurred,
-                                offset=step * self._cut_start, strides=(step * (cols + 1), step))
+                                strides=(step * (cols + 1), step))
             values = skewed.sum(axis=0)
             values *= scale ** 2 / norm
             values.setflags(write=False)

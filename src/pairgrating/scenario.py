@@ -7,7 +7,7 @@ source (near mode), 10 mrad detector resolution, 512 samples over a
 600 um window.  ScenarioConfig checks every field and every rule the
 chain relies on, each in Python floats as the stage computes it, the
 grid spacing among them, so no stage leaves the doubles; profiles_for
-checks its sigma_um, span and channel.  The stages trust both.
+checks its sigma_um, span, diagonal_span and channel.  The stages trust both.
 
 Both evaluators work on the spot's support S (propagation.support_of:
 155 samples at the default 29 um spot and 1.17 um spacing, whatever n
@@ -22,14 +22,17 @@ the tests check it against.  profiles_for, which every fit and sweep
 evaluation calls, hands A to a propagation.SupportPlan, which finds S
 and the first-detector rows K that cover the span, and works on them:
 one real product of U = W_{K,S} diag(A_S sqrt(dx)) with the m x m
-weight on S.
+weight on S.  The diagonal runs on the rows of diagonal_span within K,
+or on all of K: a sweep passes its two order positions there, 52 of
+its 311 rows at n = 2048.
 
 The plan holds what does not depend on the width: the SupportPlan and
 the 2m - 1 exponents on its support.  It is kept in a one-entry cache
 keyed on the values of the nine optics fields it reads (every config
-field except sigma_corr_um, angle_offset_mrad and output_prefix) and on
-the span, so the evaluations of a fit or a sweep share it, and a call
-builds no config unless it builds the plan.  It holds
+field except sigma_corr_um, angle_offset_mrad and output_prefix), on
+the span and on a diagonal_span if one is given, so the evaluations of
+a fit or a sweep share it, and a call builds no config unless it
+builds the plan.  It holds
 8*(2m - 1) + 16*m*(|K| + 4t + 1) + 8*(2t + 1)*(4t + 1) bytes plus
 O(m + |K|): 0.29 MiB for a fit's +-60 mrad at the default spot and
 n = 512, 5.1 MiB for the whole lattice at n = 2048.  A plan over
@@ -283,9 +286,24 @@ def rate_map_for(config: ScenarioConfig) -> RateMap:
                 config.resolution_mrad * 1e-3)
 
 
+def _check_span(span, name: str) -> tuple[float, float] | None:
+    """span as two floats lo <= hi, or None."""
+    if span is None:
+        return None
+    try:
+        lo, hi = span
+    except (TypeError, ValueError):
+        raise ParameterError(f"{name} must be two angles lo <= hi in rad, got {span!r}") from None
+    span = (_typed(lo, "float", name), _typed(hi, "float", name))
+    if not span[0] <= span[1]:
+        raise ParameterError(f"{name} must be two angles lo <= hi in rad, got {span!r}")
+    return span
+
+
 @lru_cache(maxsize=1)
-def _support_plan(optics: tuple,
-                  span: tuple[float, float] | None) -> tuple[np.ndarray, float, SupportPlan]:
+def _support_plan(optics: tuple, span: tuple[float, float] | None,
+                  diagonal_span: tuple[float, float] | None = None
+                  ) -> tuple[np.ndarray, float, SupportPlan]:
     """profiles_for's 2m - 1 pair exponents on the support, grid spacing and SupportPlan.
 
     optics holds a config's values of _PLAN_FIELDS, in that order.  Every
@@ -294,36 +312,36 @@ def _support_plan(optics: tuple,
     config = ScenarioConfig(**dict(zip(_PLAN_FIELDS, optics)))
     grid = grid_for(config)
     cuts = SupportPlan(transmission_for(config, grid), grid, config.wavelength_um,
-                       config.resolution_mrad * 1e-3, config.detector_separation_mrad * 1e-3, span)
+                       config.resolution_mrad * 1e-3, config.detector_separation_mrad * 1e-3, span,
+                       diagonal_span)
     line = pair_exponent_line(config.illumination, cuts.support.start - grid.n // 2,
                               cuts.support.stop - cuts.support.start, grid.dx)
     return line, grid.dx, cuts
 
 
 def profiles_for(config: ScenarioConfig, sigma_um: float | None = None,
-                 span: tuple[float, float] | None = None,
-                 channel: str | None = None) -> tuple[RateProfile | None, RateProfile | None]:
+                 span: tuple[float, float] | None = None, channel: str | None = None,
+                 diagonal_span: tuple[float, float] | None = None
+                 ) -> tuple[RateProfile | None, RateProfile | None]:
     """Diagonal (at the configured detector separation) and singles profiles, read-only.
 
     Both are the cuts of rate_map_for's blurred map up to rounding, on
     the rows of the first-detector angles span = (lo, hi) in rad plus one
     bin each side, or on the whole lattice for None (module docstring).
-    channel "coincidences" or "singles" computes that cut alone and puts
-    None in place of the other; None computes both.  A cut is the same,
-    bit for bit, whichever channel asked for it.
+    diagonal_span narrows the diagonal to its own angles by the same
+    rule, within span's rows; None keeps it on span's.  channel
+    "coincidences" or "singles" computes that cut alone and puts None in
+    place of the other; None computes both.  A cut is the same, bit for
+    bit, whichever channel asked for it.
     """
     sigma = config.sigma_corr_um if sigma_um is None else _check_width(sigma_um, "sigma_um")
-    if span is not None:
-        try:
-            lo, hi = span
-        except (TypeError, ValueError):
-            raise ParameterError(f"span must be two angles lo <= hi in rad, got {span!r}") from None
-        span = (_typed(lo, "float", "span"), _typed(hi, "float", "span"))
-        if not span[0] <= span[1]:
-            raise ParameterError(f"span must be two angles lo <= hi in rad, got {span!r}")
+    span = _check_span(span, "span")
+    diagonal_span = _check_span(diagonal_span, "diagonal_span")
     if channel is not None and channel not in CHANNELS:
         raise ParameterError(f"channel must be one of {CHANNELS} or None, got {channel!r}")
-    line, dx, cuts = _support_plan(_plan_key(config), span)
+    # a call without diagonal_span keys the cache on (optics, span) alone
+    line, dx, cuts = _support_plan(_plan_key(config), span,
+                                   *(() if diagonal_span is None else (diagonal_span,)))
     if line.nbytes + cuts.nbytes > MAX_KEPT_PLAN_BYTES:
         _support_plan.cache_clear()
     weight = pair_matrix(pair_weight(line, sigma, dx), config.illumination)

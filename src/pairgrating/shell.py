@@ -22,7 +22,7 @@ from .errors import ParameterError, read_number
 from .inference import (VISIBILITY_WINDOW, FitResult, fit_sigma, forward_on_angles,
                         load_measurement, od_ratio, unit_peak, visibility)
 from .propagation import diagonal_profile, singles_profile
-from .scenario import ScenarioConfig, parse_config, profiles_for, rate_map_for
+from .scenario import ScenarioConfig, _check_width, parse_config, profiles_for, rate_map_for
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -200,12 +200,15 @@ def run_sweep(config: ScenarioConfig, sigmas: list[float]) -> list[tuple[float, 
     """Tabulate order ratio and singles visibility over correlation widths."""
     if not sigmas:
         raise ParameterError("no correlation widths given")
-    # what od_ratio and visibility read; the plan's one-bin margin covers od_ratio's half bin
-    span = (min(VISIBILITY_WINDOW[0], config.wavelength_um / (2.0 * config.grating_period_um)),
-            max(VISIBILITY_WINDOW[1], config.wavelength_um / config.grating_period_um))
+    sigmas = [_check_width(sigma, "sigma_um") for sigma in sigmas]  # a bad width runs none
+    # the orders od_ratio reads, within what it and visibility read; the plan's one-bin
+    # margin covers od_ratio's half bin
+    orders = (config.wavelength_um / (2.0 * config.grating_period_um),
+              config.wavelength_um / config.grating_period_um)
+    span = (min(VISIBILITY_WINDOW[0], orders[0]), max(VISIBILITY_WINDOW[1], orders[1]))
     rows = []
-    for sigma in sigmas:  # every row before the first is printed: a bad width prints none
-        diagonal, singles = profiles_for(config, sigma_um=sigma, span=span)
+    for sigma in sigmas:  # every row is printed after the last: a failure prints none
+        diagonal, singles = profiles_for(config, sigma_um=sigma, span=span, diagonal_span=orders)
         rows.append((sigma, od_ratio(diagonal, config.wavelength_um, config.grating_period_um),
                      visibility(singles, VISIBILITY_WINDOW)))
     for sigma, ratio, vis in rows:

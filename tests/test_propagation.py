@@ -346,15 +346,16 @@ def test_support_profiles_match_extended_precision_sums(n, shifts, width_bins):
 
 @pytest.mark.parametrize("span", [(0.1, -0.1), (float("nan"), 0.1), (0.0, float("nan"))])
 def test_support_plan_rejects_a_reversed_span(span, monkeypatch):
-    # SupportPlan takes its span as given: profiles_for rejects a reversed
-    # or NaN span before any plan is built
+    # SupportPlan takes its spans as given: profiles_for rejects a reversed
+    # or NaN span or diagonal_span before any plan is built
     def no_plan(*args):
         raise AssertionError("a SupportPlan was built for a reversed span")
 
     monkeypatch.setattr(scenario, "SupportPlan", no_plan)
     scenario._support_plan.cache_clear()
-    with pytest.raises(ParameterError, match="span must be two angles lo <= hi in rad"):
-        profiles_for(ScenarioConfig(grid_n=256, window_um=300.0), span=span)
+    for name in ("span", "diagonal_span"):
+        with pytest.raises(ParameterError, match=f"^{name} must be two angles lo <= hi in rad"):
+            profiles_for(ScenarioConfig(grid_n=256, window_um=300.0), **{name: span})
 
 
 PROFILE_CONFIGS = [
@@ -439,6 +440,11 @@ def test_profiles_for_span_rows_equal_the_whole_lattice(keys, span):
         warnings.simplefilter("ignore", BinSnapWarning)
         whole = profiles_for(config)
         part = profiles_for(config, span=span)
+        narrowed = profiles_for(config, diagonal_span=span)
+    # the whole lattice's singles, bit for bit, and the diagonal on span's rows
+    np.testing.assert_array_equal(narrowed[1].values, whole[1].values)
+    np.testing.assert_array_equal(narrowed[0].angles, part[0].angles)
+    assert np.max(np.abs(narrowed[0].values - part[0].values)) <= 1e-14 * whole[0].values.max()
     for got, want in zip(part, whole):
         assert got.angles.size > 0
         start = int(np.searchsorted(want.angles, got.angles[0]))
@@ -468,8 +474,9 @@ def test_profiles_for_span_past_the_diagonal_gives_no_rows():
 @pytest.mark.parametrize("span", [(0.1, -0.1), (float("nan"), 0.1), (0.01,), 0.01,
                                   (0.01, 0.02, 0.03), (0.0, float("nan"))])
 def test_profiles_for_rejects_a_reversed_span(span):
-    with pytest.raises(ParameterError, match="span must be two angles lo <= hi in rad"):
-        profiles_for(ScenarioConfig(grid_n=256, window_um=300.0), span=span)
+    for name in ("span", "diagonal_span"):
+        with pytest.raises(ParameterError, match=f"^{name} must be two angles lo <= hi in rad"):
+            profiles_for(ScenarioConfig(grid_n=256, window_um=300.0), **{name: span})
 
 
 def test_profiles_for_at_extreme_lengths_stays_finite():

@@ -11,10 +11,11 @@ import numpy as np
 import pytest
 
 import pairgrating
-from pairgrating import scenario
+from pairgrating import scenario, shell
 from pairgrating import (ScenarioConfig, forward_on_angles, load_measurement, od_ratio,
                          parse_config, profiles_for, rate_map_for, visibility)
 from pairgrating.errors import BinSnapWarning, ParameterError, SamplingWarning
+from pairgrating.inference import VISIBILITY_WINDOW
 from pairgrating.scenario import MAX_GRID_N, MAX_WINDOW_UM, MIN_GRID_SPACING_UM
 from pairgrating.propagation import RateProfile, diagonal_profile, singles_profile
 from pairgrating.shell import (_NUMBER, _RATE_WIDTH, _format_rates, _write_csv, _write_map_csv,
@@ -387,6 +388,19 @@ def test_sweep_order_outside_the_diagonal_fails_as_the_whole_lattice(tmp_path, m
     assert not (tmp_path / "red_sweep.csv").exists()
 
 
+# near and far, separations 0, 4 (snapped to whole bins) and -5.2 mrad, n = 256 to 2048,
+# the blur off and at 3.3 mrad, and a spot that covers the grid
+SWEEP_CONFIGS = [
+    dict(grid_n=256, window_um=300.0), dict(grid_n=256, window_um=300.0, illumination="far"),
+    dict(), dict(illumination="far", detector_separation_mrad=4.0),
+    dict(detector_separation_mrad=-5.2), dict(resolution_mrad=0.0),
+    dict(resolution_mrad=3.3, illumination="far", detector_separation_mrad=-5.2),
+    dict(spot_diameter_um=250.0), dict(grid_n=1024, window_um=1200.0, grating_period_um=12.0),
+    dict(grid_n=2048, window_um=2400.0),
+]
+SWEEP_WIDTHS = [0.5, 1.0, 3.0, 9.0, 13.0, 31.0, 100.0, 1e3, 1e4]
+
+
 def test_sweep_reads_a_half_bin_order_as_the_whole_lattice(tmp_path, monkeypatch, capsys):
     # window/period = 25 puts the blue order at 12.5 bins, halfway between two
     # samples: both windows read both of them, on sweep's rows as on the whole
@@ -400,6 +414,66 @@ def test_sweep_reads_a_half_bin_order_as_the_whole_lattice(tmp_path, monkeypatch
     capsys.readouterr()
     assert main(["sweep", str(cfg), "9"]) == 0
     assert "od_ratio =     0.0304" in capsys.readouterr().out
+    # sweep's rows, the diagonal's on the orders alone, read as the whole lattice
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", BinSnapWarning)
+        warnings.simplefilter("ignore", SamplingWarning)
+        for keys in SWEEP_CONFIGS:
+            config = ScenarioConfig(**keys)
+            for sigma, ratio, contrast in run_sweep(config, SWEEP_WIDTHS):
+                diagonal, singles = profiles_for(config, sigma_um=sigma)
+                assert ratio == pytest.approx(
+                    od_ratio(diagonal, config.wavelength_um, config.grating_period_um),
+                    rel=1e-12, abs=0.0), (keys, sigma)
+                assert contrast == pytest.approx(visibility(singles, VISIBILITY_WINDOW),
+                                                 rel=1e-12, abs=0.0), (keys, sigma)
+
+
+@pytest.mark.parametrize("n,rows", [(512, 16), (2048, 52)])
+def test_sweep_computes_the_diagonal_on_the_order_rows_alone(n, rows, tmp_path, monkeypatch):
+    # the orders at 15.6 and 31.2 mrad, one bin of margin each side: 16 of the
+    # 81 rows sweep's singles need at n = 512, 52 of 311 at n = 2048
+    read = {}
+
+    def reading(name):
+        def reader(profile, *args):
+            read[name] = profile
+            return 1.0
+        return reader
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(shell, "od_ratio", reading("diagonal"))
+    monkeypatch.setattr(shell, "visibility", reading("singles"))
+    config = ScenarioConfig(grid_n=n, window_um=600.0 * n / 512)
+    run_sweep(config, [9.0])
+    diagonal, singles = read["diagonal"], read["singles"]
+    assert diagonal.angles.size == diagonal.values.size == rows
+    assert diagonal.angles[0] < 0.0156 and diagonal.angles[-1] > 0.0312
+    assert singles.angles[0] < VISIBILITY_WINDOW[0] and singles.angles[-1] > VISIBILITY_WINDOW[1]
+    assert singles.angles.size == {512: 81, 2048: 311}[n]
+
+
+def test_sweep_checks_every_width_before_the_first_evaluation(tmp_path, monkeypatch, capsys):
+    # a bad last width exits 2 with no evaluation, no row printed and no file
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("sigma_um"))
+        return profiles_for(*args, **kwargs)
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(shell, "profiles_for", counted)
+    cfg = _config(tmp_path, FAST)
+    capsys.readouterr()
+    assert main(["sweep", str(cfg), "9,13,31,100,1e4,-3"]) == 2
+    captured = capsys.readouterr()
+    assert calls == []
+    assert captured.out == ""
+    assert captured.err == ("error: sigma_um must be positive with 2*sigma_um**2 a positive "
+                            "finite double, got -3.0\n")
+    assert not (tmp_path / "out_sweep.csv").exists()
+    assert main(["sweep", str(cfg), "9,13"]) == 0
+    assert calls == [9.0, 13.0]
 
 
 def test_simulate_checks_the_blur_before_the_pair(tmp_path, monkeypatch, capsys):
