@@ -429,8 +429,9 @@ def test_sweep_reads_a_half_bin_order_as_the_whole_lattice(tmp_path, monkeypatch
                                                  rel=1e-12, abs=0.0), (keys, sigma)
 
 
-@pytest.mark.parametrize("n,rows", [(512, 16), (2048, 52)])
-def test_sweep_computes_the_diagonal_on_the_order_rows_alone(n, rows, tmp_path, monkeypatch):
+@pytest.mark.parametrize("n,rows,singles_rows", [(512, 16, 81), (2048, 52, 311)])
+def test_sweep_computes_the_diagonal_on_the_order_rows_alone(n, rows, singles_rows, tmp_path,
+                                                              monkeypatch):
     # the orders at 15.6 and 31.2 mrad, one bin of margin each side: 16 of the
     # 81 rows sweep's singles need at n = 512, 52 of 311 at n = 2048
     read = {}
@@ -450,7 +451,7 @@ def test_sweep_computes_the_diagonal_on_the_order_rows_alone(n, rows, tmp_path, 
     assert diagonal.angles.size == diagonal.values.size == rows
     assert diagonal.angles[0] < 0.0156 and diagonal.angles[-1] > 0.0312
     assert singles.angles[0] < VISIBILITY_WINDOW[0] and singles.angles[-1] > VISIBILITY_WINDOW[1]
-    assert singles.angles.size == {512: 81, 2048: 311}[n]
+    assert singles.angles.size == singles_rows
 
 
 def test_sweep_checks_every_width_before_the_first_evaluation(tmp_path, monkeypatch, capsys):
