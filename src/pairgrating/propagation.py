@@ -13,21 +13,41 @@ D[i] = sum_a sum_b w_a w_b R[(i+a) mod n, (i+s+b) mod n], and the
 blurred singles are the 1D blur of the row sums of R.
 
 SupportPlan takes both cuts when P[S_j, S_l] = A_j*g[j, l]*A_l on S x S,
-for S the spot's support, m consecutive samples (SupportPlan), and a
-real m x m weight g, and P vanishes elsewhere.  It works on the set K of
-first-detector rows that cover a caller's angle span, widened by t each
-side, with no FFT and no m x n array.  With S'_l = S_l - n/2,
-p' = p - n/2, omega = exp(-2*pi*i/n) and a = A*sqrt(dx) on S:
+for S the spot's support, m consecutive samples (SupportPlan), and the
+pair weight g[j, l] = w[m - 1 - j + l] (near) or w[j + l] (far) of 2m - 1
+real weights w (biphoton.pair_matrix), and P vanishes elsewhere.  It
+works on the set K of first-detector rows that cover a caller's angle
+span, widened by t each side, and the band's rows Kd+: the diagonal's
+rows Kd, widened by t, which may be fewer than K (a sweep reads two
+order positions).  With S'_l = S_l - n/2, p' = p - n/2,
+omega = exp(-2*pi*i/n) and a = A*sqrt(dx) on S:
 
 - U[p, l] = W[p, S_l]*a_l for p in K, gathered from the n roots of
   unity at p'*S'_l mod n, so rows past the lattice's ends wrap;
 - V = U g, one real product on the interleaved parts of U; row p of
   W P is V[p, l]*a_l, and E = V o U adds the phase W[p, S_l] that row p
   of the second-axis transform puts on column l;
-- band: row p + c of W is row p times Phi[c, l] = omega**(c*S'_l), so
-  R[p, (p+c) mod n] = |(E Phi^T)[p, c]|**2 for c = s-2t..s+2t, taken
-  as re**2 + im**2, on the diagonal's rows widened by t, which may be
-  fewer than K (a sweep reads two order positions);
+- product band: row p + c of W is row p times Phi[c, l] =
+  omega**(c*S'_l), so R[p, (p+c) mod n] = |(E Phi^T)[p, c]|**2 for
+  c = s-2t..s+2t, taken as re**2 + im**2, on the rows Kd+;
+- lag band: F[p, p+c] = sum_jl omega**(p'*S'_j + (p'+c)*S'_l)*a_j*g[j, l]*a_l
+  is linear in w.  Near, with d = l - j,
+  F[p, p+c] = sum_d w_d*omega**((p'+c)*d)*C[d, 2p'+c], where
+  C[d, f] = sum_j omega**(f*S'_j)*a_j*a_(j+d) and C[-d, f] =
+  omega**(f*d)*C[d, f].  Split c = 2*c2 + r and set u = p' + c2 and
+  T_r[d, u] = omega**(u*d)*C[d, 2u + r] for d = 0 .. m - 1; then
+  F[p, p+c] = sum_d (w_d*omega**((c2+r)*d) + w_(-d)*omega**(-c2*d))*T_r[d, u],
+  the w_(-d) term for d > 0 only: one complex product per parity r of
+  the weighted row phases with T_r, whose entry [c2, u] is read at
+  u = p' + c2, a row shifted by one column per c2, as one strided view.
+  C[d, .] is the n-point FFT of a_j*a_(j+d), built lag by lag in
+  blocks.  Far, with k = j + l, F[p, p+c] =
+  sum_k w_k*omega**(p'*(2*S'_0 + k))*Q[k, c], where Q[k, c] =
+  sum_(j+l=k) omega**(c*S'_l)*a_j*a_l, direct sums in blocks of k: the
+  single product (Q o w)^T Omega with Omega[k, p] = omega**(p'*(2*S'_0 + k)).
+  The tables T_r and their row phases, or Q and Omega, do not depend on
+  w and are built once per plan; a call for the coincidences alone
+  skips U, V and E;
 - blurred diagonal: with first-detector offset a - t and second b - t,
   D[i] = sum_a w_a sum_b w_b band[b - a + 2t, i + a].  Row a of one
   (2t+1) x (4t+1) matrix holds w_a*w at columns 2t - a .. 4t - a, so
@@ -35,15 +55,36 @@ p' = p - n/2, omega = exp(-2*pi*i/n) and a = A*sqrt(dx) on S:
   product along its skewed diagonals, read as one strided view;
 - singles: Parseval along the second axis (S has no repeats) gives
   sum_q R[p, q] = n * sum_l |E[p, l]|**2;
-- scale: (dx/(2*pi))**2/T with T = b^T (g o g) b, b = |a|**2, gives P a
-  unit square sum; sqrt(dx) in a keeps every product inside the doubles,
-  and ScenarioConfig's smallest grid spacing keeps the factor normal.
+- scale: (dx/(2*pi))**2/T with T = b^T (g o g) b = sum_k w_k**2*c_k,
+  b = |a|**2, gives P a unit square sum, where c is b's autocorrelation
+  (near) or self-convolution (far), built once per plan or map: every
+  plan and support_map compute T this one way, so the singles of either
+  band are the same bits.  sqrt(dx) in a keeps every product inside the
+  doubles, and ScenarioConfig's smallest grid spacing keeps the factor
+  normal.
 
 This is the matrix Fourier transform (Soummer et al., Opt. Express 15,
-15935 (2007)) on the rows read, O(|K|*m**2) work in one small product.
-Both cuts read E; a caller that needs one cut asks for it alone, and
-the plan skips the band and the diagonal, or the Parseval sum and the
-singles blur, of the other.
+15935 (2007)) on the rows read, O(|K|*m**2) work in one small product
+for V, and O((4t+1)*m*|Kd+|) for the lag band.  A plan takes the lag
+band when its geometry, never the channel, meets three rules, so a cut
+is the same bits whichever channel asks for it:
+
+1. (4t+1)*(2m-1) < m**2/2.  A band over all 2m - 1 lags costs
+   (4t+1)*(2m-1) complex products per band row, 4 real ones each, which
+   this keeps under the 2*m**2 real products of V's row.  Near, folding
+   w_(-d) onto w_d halves the lag band, a margin of two.  A plan that
+   pays V for its singles anyway (a sweep at n = 2048, t = 15) stays on
+   the product band, where the lag band measured slower;
+2. |Kd+| = |Kd| + 2t <= m: the tables stay the size of the support, and
+   a whole-lattice plan at the default spot keeps U alone;
+3. the plan with its tables fits MAX_KEPT_PLAN_BYTES, because a plan
+   that is not kept would rebuild them on every call.  The tables hold
+   16*m*(2*(|Kd+| - 1) + 3*(4t+1)) bytes (near; one parity at t = 0:
+   16*m*(|Kd+| + 2)) or 16*(2m - 1)*(|Kd+| + 4t + 1) (far).
+
+Both cuts read E on the product band; a caller that needs one cut asks
+for it alone, and the plan skips the band and the diagonal, or the
+Parseval sum and the singles blur, of the other.
 """
 
 from __future__ import annotations
@@ -53,6 +94,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .biphoton import pair_matrix
 from .errors import BinSnapWarning, warn_caller
 from .lattice import TWO_PI, SpatialGrid, angles_of
 
@@ -62,6 +104,15 @@ SUPPORT_FLOOR = 1e-17
 
 # The two cuts a scan or profiles_for may name: the diagonal and the singles.
 CHANNELS = ("coincidences", "singles")
+
+# scenario.profiles_for keeps a plan only while SupportPlan.nbytes (U^T, the band's
+# tables, the shifted kernels and O(m + |K|)) and the 2m - 1 pair exponents it keeps
+# beside them (8*(2m - 1) bytes) fit in this; a plan takes the lag band only while
+# its nbytes with the lag tables do (rule 3 above).
+MAX_KEPT_PLAN_BYTES = 64 * 2 ** 20
+
+# Complex entries per block of a lag table's build: 4 MiB of work arrays at a time.
+_LAG_BLOCK_ELEMENTS = 2 ** 18
 
 # Rows per block of a map's blur: the work of a block is bounded by the block and
 # its 2t wrapped rows, which at the default n = 512 fit in a core's L2 cache.
@@ -126,12 +177,13 @@ def support_of(amplitude) -> slice:
     return slice(int(inside[0]), int(inside[-1]) + 1)
 
 
-def support_map(amplitude, support: slice, weight, grid: SpatialGrid,
+def support_map(amplitude, support: slice, weights, mode: str, grid: SpatialGrid,
                 wavelength: float) -> RateMap:
     """Rate map of the pair A_j*g[j, l]*A_l on support x support, with a unit square sum.
 
     amplitude is A on the whole lattice, shape (n,), support its
-    support_of, and weight the float m x m g on it.  W[p, S_l] is
+    support_of, and weights the 2m - 1 float pair weights on it, spread
+    over g as biphoton.pair_matrix(weights, mode) does.  W[p, S_l] is
     omega**(p*l)*(-1)**l, l counted from the start of S, times a unit
     phase of row p, so with Q[j, l] = (-1)**(j + l)*a_j*g[j, l]*a_l the
     map is coincidence_map's R = |fft2(Q, s=(n, n))|**2*(dx/(2*pi))**2/T
@@ -139,8 +191,8 @@ def support_map(amplitude, support: slice, weight, grid: SpatialGrid,
     """
     n = grid.n
     signed = amplitude[support] * np.sqrt(grid.dx)
-    power = np.abs(signed) ** 2
-    norm = power @ np.square(weight) @ power
+    norm = np.square(weights) @ _norm_lags(np.abs(signed) ** 2, mode)
+    weight = pair_matrix(weights, mode)
     signed[1::2] *= -1
     pair = signed[:, None] * weight
     pair *= signed
@@ -260,29 +312,112 @@ def _span_rows(span: tuple[float, float] | None, step: float, n: int, low: int,
     return first, int(np.clip(np.ceil(hi / step) + (n // 2 + 1), first, high))
 
 
+def _norm_lags(power: np.ndarray, mode: str) -> np.ndarray:
+    """c of the norm T = sum_k w_k**2*c_k over the 2m - 1 pair weights w, laid out as
+    pair_exponent_line's: b's autocorrelation (near) or self-convolution (far), for
+    b = power, as direct sums."""
+    return np.correlate(power, power, "full") if mode == "near" else np.convolve(power, power)
+
+
+def _lag_table_bytes(mode: str, m: int, columns: int, reach: int) -> int:
+    """Bytes of the lag tables on m support samples for a band of columns rows and a
+    blur of reach t: each parity's T_r and its two row phases (near), or Q^T and
+    Omega (far)."""
+    shifts = 4 * reach + 1
+    if mode == "near":
+        return 16 * m * (min(2, shifts) * (columns - 1) + 3 * shifts)
+    return 16 * (2 * m - 1) * (columns + shifts)
+
+
+def _takes_lag_band(mode: str, m: int, columns: int, reach: int, other_bytes: int) -> bool:
+    """Whether a plan on m support samples takes its band of columns rows from the lag
+    tables, other_bytes being what it keeps besides them: the three rules of the
+    module docstring."""
+    shifts = 4 * reach + 1
+    return (2 * shifts * (2 * m - 1) < m * m and columns <= m
+            and other_bytes + _lag_table_bytes(mode, m, columns, reach) <= MAX_KEPT_PLAN_BYTES)
+
+
+def _near_lag_parts(tilde, start: int, shifts, band_start: int, columns: int, roots) -> list:
+    """Near mode's parts (band rows, row phases, T_r, skew 1), one per parity r of the shifts.
+
+    tilde is a on S, start is S'_0, shifts the 4t + 1 band shifts c and
+    band_start the first band row's p'.  T_r[d, u] = omega**(u*d)*C[d, 2u + r]
+    for the lags d = 0 .. m - 1, with C[d, f] = sum_j omega**(f*S'_j)*a_j*a_(j+d)
+    taken as the n-point FFT of a_j*a_(j+d), lag by lag in blocks, times the
+    phase of S'_0.  The row phases are omega**((c2 + r)*d) for w_d and
+    omega**(-c2*d) for w_(-d), 0 at d = 0.
+    """
+    m, n = tilde.size, roots.size
+    lags = np.arange(m)
+    parts, reads = [], []
+    for offset in range(min(2, shifts.size)):
+        parity = int(shifts[offset]) % 2
+        halves = (shifts[offset::2] - parity) // 2
+        u = np.arange(band_start + halves[0], band_start + columns + halves[-1])
+        phases = roots[np.stack((halves + parity, -halves))[:, :, None] * lags % n]
+        phases[1, :, 0] = 0.0
+        parts.append((slice(offset, None, 2), phases, np.empty((m, u.size), complex), 1))
+        reads.append((u, 2 * u + parity))
+    # windows[d][j] = a_(j+d), 0 past the support
+    windows = sliding_window_view(np.concatenate((tilde, np.zeros(m, complex))), m)
+    block = max(1, _LAG_BLOCK_ELEMENTS // n)
+    for lo in range(0, m, block):
+        d = lags[lo:lo + block]
+        spectra = np.fft.fft(windows[d] * tilde, n, axis=1)
+        for (_, _, table, _), (u, f) in zip(parts, reads):
+            table[d] = spectra[:, f % n] * roots[(np.outer(d, u) + f * start) % n]
+    return parts
+
+
+def _far_lag_parts(tilde, start: int, shifts, band_start: int, columns: int, roots) -> list:
+    """Far mode's one part (all band rows, Q^T, Omega, skew 0).
+
+    Q[k, c] = sum_(j+l=k) omega**(c*S'_l)*a_j*a_l as direct sums over the
+    rows a_(k-l) of a Toeplitz matrix, in blocks of k, and
+    Omega[k, p] = omega**(p'*(2*S'_0 + k)) on the band's rows.
+    """
+    m, n = tilde.size, roots.size
+    lags = np.arange(2 * m - 1)
+    right = tilde[:, None] * roots[np.outer(start + np.arange(m), shifts) % n]
+    # windows[2m - 2 - k][l] = a_(k-l), 0 off the support
+    padded = np.concatenate((np.zeros(m - 1, complex), tilde[::-1], np.zeros(m - 1, complex)))
+    windows = sliding_window_view(padded, m)
+    q = np.empty((2 * m - 1, shifts.size), complex)
+    block = max(1, _LAG_BLOCK_ELEMENTS // m)
+    for lo in range(0, 2 * m - 1, block):
+        k = lags[lo:lo + block]
+        q[k] = windows[2 * m - 2 - k] @ right
+    omega = roots[np.outer(2 * start + lags, band_start + np.arange(columns)) % n]
+    return [(slice(None), q.T.copy(), omega, 0)]
+
+
 class SupportPlan:
     """Blurred diagonal and singles cuts, over a span, of pairs A_j*g[j, l]*A_l on one support.
 
     amplitude is A on the whole lattice, complex, shape (n,); the support
     S is the slice support, m samples from the first to the last where |A|
-    exceeds SUPPORT_FLOOR times its peak.  width is at most half the
-    angular window and separation under n - 1/2 bins (ScenarioConfig's
-    rules).  The first-detector rows run over span = (lo, hi) in rad with
-    lo <= hi (profiles_for's rule), or None for the whole lattice, one
-    bin wider each side, clipped.  The diagonal's rows run over
-    diagonal_span by the same rule, clipped to span's rows, or over
-    span's rows for None: the band and its blur run on those rows alone.
-    Called with a float m x m weight g on S, the plan returns those rows
-    of diagonal_profile(blur(R, width), separation) and
-    blur(singles_profile(R), width), up to rounding, for R the rate map
-    of P = A_j*g[j, l]*A_l on S x S with a unit square sum, or the one of
-    them that channel, in CHANNELS, names.  The diagonal drops rows whose
-    partner leaves the lattice, so it may hold none.  The snap warning,
-    if any, is raised on every call.  The plan's arrays (nbytes) are
-    read-only, so threads may share a plan.
+    exceeds SUPPORT_FLOOR times its peak.  mode, "near" or "far", lays
+    the pair weight out as biphoton.pair_exponent_line does.  width is at
+    most half the angular window and separation under n - 1/2 bins
+    (ScenarioConfig's rules).  The first-detector rows run over span =
+    (lo, hi) in rad with lo <= hi (profiles_for's rule), or None for the
+    whole lattice, one bin wider each side, clipped.  The diagonal's rows
+    run over diagonal_span by the same rule, clipped to span's rows, or
+    over span's rows for None: the band and its blur run on those rows
+    alone.  Called with the 2m - 1 float pair weights w on S, the plan
+    returns those rows of diagonal_profile(blur(R, width), separation)
+    and blur(singles_profile(R), width), up to rounding, for R the rate
+    map of P = A_j*biphoton.pair_matrix(w, mode)[j, l]*A_l on S x S with a
+    unit square sum, or the one of them that channel, in CHANNELS, names.
+    The diagonal drops rows whose partner leaves the lattice, so it may
+    hold none.  The plan takes the band from the lag tables or from
+    E Phi^T by its geometry alone (lag_band, module docstring).  The snap
+    warning, if any, is raised on every call.  The plan's arrays (nbytes)
+    are read-only, so threads may share a plan.
     """
 
-    def __init__(self, amplitude, grid: SpatialGrid, wavelength: float, width: float,
+    def __init__(self, amplitude, mode: str, grid: SpatialGrid, wavelength: float, width: float,
                  separation: float, span: tuple[float, float] | None,
                  diagonal_span: tuple[float, float] | None = None):
         n = grid.n
@@ -299,8 +434,8 @@ class SupportPlan:
         cut_first = max(cut_first, -shift)
         cut_last = max(min(cut_last, n - 1 - shift), cut_first - 1)
 
-        # U^T[l, p] = W[p, S_l]*a_l for p = first - t .. last + t, and Phi, from
-        # the n roots of unity at integer exponents reduced mod n; |p'*S'_l| is
+        # U^T[l, p] = W[p, S_l]*a_l for p = first - t .. last + t, and the phases,
+        # from the n roots of unity at integer exponents reduced mod n; |p'*S'_l| is
         # below 3*n**2/8 (t < n/4), so int32 holds it up to MAX_GRID_N
         roots = np.exp(np.arange(n) * (-1j * TWO_PI / n))
         columns = np.arange(self.support.start, self.support.stop, dtype=np.int32) - n // 2
@@ -311,27 +446,38 @@ class SupportPlan:
         rows_t = roots[exponents]
         rows_t *= tilde[:, None]
         shifts = np.arange(shift - 2 * reach, shift + 2 * reach + 1)
-        phases = roots[np.outer(shifts, columns) % n]
         # row a holds w_a times the kernel at band rows 2t - a .. 4t - a (__call__)
         blur_rows = kernel[:, None] * sliding_window_view(np.pad(kernel, 2 * reach), 4 * reach + 1)
-        power = np.abs(tilde) ** 2
+        norm_lags = _norm_lags(np.abs(tilde) ** 2, mode)
         singles_angles = angles[first:last + 1].copy()
         cut_angles = angles[cut_first:cut_last + 1].copy()
-        kept = (kernel, rows_t, phases, blur_rows, power, singles_angles, cut_angles)
+        # the band's columns: the diagonal's rows, reach more each side
+        band_width = cut_angles.size + 2 * reach
+        kept = [kernel, rows_t, blur_rows, norm_lags, singles_angles, cut_angles]
+        self.lag_band = _takes_lag_band(mode, tilde.size, band_width, reach,
+                                        sum(array.nbytes for array in kept))
+        if self.lag_band:
+            build = _near_lag_parts if mode == "near" else _far_lag_parts
+            self._lag_parts = build(tilde, int(columns[0]), shifts, cut_first - reach - n // 2,
+                                    band_width, roots)
+            kept += [array for part in self._lag_parts for array in part[1:3]]
+        else:
+            self._lag_parts = ()
+            self._phases = roots[np.outer(shifts, columns) % n]
+            kept.append(self._phases)
         for array in kept:
             array.setflags(write=False)
         self.nbytes = sum(array.nbytes for array in kept)
-        self._kernel, self._rows_t, self._phases = kernel, rows_t, phases
-        self._blur_rows, self._power = blur_rows, power
+        self._mode, self._kernel, self._rows_t = mode, kernel, rows_t
+        self._blur_rows, self._norm_lags = blur_rows, norm_lags
         self._singles_angles, self._cut_angles = singles_angles, cut_angles
-        # the columns of E^T the band reads: the diagonal's rows, reach more each side
         start = cut_first - first
-        self._band_columns = slice(start, start + cut_angles.size + 2 * reach)
+        self._band_width, self._band_columns = band_width, slice(start, start + band_width)
         self._dx = grid.dx
 
-    def __call__(self, weight,
+    def __call__(self, weights,
                  channel: str | None = None) -> tuple[RateProfile | None, RateProfile | None]:
-        """Blurred diagonal and singles rows for the float m x m weight g on the plan's support.
+        """Blurred diagonal and singles rows for the 2m - 1 float pair weights on the support.
 
         channel "coincidences" or "singles" computes that cut alone and
         puts None in place of the other; None computes both.  A cut is the
@@ -340,25 +486,18 @@ class SupportPlan:
         kernel = self._kernel
         if self._notice:
             warn_caller(self._notice, BinSnapWarning)
-        power = self._power
-        norm = power @ np.square(weight) @ power
+        norm = np.square(weights) @ self._norm_lags
         scale = self._dx / TWO_PI
 
-        # V^T = g^T U^T as one real product on the interleaved real and
-        # imaginary parts, then E^T = V^T o U^T in place
-        v_t = weight.T @ self._rows_t.view(float)
-        e_t = v_t.view(complex)
-        e_t *= self._rows_t
         diagonal_cut = singles_cut = None
+        if channel != "coincidences" or not self._lag_parts:
+            # V^T = g^T U^T as one real product on the interleaved real and
+            # imaginary parts, then E^T = V^T o U^T in place
+            v_t = pair_matrix(weights, self._mode).T @ self._rows_t.view(float)
+            e_t = v_t.view(complex)
+            e_t *= self._rows_t
         if channel != "singles":
-            # band[c, p] = R[p, p + shifts[c]]/scale as re**2 + im**2 on the diagonal's
-            # rows, in blocks: no (4t+1) x |K| complex array
-            rows = e_t[:, self._band_columns]
-            band = np.empty((self._phases.shape[0], rows.shape[1]))
-            for lo in range(0, band.shape[1], 256):
-                parts = (self._phases @ rows[:, lo:lo + 256]).view(float)
-                np.square(parts, out=parts)
-                np.add(parts[:, 0::2], parts[:, 1::2], out=band[:, lo:lo + 256])
+            band = self._lag_band(weights) if self._lag_parts else self._product_band(e_t)
             # first-detector offset a - t reads second-detector offsets b - t at
             # band row b - a + 2t: row a of blur_rows @ band is w_a*sum_b w_b*band[...],
             # and the cut sums row a at columns a + i, one skewed read
@@ -378,3 +517,33 @@ class SupportPlan:
             values.setflags(write=False)
             singles_cut = RateProfile(angles=self._singles_angles, values=values)
         return diagonal_cut, singles_cut
+
+    def _product_band(self, e_t) -> np.ndarray:
+        """band[c, p] = R[p, p + shifts[c]]/scale**2 as |E Phi^T|**2 on the band's rows."""
+        # re**2 + im**2 in blocks: no (4t+1) x |K| complex array
+        rows = e_t[:, self._band_columns]
+        band = np.empty((self._phases.shape[0], rows.shape[1]))
+        for lo in range(0, band.shape[1], 256):
+            parts = (self._phases @ rows[:, lo:lo + 256]).view(float)
+            np.square(parts, out=parts)
+            np.add(parts[:, 0::2], parts[:, 1::2], out=band[:, lo:lo + 256])
+        return band
+
+    def _lag_band(self, weights) -> np.ndarray:
+        """The same band from the lag tables: one complex product per part, read along
+        its rows shifted by skew columns each (module docstring)."""
+        band = np.empty((self._blur_rows.shape[1], self._band_width))
+        m = self._rows_t.shape[0]
+        for rows, phases, table, skew in self._lag_parts:
+            if self._mode == "near":   # w_d and w_(-d) on the lags d = 0 .. m - 1
+                left = phases[0] * weights[m - 1:]
+                left += phases[1] * weights[m - 1::-1]
+            else:
+                left = phases * weights
+            parts = (left @ table).view(float)
+            np.square(parts, out=parts)
+            squares = parts[:, 0::2] + parts[:, 1::2]
+            step = squares.itemsize
+            band[rows] = np.ndarray((squares.shape[0], band.shape[1]), float, buffer=squares,
+                                    strides=(step * (squares.shape[1] + skew), step))
+        return band

@@ -13,7 +13,8 @@ Both evaluators work on the spot's support S (propagation.support_of:
 155 samples at the default 29 um spot and 1.17 um spacing, whatever n
 is) with the Gaussian pair weight on it: biphoton.pair_weight on the
 2m - 1 distinct exponents -(x_j -+ x_l)**2 of S (pair_exponent_line),
-spread over the m x m pairs as a strided view (pair_matrix).
+which the stages spread over the m x m pairs as a strided view
+(pair_matrix) where they need the matrix.
 rate_map_for blurs propagation.support_map's n x n map of that pair for
 simulate: a traced peak of 6.0 MiB at n = 512 and 96 MiB at n = 2048,
 two n x n complex128 arrays when S covers the grid.  The n x n chain
@@ -22,9 +23,12 @@ the tests check it against.  profiles_for, which every fit and sweep
 evaluation calls, hands A to a propagation.SupportPlan, which finds S
 and the first-detector rows K that cover the span, and works on them:
 one real product of U = W_{K,S} diag(A_S sqrt(dx)) with the m x m
-weight on S.  The diagonal runs on the rows of diagonal_span within K,
-or on all of K: a sweep passes its two order positions there, 52 of
-its 311 rows at n = 2048.
+weight on S for the singles, and for the diagonal either the band of
+that product or, when the band is narrow, the band from lag tables of
+the 2m - 1 weights (propagation's docstring), which a fit's coincidence
+evaluation at the default config takes with no U at all.  The diagonal
+runs on the rows of diagonal_span within K, or on all of K: a sweep
+passes its two order positions there, 52 of its 311 rows at n = 2048.
 
 The plan holds what does not depend on the width: the SupportPlan and
 the 2m - 1 exponents on its support.  It is kept in a one-entry cache
@@ -32,13 +36,16 @@ keyed on the values of the nine optics fields it reads (every config
 field except sigma_corr_um, angle_offset_mrad and output_prefix), on
 the span and on a diagonal_span if one is given, so the evaluations of
 a fit or a sweep share it, and a call builds no config unless it
-builds the plan.  It holds
-8*(2m - 1) + 16*m*(|K| + 4t + 1) + 8*(2t + 1)*(4t + 1) bytes plus
-O(m + |K|): 0.29 MiB for a fit's +-60 mrad at the default spot and
-n = 512, 5.1 MiB for the whole lattice at n = 2048.  A plan over
-MAX_KEPT_PLAN_BYTES serves only the call that built it.  Each call
-weighs the exponents for its width, then runs the plan for the channel
-asked for: a fit computes only its scan's cut, a sweep both.
+builds the plan.  It holds 8*(2m - 1) bytes of exponents,
+16*m*|K| for U over |K| rows (the span's, widened by t), the band's
+tables, 8*(2t + 1)*(4t + 1) for the shifted kernels and O(m + |K|).
+The tables are 16*m*(4t + 1) bytes for the product band's Phi, or the
+lag tables (propagation's rule 3): 0.87 MiB in all for a fit's
++-60 mrad at the default spot and n = 512 (lag band), 1.1 MiB at
+n = 2048 and 5.1 MiB for the whole lattice at n = 2048 (product band).
+A plan over MAX_KEPT_PLAN_BYTES serves only the call that built it.
+Each call weighs the exponents for its width, then runs the plan for
+the channel asked for: a fit computes only its scan's cut, a sweep both.
 """
 
 from __future__ import annotations
@@ -50,12 +57,12 @@ from operator import attrgetter
 
 import numpy as np
 
-from .biphoton import pair_exponent_line, pair_matrix, pair_weight
+from .biphoton import pair_exponent_line, pair_weight
 from .errors import ParameterError, read_lines, read_number
 from .lattice import TWO_PI, SpatialGrid, angles_of, make_grid
 from .optics import transmission
-from .propagation import (CHANNELS, RateMap, RateProfile, SupportPlan, _cut_angles, _snap_shift,
-                          blur, support_map, support_of)
+from .propagation import (CHANNELS, MAX_KEPT_PLAN_BYTES, RateMap, RateProfile, SupportPlan,
+                          _cut_angles, _snap_shift, blur, support_map, support_of)
 
 # rate_map_for holds at most two n x n complex128 arrays at once, 512 MiB at this n
 # (the traced peak when the support covers the grid; 384 MiB at the default spot).
@@ -70,12 +77,6 @@ MAX_WINDOW_UM = float(np.sqrt(np.finfo(float).max))
 # the factor (dx/(2*pi))**2/T of SupportPlan and support_map is then normal (T <= sum(b)**2
 # = 1 for every width), and the reference chain's sum(|F|**2) <= 1/dx**2 finite (|A|**2 <= 1/dx).
 MIN_GRID_SPACING_UM = TWO_PI * float(np.sqrt(np.finfo(float).tiny)) * (1.0 + 1e-9)
-
-# profiles_for keeps a plan only while its arrays fit in this: the 2m - 1 pair
-# exponents (8*(2m - 1) bytes) and SupportPlan.nbytes, which is U^T and Phi
-# (16*m*(|K| + 4t + 1) bytes for |K| rows and a blur of reach t), the shifted
-# kernels (8*(2t + 1)*(4t + 1) bytes) and O(m + |K|).
-MAX_KEPT_PLAN_BYTES = 64 * 2 ** 20
 
 # The ScenarioConfig fields that profiles_for's plan reads, and so its cache key.
 _PLAN_FIELDS = ("wavelength_nm", "grating_period_um", "blaze_wavelength_nm", "spot_diameter_um",
@@ -281,8 +282,8 @@ def rate_map_for(config: ScenarioConfig) -> RateMap:
     support = support_of(amp)
     line = pair_exponent_line(config.illumination, support.start - grid.n // 2,
                               support.stop - support.start, grid.dx)
-    weight = pair_matrix(pair_weight(line, config.sigma_corr_um, grid.dx), config.illumination)
-    return blur(support_map(amp, support, weight, grid, config.wavelength_um),
+    weights = pair_weight(line, config.sigma_corr_um, grid.dx)
+    return blur(support_map(amp, support, weights, config.illumination, grid, config.wavelength_um),
                 config.resolution_mrad * 1e-3)
 
 
@@ -311,9 +312,9 @@ def _support_plan(optics: tuple, span: tuple[float, float] | None,
     """
     config = ScenarioConfig(**dict(zip(_PLAN_FIELDS, optics)))
     grid = grid_for(config)
-    cuts = SupportPlan(transmission_for(config, grid), grid, config.wavelength_um,
-                       config.resolution_mrad * 1e-3, config.detector_separation_mrad * 1e-3, span,
-                       diagonal_span)
+    cuts = SupportPlan(transmission_for(config, grid), config.illumination, grid,
+                       config.wavelength_um, config.resolution_mrad * 1e-3,
+                       config.detector_separation_mrad * 1e-3, span, diagonal_span)
     line = pair_exponent_line(config.illumination, cuts.support.start - grid.n // 2,
                               cuts.support.stop - cuts.support.start, grid.dx)
     return line, grid.dx, cuts
@@ -344,8 +345,7 @@ def profiles_for(config: ScenarioConfig, sigma_um: float | None = None,
                                    *(() if diagonal_span is None else (diagonal_span,)))
     if line.nbytes + cuts.nbytes > MAX_KEPT_PLAN_BYTES:
         _support_plan.cache_clear()
-    weight = pair_matrix(pair_weight(line, sigma, dx), config.illumination)
-    return cuts(weight, channel)
+    return cuts(pair_weight(line, sigma, dx), channel)
 
 
 def profile_angles(config: ScenarioConfig) -> tuple[np.ndarray, np.ndarray]:

@@ -7,13 +7,14 @@ import numpy as np
 import pytest
 
 from pairgrating import ScenarioConfig, profiles_for, rate_map_for
-from pairgrating.biphoton import pair_matrix, two_photon_amplitude
+from pairgrating.biphoton import (pair_exponent_line, pair_matrix, pair_weight,
+                                  two_photon_amplitude)
 from pairgrating.lattice import angles_of, make_grid
 from pairgrating.propagation import (RateMap, RateProfile, SupportPlan, _box_kernel, blur,
                                      coincidence_map, diagonal_profile, fourier_1d,
                                      singles_profile, support_of, to_far_field)
 from pairgrating.errors import BinSnapWarning, ParameterError, SamplingWarning
-from pairgrating import scenario
+from pairgrating import propagation, scenario
 from pairgrating.inference import COARSE_POINTS, SIGMA_RANGE
 
 from conftest import WAVELENGTH, matched_deviation
@@ -23,18 +24,17 @@ def _normalized(values, grid):
     return values / np.sqrt(np.sum(np.abs(values) ** 2) * grid.dx ** 2)
 
 
-def _plan_on_hull(grid, support, amplitude, weight, rng, width, separation):
-    """SupportPlan for amplitude on the scattered indices support, zero elsewhere, and
-    the weight on its support, the hull of those indices: weight where both indices
-    are in support, random entries that meet a zero amplitude elsewhere."""
+def _plan_on_hull(grid, support, amplitude, mode, rng, width, separation, span=None):
+    """SupportPlan for amplitude on the scattered indices support, zero elsewhere, a
+    random signed line of 2h - 1 pair weights on its support, the hull of those h
+    indices, and the m x m weight that line puts on the m indices of support."""
     lattice = np.zeros(grid.n, dtype=complex)
     lattice[support] = amplitude
-    plan = SupportPlan(lattice, grid, 1.0, width, separation, None)
+    plan = SupportPlan(lattice, mode, grid, 1.0, width, separation, span)
     first, last = support.min(), support.max()
     assert plan.support == slice(first, last + 1)
-    hull_weight = rng.standard_normal((last - first + 1,) * 2)
-    hull_weight[np.ix_(support - first, support - first)] = weight
-    return plan, hull_weight
+    line = rng.standard_normal(2 * (last - first) + 1)
+    return plan, line, pair_matrix(line, mode)[np.ix_(support - first, support - first)]
 
 
 @pytest.fixture(scope="module")
@@ -266,26 +266,26 @@ def test_blur_is_bitwise_the_roll_sum(width_bins, taps, n, ndim):
 @pytest.mark.parametrize("width_bins", [0.0, 0.9, 1.0, 2.6, 7.7])
 @pytest.mark.parametrize("shift", [-5, -1, 0, 1, 3, 31])
 def test_blurred_diagonal_matches_cut_of_blurred_map(width_bins, shift):
-    # a random amplitude on scattered indices, zero elsewhere, and a random real
-    # weight: no symmetry or smoothness to lean on, and every wrapped term of the
-    # band counts
+    # a random amplitude on scattered indices, zero elsewhere, and a random signed
+    # line of pair weights in either layout: no symmetry or smoothness to lean on,
+    # and every wrapped term of the band counts
     rng = np.random.default_rng(shift + 5)
     grid = make_grid(32, 32.0)
     support = np.sort(rng.choice(32, size=12, replace=False))
     amplitude = rng.standard_normal(12) + 1j * rng.standard_normal(12)
-    weight = rng.standard_normal((12, 12))
-    padded = np.zeros((32, 32), dtype=complex)
-    padded[np.ix_(support, support)] = amplitude[:, None] * weight * amplitude
-    rate_map = coincidence_map(to_far_field(_normalized(padded, grid), grid), grid, 1.0)
-    bin_width = rate_map.angles[1] - rate_map.angles[0]
+    bin_width = np.diff(angles_of(grid, 1.0))[0]
     width, separation = width_bins * bin_width, shift * bin_width
-    expected = (diagonal_profile(blur(rate_map, width), separation),
-                blur(singles_profile(rate_map), width))
-    plan, hull_weight = _plan_on_hull(grid, support, amplitude, weight, rng, width, separation)
-    got = plan(hull_weight)
-    for got_cut, want in zip(got, expected):
-        np.testing.assert_array_equal(got_cut.angles, want.angles)
-        np.testing.assert_allclose(got_cut.values, want.values, rtol=1e-12, atol=0.0)
+    for mode in ("near", "far"):
+        plan, line, weight = _plan_on_hull(grid, support, amplitude, mode, rng, width,
+                                           separation)
+        padded = np.zeros((32, 32), dtype=complex)
+        padded[np.ix_(support, support)] = amplitude[:, None] * weight * amplitude
+        rate_map = coincidence_map(to_far_field(_normalized(padded, grid), grid), grid, 1.0)
+        expected = (diagonal_profile(blur(rate_map, width), separation),
+                    blur(singles_profile(rate_map), width))
+        for got_cut, want in zip(plan(line), expected):
+            np.testing.assert_array_equal(got_cut.angles, want.angles)
+            np.testing.assert_allclose(got_cut.values, want.values, rtol=1e-12, atol=0.0)
 
 
 def test_blurred_diagonal_checks_like_blur_and_cut():
@@ -308,40 +308,58 @@ HAND_KERNELS = {0.0: [1.0],
 def test_support_profiles_match_extended_precision_sums(n, shifts, width_bins):
     # each R[p, q] as the direct double sum W_S B W_S^T in np.clongdouble with
     # the centred DFT matrix, for B = a_j*g[j, l]*a_l scaled to a unit square
-    # sum, then blurred by hand: nothing here goes through an FFT or the
-    # plan's factored form; the last shift of each n makes the band of the blur
-    # wrap.  The amplitude is zero off the scattered support, so the plan's
-    # support is its hull
+    # sum, g a random signed line of pair weights in either layout, then blurred
+    # by hand: nothing here goes through an FFT or the plan's factored forms.
+    # The last shift of each n makes the band of the blur wrap.  The amplitude is
+    # zero off the scattered support, so the plan's support is its hull.  Each
+    # shift runs over the whole lattice and over a span that reaches past the
+    # lattice's first row, or its last for a negative shift, where the diagonal
+    # is: the plans take both bands at the two narrower blurs, and only
+    # |E Phi^T|**2 at 7.7 bins (rule 1 of propagation's docstring)
     rng = np.random.default_rng(n)
     grid = make_grid(n, float(n))
     m = n // 3
     support = rng.choice(n, size=m, replace=False)     # scattered and unsorted
     amplitude = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-    weight = rng.standard_normal((m, m))
-    pair = amplitude.astype(np.clongdouble)[:, None] * weight * amplitude
-    pair /= np.sqrt(np.sum(np.abs(pair) ** 2) * grid.dx ** 2)
     exponents = np.outer(np.arange(n) - n // 2, support - n // 2) % n
     pi = 4 * np.arctan(np.longdouble(1))
     dft = np.exp(exponents * (-2j * pi / n))
-    far = dft @ pair @ dft.T * (grid.dx ** 2 / (2 * pi))
-    rates = np.abs(far) ** 2
-    assert rates.dtype == np.longdouble
-
     kernel = np.array(HAND_KERNELS[width_bins], dtype=np.longdouble)
     kernel /= kernel.sum()
     offsets = np.arange(kernel.size) - kernel.size // 2
     rows = np.arange(n)
-    row_sums = rates.sum(axis=1) * grid.dk
-    singles = sum(wa * row_sums[(rows + a) % n] for a, wa in zip(offsets, kernel))
-    bin_width = np.diff(angles_of(grid, 1.0))[0]
-    for shift in shifts:
-        diagonal = sum(wa * wb * rates[(rows + a) % n, (rows + shift + b) % n]
-                       for a, wa in zip(offsets, kernel) for b, wb in zip(offsets, kernel))
-        plan, hull_weight = _plan_on_hull(grid, support, amplitude, weight, rng,
-                                          width_bins * bin_width, shift * bin_width)
-        got = plan(hull_weight)
-        for profile, want in zip(got, (diagonal[max(0, -shift):n - max(0, shift)], singles)):
-            np.testing.assert_allclose(profile.values, want.astype(float), rtol=1e-12, atol=0.0)
+    angles = angles_of(grid, 1.0)
+    bin_width = np.diff(angles)[0]
+    bands = set()
+    for mode in ("near", "far"):
+        line = None
+        for shift in shifts:
+            for span in (None, (-1.0, -0.2) if shift >= 0 else (0.2, 1.0)):
+                plan, hull_line, weight = _plan_on_hull(grid, support, amplitude, mode, rng,
+                                                        width_bins * bin_width,
+                                                        shift * bin_width, span)
+                if line is None:   # one line, and so one pair, for every plan of a mode
+                    line = hull_line
+                    pair = amplitude.astype(np.clongdouble)[:, None] * weight * amplitude
+                    pair /= np.sqrt(np.sum(np.abs(pair) ** 2) * grid.dx ** 2)
+                    far = dft @ pair @ dft.T * (grid.dx ** 2 / (2 * pi))
+                    rates = np.abs(far) ** 2
+                    assert rates.dtype == np.longdouble
+                    row_sums = rates.sum(axis=1) * grid.dk
+                    singles = sum(wa * row_sums[(rows + a) % n] for a, wa in zip(offsets, kernel))
+                bands.add(plan.lag_band)
+                diagonal = sum(wa * wb * rates[(rows + a) % n, (rows + shift + b) % n]
+                               for a, wa in zip(offsets, kernel)
+                               for b, wb in zip(offsets, kernel))
+                cut = slice(max(0, -shift), n - max(0, shift))
+                for profile, want, want_angles in zip(plan(line), (diagonal[cut], singles),
+                                                      (angles[cut], angles)):
+                    start = int(np.searchsorted(want_angles, profile.angles[0]))
+                    part = slice(start, start + profile.angles.size)
+                    np.testing.assert_array_equal(profile.angles, want_angles[part])
+                    np.testing.assert_allclose(profile.values, want[part].astype(float),
+                                               rtol=1e-12, atol=0.0)
+    assert bands == ({False, True} if width_bins < 7 else {False})
 
 
 @pytest.mark.parametrize("span", [(0.1, -0.1), (float("nan"), 0.1), (0.0, float("nan"))])
@@ -430,6 +448,10 @@ SPAN_CASES = [
     (dict(detector_separation_mrad=-4.0), (-1.0, -0.3)),     # snapped to 2 bins, drops 2
     (dict(illumination="far", detector_separation_mrad=4.0), (0.31, 0.5)),
     (dict(detector_separation_mrad=-390.0), (0.3, 0.4)),    # 150 bins: the band wraps
+    (dict(illumination="far", resolution_mrad=0.0), FIT_SPAN),            # t = 0
+    (dict(resolution_mrad=0.0, detector_separation_mrad=-4.0), (-1.0, -0.3)),  # one odd shift
+    (dict(illumination="far"), (0.3, 1.0)),
+    (dict(illumination="far", detector_separation_mrad=-390.0), (0.3, 0.4)),
 ]
 
 
@@ -454,6 +476,109 @@ def test_profiles_for_span_rows_equal_the_whole_lattice(keys, span):
         # one bin past the span on each side, or the lattice's edge
         assert got.angles[0] < span[0] or start == 0
         assert got.angles[-1] > span[1] or start + got.angles.size == want.angles.size
+
+
+# n = 512: bins are 1.3 mrad wide, first-detector angles -665.6 to 663.0 mrad
+LAG_CONFIGS = [dict(), dict(illumination="far"),
+               dict(detector_separation_mrad=13.0),
+               dict(illumination="far", detector_separation_mrad=13.0),
+               dict(detector_separation_mrad=4.0),                     # snapped to 3 bins
+               dict(illumination="far", detector_separation_mrad=4.0),
+               dict(detector_separation_mrad=-390.0),                  # 300 bins: wraps
+               dict(illumination="far", detector_separation_mrad=-390.0),
+               dict(resolution_mrad=0.0),                              # t = 0: one parity
+               dict(illumination="far", resolution_mrad=0.0, detector_separation_mrad=4.0)]
+
+
+@pytest.mark.parametrize("keys", LAG_CONFIGS)
+def test_lag_band_matches_the_product_band(keys, monkeypatch):
+    # one plan geometry with each band forced: the blurred diagonals agree to
+    # 1e-13 relative on every row, and the singles bit for bit, over a fit's span
+    # and spans past the lattice's first and last rows
+    config = ScenarioConfig(**keys)
+    grid = scenario.grid_for(config)
+    amplitude = scenario.transmission_for(config, grid)
+    compared = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", BinSnapWarning)
+        warnings.simplefilter("ignore", SamplingWarning)
+        for span in (FIT_SPAN, (-1.0, -0.55), (0.55, 1.0)):
+            plans = []
+            for lag in (True, False):
+                monkeypatch.setattr(propagation, "_takes_lag_band", lambda *args, lag=lag: lag)
+                plans.append(SupportPlan(amplitude, config.illumination, grid,
+                                         config.wavelength_um, config.resolution_mrad * 1e-3,
+                                         config.detector_separation_mrad * 1e-3, span))
+            assert [plan.lag_band for plan in plans] == [True, False]
+            support = plans[0].support
+            line = pair_exponent_line(config.illumination, support.start - grid.n // 2,
+                                      support.stop - support.start, grid.dx)
+            for sigma in np.geomspace(0.5, 1e4, 7):
+                weights = pair_weight(line, sigma, grid.dx)
+                (lag_diagonal, lag_singles), (diagonal, singles) = (plan(weights) for plan in plans)
+                np.testing.assert_array_equal(lag_diagonal.angles, diagonal.angles)
+                np.testing.assert_allclose(lag_diagonal.values, diagonal.values, rtol=1e-13,
+                                           atol=0.0)
+                assert np.array_equal(lag_singles.values, singles.values)
+                compared += diagonal.values.size
+    assert compared > 0
+
+
+def test_plans_pick_their_band_from_their_geometry():
+    # the rules of propagation's docstring: (4t + 1)(2m - 1) < m**2/2, at most m
+    # band rows, and the plan with its tables under MAX_KEPT_PLAN_BYTES
+    fit = ScenarioConfig()                                  # m = 155, t = 4
+    large = ScenarioConfig(grid_n=2048, window_um=2400.0)   # m = 155, t = 15
+    orders = (large.wavelength_um / (2.0 * large.grating_period_um),
+              large.wavelength_um / large.grating_period_um)
+    covered = replace(large, spot_diameter_um=1e5)          # m = n = 2048
+    for config, spans, lag in (
+            (fit, (FIT_SPAN,), True),                 # 17*309 = 5,253 < 12,012; 105 rows
+            (large, ((-0.06, 0.06), orders), False),  # a sweep's: 61*309 = 18,849 > 12,012
+            (fit, (None,), False),                    # 512 + 8 band rows > 155
+            (covered, (FIT_SPAN,), True)):            # 403 rows; 43 MiB with U^T
+        plan = scenario._support_plan(scenario._plan_key(config), *spans)[2]
+        assert plan.lag_band == lag
+        assert plan.nbytes <= scenario.MAX_KEPT_PLAN_BYTES
+    # m = n = 4096 over a fit's span passes rules 1 and 2, but U^T and the tables
+    # come to 174 MiB; counted, not built
+    n, window = 4096, 4800.0
+    config = replace(covered, grid_n=n, window_um=window)
+    step = config.wavelength_um / window
+    first, last = propagation._span_rows(FIT_SPAN, step, n, 0, n - 1)
+    reach = propagation._box_kernel(config.resolution_mrad * 1e-3, step).size // 2
+    columns = last - first + 1 + 2 * reach
+    rows_bytes = 16 * n * columns
+    assert 2 * (4 * reach + 1) * (2 * n - 1) < n * n and columns <= n
+    tables = propagation._lag_table_bytes("near", n, columns, reach)
+    assert rows_bytes + tables > 170 * 2 ** 20 > scenario.MAX_KEPT_PLAN_BYTES
+    assert not propagation._takes_lag_band("near", n, columns, reach, rows_bytes)
+    scenario._support_plan.cache_clear()
+
+
+@pytest.mark.parametrize("mode", ["near", "far"])
+def test_profiles_for_singles_match_extended_precision_sums(mode):
+    # unblurred singles that dip to 3.5e-8 of their peak between the orders (a
+    # 200 um spot fills the n = 256 grid, sigma = 200 um), against every
+    # |F[p, q]|**2 of the direct double sum in np.clongdouble, summed over q
+    config = ScenarioConfig(grid_n=256, window_um=300.0, spot_diameter_um=200.0,
+                            resolution_mrad=0.0, illumination=mode)
+    singles = profiles_for(config, sigma_um=200.0, channel="singles")[1]
+    assert singles.values.min() < 1e-6 * singles.values.max()
+    grid = scenario.grid_for(config)
+    n = grid.n
+    amplitude = scenario.transmission_for(config, grid)
+    support = support_of(amplitude)
+    line = pair_exponent_line(mode, support.start - n // 2, support.stop - support.start, grid.dx)
+    a = (amplitude[support] * np.sqrt(grid.dx)).astype(np.clongdouble)
+    pair = a[:, None] * pair_matrix(pair_weight(line, 200.0, grid.dx), mode) * a
+    pi = 4 * np.arctan(np.longdouble(1))
+    exponents = np.outer(np.arange(n) - n // 2, np.arange(support.start, support.stop) - n // 2)
+    dft = np.exp(exponents % n * (-2j * pi / n))
+    rates = np.abs(dft @ pair @ dft.T) ** 2 * (grid.dx / (2 * pi)) ** 2 / np.sum(np.abs(pair) ** 2)
+    assert rates.dtype == np.longdouble
+    want = rates.sum(axis=1) * grid.dk
+    np.testing.assert_allclose(singles.values, want.astype(float), rtol=1e-12, atol=0.0)
 
 
 def test_profiles_for_span_past_the_diagonal_gives_no_rows():
@@ -608,7 +733,7 @@ def test_profiles_for_equals_the_plan_on_the_unzeroed_weight(keys):
         warnings.simplefilter("ignore", SamplingWarning)
         for sigma in np.geomspace(*SIGMA_RANGE, COARSE_POINTS):
             got = profiles_for(config, sigma_um=float(sigma))
-            want = cuts(pair_matrix(np.exp(line / (2.0 * sigma ** 2)), config.illumination))
+            want = cuts(np.exp(line / (2.0 * sigma ** 2)))
             for got_cut, want_cut in zip(got, want):
                 assert np.array_equal(got_cut.values, want_cut.values), sigma
 
@@ -627,7 +752,8 @@ def test_profiles_for_plan_holds_under_two_mib():
     finally:
         tracemalloc.stop()
     line, _, cuts = _kept_plan(config, FIT_SPAN)
-    rows, m, reach = cuts._singles_angles.size, cuts._power.size, cuts._kernel.size // 2
+    rows, reach = cuts._singles_angles.size, cuts._kernel.size // 2
+    m = cuts.support.stop - cuts.support.start
     assert line.size == 2 * m - 1
     arrays = (8 * line.size + 16 * m * (rows + 2 * reach + 4 * reach + 1)
               + 8 * (2 * reach + 1) * (4 * reach + 1))
@@ -725,7 +851,8 @@ def test_profiles_for_warm_call_allocates_no_m_by_n_array():
     # array (4.84 MiB at m = 155)
     config = ScenarioConfig(grid_n=2048, window_um=2400.0, resolution_mrad=0.0)
     profiles_for(config, span=FIT_SPAN)
-    m = _kept_plan(config, FIT_SPAN)[2]._power.size
+    support = _kept_plan(config, FIT_SPAN)[2].support
+    m = support.stop - support.start
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
