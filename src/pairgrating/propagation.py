@@ -30,10 +30,10 @@ omega = exp(-2*pi*i/n) and a = A*sqrt(dx) on S:
 - product band: row p + c of W is row p times Phi[c, l] =
   omega**(c*S'_l), so R[p, (p+c) mod n] = |(E Phi^T)[p, c]|**2 for
   c = s-2t..s+2t, taken as re**2 + im**2, on the rows Kd+;
-- lag band: F[p, p+c] = sum_jl omega**(p'*S'_j + (p'+c)*S'_l)*a_j*g[j, l]*a_l
-  is linear in w.  Near, with d = l - j,
-  F[p, p+c] = sum_d w_d*omega**((p'+c)*d)*C[d, 2p'+c], where
-  C[d, f] = sum_j omega**(f*S'_j)*a_j*a_(j+d) and C[-d, f] =
+- lag band (near mode): F[p, p+c] =
+  sum_jl omega**(p'*S'_j + (p'+c)*S'_l)*a_j*g[j, l]*a_l is linear in w.
+  With d = l - j, F[p, p+c] = sum_d w_d*omega**((p'+c)*d)*C[d, 2p'+c],
+  where C[d, f] = sum_j omega**(f*S'_j)*a_j*a_(j+d) and C[-d, f] =
   omega**(f*d)*C[d, f].  Split c = 2*c2 + r and set u = p' + c2 and
   T_r[d, u] = omega**(u*d)*C[d, 2u + r] for d = 0 .. m - 1; then
   F[p, p+c] = sum_d (w_d*omega**((c2+r)*d) + w_(-d)*omega**(-c2*d))*T_r[d, u],
@@ -41,13 +41,13 @@ omega = exp(-2*pi*i/n) and a = A*sqrt(dx) on S:
   the weighted row phases with T_r, whose entry [c2, u] is read at
   u = p' + c2, a row shifted by one column per c2, as one strided view.
   C[d, .] is the n-point FFT of a_j*a_(j+d), built lag by lag in
-  blocks.  Far, with k = j + l, F[p, p+c] =
-  sum_k w_k*omega**(p'*(2*S'_0 + k))*Q[k, c], where Q[k, c] =
-  sum_(j+l=k) omega**(c*S'_l)*a_j*a_l, direct sums in blocks of k: the
-  single product (Q o w)^T Omega with Omega[k, p] = omega**(p'*(2*S'_0 + k)).
-  The tables T_r and their row phases, or Q and Omega, do not depend on
-  w and are built once per plan; a call for the coincidences alone
-  skips U, V and E;
+  blocks.  The tables T_r and their row phases do not depend on w and
+  are built once per plan; a call for the coincidences alone skips U,
+  V and E.  Far mode (k = j + l) is linear in w too,
+  F[p, p+c] = sum_k w_k*omega**(p'*(2*S'_0 + k))*Q[k, c] with
+  Q[k, c] = sum_(j+l=k) omega**(c*S'_l)*a_j*a_l, but far plans keep the
+  product band: no far workload measures that form, and on a support
+  that covers the grid its error measured ten times the product band's;
 - blurred diagonal: with first-detector offset a - t and second b - t,
   D[i] = sum_a w_a sum_b w_b band[b - a + 2t, i + a].  Row a of one
   (2t+1) x (4t+1) matrix holds w_a*w at columns 2t - a .. 4t - a, so
@@ -65,22 +65,24 @@ omega = exp(-2*pi*i/n) and a = A*sqrt(dx) on S:
 
 This is the matrix Fourier transform (Soummer et al., Opt. Express 15,
 15935 (2007)) on the rows read, O(|K|*m**2) work in one small product
-for V, and O((4t+1)*m*|Kd+|) for the lag band.  A plan takes the lag
-band when its geometry, never the channel, meets three rules, so a cut
-is the same bits whichever channel asks for it:
+for V, and O((4t+1)*m*|Kd+|) for the lag band.  A near plan takes the
+lag band when its geometry, never the channel, meets three rules, so a
+cut is the same bits whichever channel asks for it:
 
 1. (4t+1)*(2m-1) < m**2/2.  A band over all 2m - 1 lags costs
    (4t+1)*(2m-1) complex products per band row, 4 real ones each, which
-   this keeps under the 2*m**2 real products of V's row.  Near, folding
+   this keeps under the 2*m**2 real products of V's row.  Folding
    w_(-d) onto w_d halves the lag band, a margin of two.  A plan that
    pays V for its singles anyway (a sweep at n = 2048, t = 15) stays on
    the product band, where the lag band measured slower;
 2. |Kd+| = |Kd| + 2t <= m: the tables stay the size of the support, and
    a whole-lattice plan at the default spot keeps U alone;
-3. the plan with its tables fits MAX_KEPT_PLAN_BYTES, because a plan
-   that is not kept would rebuild them on every call.  The tables hold
-   16*m*(2*(|Kd+| - 1) + 3*(4t+1)) bytes (near; one parity at t = 0:
-   16*m*(|Kd+| + 2)) or 16*(2m - 1)*(|Kd+| + 4t + 1) (far).
+3. the plan with its tables, and the 8*(2m - 1) bytes of pair exponents
+   scenario.profiles_for keeps beside it, fits MAX_KEPT_PLAN_BYTES: the
+   sum profiles_for keeps a plan by, because a plan that is not kept
+   would rebuild its tables on every call.  The tables hold
+   16*m*(2*(|Kd+| - 1) + 3*(4t+1)) bytes (one parity at t = 0:
+   16*m*(|Kd+| + 2)).
 
 Both cuts read E on the product band; a caller that needs one cut asks
 for it alone, and the plan skips the band and the diagonal, or the
@@ -108,7 +110,7 @@ CHANNELS = ("coincidences", "singles")
 # scenario.profiles_for keeps a plan only while SupportPlan.nbytes (U^T, the band's
 # tables, the shifted kernels and O(m + |K|)) and the 2m - 1 pair exponents it keeps
 # beside them (8*(2m - 1) bytes) fit in this; a plan takes the lag band only while
-# its nbytes with the lag tables do (rule 3 above).
+# that same sum with the lag tables does (rule 3 above).
 MAX_KEPT_PLAN_BYTES = 64 * 2 ** 20
 
 # Complex entries per block of a lag table's build: 256 KiB work arrays, which keep a fit's
@@ -320,27 +322,25 @@ def _norm_lags(power: np.ndarray, mode: str) -> np.ndarray:
     return np.correlate(power, power, "full") if mode == "near" else np.convolve(power, power)
 
 
-def _lag_table_bytes(mode: str, m: int, columns: int, reach: int) -> int:
+def _lag_table_bytes(m: int, columns: int, reach: int) -> int:
     """Bytes of the lag tables on m support samples for a band of columns rows and a
-    blur of reach t: each parity's T_r and its two row phases (near), or Q^T and
-    Omega (far)."""
+    blur of reach t: each parity's T_r and its two row phases."""
     shifts = 4 * reach + 1
-    if mode == "near":
-        return 16 * m * (min(2, shifts) * (columns - 1) + 3 * shifts)
-    return 16 * (2 * m - 1) * (columns + shifts)
+    return 16 * m * (min(2, shifts) * (columns - 1) + 3 * shifts)
 
 
 def _takes_lag_band(mode: str, m: int, columns: int, reach: int, other_bytes: int) -> bool:
     """Whether a plan on m support samples takes its band of columns rows from the lag
-    tables, other_bytes being what it keeps besides them: the three rules of the
-    module docstring."""
+    tables, other_bytes being what it keeps besides them: near mode and the three
+    rules of the module docstring, the third on the sum profiles_for keeps it by."""
     shifts = 4 * reach + 1
-    return (2 * shifts * (2 * m - 1) < m * m and columns <= m
-            and other_bytes + _lag_table_bytes(mode, m, columns, reach) <= MAX_KEPT_PLAN_BYTES)
+    kept = other_bytes + 8 * (2 * m - 1) + _lag_table_bytes(m, columns, reach)
+    return (mode == "near" and 2 * shifts * (2 * m - 1) < m * m and columns <= m
+            and kept <= MAX_KEPT_PLAN_BYTES)
 
 
-def _near_lag_parts(tilde, start: int, shifts, band_start: int, columns: int, roots) -> list:
-    """Near mode's parts (band rows, row phases, T_r, skew 1), one per parity r of the shifts.
+def _lag_parts(tilde, start: int, shifts, band_start: int, columns: int, roots) -> list:
+    """The lag band's parts (band rows, row phases, T_r), one per parity r of the shifts.
 
     tilde is a on S, start is S'_0, shifts the 4t + 1 band shifts c and
     band_start the first band row's p'.  T_r[d, u] = omega**(u*d)*C[d, 2u + r]
@@ -358,7 +358,7 @@ def _near_lag_parts(tilde, start: int, shifts, band_start: int, columns: int, ro
         u = np.arange(band_start + halves[0], band_start + columns + halves[-1])
         phases = roots[np.stack((halves + parity, -halves))[:, :, None] * lags % n]
         phases[1, :, 0] = 0.0
-        parts.append((slice(offset, None, 2), phases, np.empty((m, u.size), complex), 1))
+        parts.append((slice(offset, None, 2), phases, np.empty((m, u.size), complex)))
         reads.append((u, 2 * u + parity))
     # windows[d][j] = a_(j+d), 0 past the support
     windows = sliding_window_view(np.concatenate((tilde, np.zeros(m, complex))), m)
@@ -366,31 +366,9 @@ def _near_lag_parts(tilde, start: int, shifts, band_start: int, columns: int, ro
     for lo in range(0, m, block):
         d = lags[lo:lo + block]
         spectra = np.fft.fft(windows[d] * tilde, n, axis=1)
-        for (_, _, table, _), (u, f) in zip(parts, reads):
+        for (_, _, table), (u, f) in zip(parts, reads):
             table[d] = spectra[:, f % n] * roots[(np.outer(d, u) + f * start) % n]
     return parts
-
-
-def _far_lag_parts(tilde, start: int, shifts, band_start: int, columns: int, roots) -> list:
-    """Far mode's one part (all band rows, Q^T, Omega, skew 0).
-
-    Q[k, c] = sum_(j+l=k) omega**(c*S'_l)*a_j*a_l as direct sums over the
-    rows a_(k-l) of a Toeplitz matrix, in blocks of k, and
-    Omega[k, p] = omega**(p'*(2*S'_0 + k)) on the band's rows.
-    """
-    m, n = tilde.size, roots.size
-    lags = np.arange(2 * m - 1)
-    right = tilde[:, None] * roots[np.outer(start + np.arange(m), shifts) % n]
-    # windows[2m - 2 - k][l] = a_(k-l), 0 off the support
-    padded = np.concatenate((np.zeros(m - 1, complex), tilde[::-1], np.zeros(m - 1, complex)))
-    windows = sliding_window_view(padded, m)
-    q = np.empty((2 * m - 1, shifts.size), complex)
-    block = max(1, _LAG_BLOCK_ELEMENTS // m)
-    for lo in range(0, 2 * m - 1, block):
-        k = lags[lo:lo + block]
-        q[k] = windows[2 * m - 2 - k] @ right
-    omega = roots[np.outer(2 * start + lags, band_start + np.arange(columns)) % n]
-    return [(slice(None), q.T.copy(), omega, 0)]
 
 
 class SupportPlan:
@@ -413,9 +391,9 @@ class SupportPlan:
     unit square sum, or the one of them that channel, in CHANNELS, names.
     The diagonal drops rows whose partner leaves the lattice, so it may
     hold none.  The plan takes the band from the lag tables or from
-    E Phi^T by its geometry alone (lag_band, module docstring).  The snap
-    warning, if any, is raised on every call.  The plan's arrays (nbytes)
-    are read-only, so threads may share a plan.
+    E Phi^T by its mode and geometry alone (lag_band, module docstring).
+    The snap warning, if any, is raised on every call.  The plan's arrays
+    (nbytes) are read-only, so threads may share a plan.
     """
 
     def __init__(self, amplitude, mode: str, grid: SpatialGrid, wavelength: float, width: float,
@@ -458,10 +436,9 @@ class SupportPlan:
         self.lag_band = _takes_lag_band(mode, tilde.size, band_width, reach,
                                         sum(array.nbytes for array in kept))
         if self.lag_band:
-            build = _near_lag_parts if mode == "near" else _far_lag_parts
-            self._lag_parts = build(tilde, int(columns[0]), shifts, cut_first - reach - n // 2,
-                                    band_width, roots)
-            kept += [array for part in self._lag_parts for array in part[1:3]]
+            self._lag_parts = _lag_parts(tilde, int(columns[0]), shifts,
+                                         cut_first - reach - n // 2, band_width, roots)
+            kept += [array for part in self._lag_parts for array in part[1:]]
         else:
             self._lag_parts = ()
             self._phases = roots[np.outer(shifts, columns) % n]
@@ -531,20 +508,18 @@ class SupportPlan:
         return band
 
     def _lag_band(self, weights) -> np.ndarray:
-        """The same band from the lag tables: one complex product per part, read along
-        its rows shifted by skew columns each (module docstring)."""
+        """The same band from the lag tables: one complex product per parity, read along
+        its rows shifted by one column each (module docstring)."""
         band = np.empty((self._blur_rows.shape[1], self._band_width))
         m = self._rows_t.shape[0]
-        for rows, phases, table, skew in self._lag_parts:
-            if self._mode == "near":   # w_d and w_(-d) on the lags d = 0 .. m - 1
-                left = phases[0] * weights[m - 1:]
-                left += phases[1] * weights[m - 1::-1]
-            else:
-                left = phases * weights
+        for rows, phases, table in self._lag_parts:
+            # w_d and w_(-d) on the lags d = 0 .. m - 1
+            left = phases[0] * weights[m - 1:]
+            left += phases[1] * weights[m - 1::-1]
             parts = (left @ table).view(float)
             np.square(parts, out=parts)
             squares = parts[:, 0::2] + parts[:, 1::2]
             step = squares.itemsize
             band[rows] = np.ndarray((squares.shape[0], band.shape[1]), float, buffer=squares,
-                                    strides=(step * (squares.shape[1] + skew), step))
+                                    strides=(step * (squares.shape[1] + 1), step))
         return band

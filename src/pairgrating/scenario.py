@@ -24,11 +24,12 @@ evaluation calls, hands A to a propagation.SupportPlan, which finds S
 and the first-detector rows K that cover the span, and works on them:
 one real product of U = W_{K,S} diag(A_S sqrt(dx)) with the m x m
 weight on S for the singles, and for the diagonal either the band of
-that product or, when the band is narrow, the band from lag tables of
-the 2m - 1 weights (propagation's docstring), which a fit's coincidence
-evaluation at the default config takes with no U at all.  The diagonal
-runs on the rows of diagonal_span within K, or on all of K: a sweep
-passes its two order positions there, 52 of its 311 rows at n = 2048.
+that product or, when the mode is near and the band narrow, the band
+from lag tables of the 2m - 1 weights (propagation's docstring), which
+a fit's coincidence evaluation at the default config takes with no U
+at all.  The diagonal runs on the rows of diagonal_span within K, or on
+all of K: a sweep passes its two order positions there, 52 of its 311
+rows at n = 2048.
 
 The plan holds what does not depend on the width: the SupportPlan and
 the 2m - 1 exponents on its support.  It is kept in a one-entry cache
@@ -40,7 +41,8 @@ builds the plan.  It holds 8*(2m - 1) bytes of exponents,
 16*m*|K| for U over |K| rows (the span's, widened by t), the band's
 tables, 8*(2t + 1)*(4t + 1) for the shifted kernels and O(m + |K|).
 The tables are 16*m*(4t + 1) bytes for the product band's Phi, or the
-lag tables (propagation's rule 3): 0.87 MiB in all for a fit's
+lag tables, which rule 3 of propagation's docstring counts with the
+exponents as this cache does: 0.87 MiB in all for a fit's
 +-60 mrad at the default spot and n = 512 (lag band), 1.1 MiB at
 n = 2048 and 5.1 MiB for the whole lattice at n = 2048 (product band).
 A plan over MAX_KEPT_PLAN_BYTES serves only the call that built it.

@@ -319,8 +319,9 @@ def test_support_profiles_match_extended_precision_sums(n, shifts, width_bins):
     # zero off the scattered support, so the plan's support is its hull.  Each
     # shift runs over the whole lattice and over a span that reaches past the
     # lattice's first row, or its last for a negative shift, where the diagonal
-    # is: the plans take both bands at the two narrower blurs, and only
-    # |E Phi^T|**2 at 7.7 bins (rule 1 of propagation's docstring)
+    # is: near plans take both bands at the two narrower blurs, and only
+    # |E Phi^T|**2 at 7.7 bins; far plans take |E Phi^T|**2 (propagation's
+    # docstring)
     rng = np.random.default_rng(n)
     grid = make_grid(n, float(n))
     m = n // 3
@@ -335,7 +336,7 @@ def test_support_profiles_match_extended_precision_sums(n, shifts, width_bins):
     rows = np.arange(n)
     angles = angles_of(grid, 1.0)
     bin_width = np.diff(angles)[0]
-    bands = set()
+    bands = {"near": set(), "far": set()}
     for mode in ("near", "far"):
         line, weight = _line_on_hull(support, mode, rng)
         pair = amplitude.astype(np.clongdouble)[:, None] * weight * amplitude
@@ -352,7 +353,7 @@ def test_support_profiles_match_extended_precision_sums(n, shifts, width_bins):
             for span in (None, (-1.0, -0.2) if shift >= 0 else (0.2, 1.0)):
                 plan = _plan_on_hull(grid, support, amplitude, mode, width_bins * bin_width,
                                      shift * bin_width, span)
-                bands.add(plan.lag_band)
+                bands[mode].add(plan.lag_band)
                 for profile, want, want_angles in zip(plan(line), (diagonal[cut], singles),
                                                       (angles[cut], angles)):
                     start = int(np.searchsorted(want_angles, profile.angles[0]))
@@ -360,7 +361,7 @@ def test_support_profiles_match_extended_precision_sums(n, shifts, width_bins):
                     np.testing.assert_array_equal(profile.angles, want_angles[part])
                     np.testing.assert_allclose(profile.values, want[part].astype(float),
                                                rtol=1e-12, atol=0.0)
-    assert bands == ({False, True} if width_bins < 7 else {False})
+    assert bands == {"near": {False, True} if width_bins < 7 else {False}, "far": {False}}
 
 
 @pytest.mark.parametrize("span", [(0.1, -0.1), (float("nan"), 0.1), (0.0, float("nan"))])
@@ -449,10 +450,8 @@ SPAN_CASES = [
     (dict(detector_separation_mrad=-4.0), (-1.0, -0.3)),     # snapped to 2 bins, drops 2
     (dict(illumination="far", detector_separation_mrad=4.0), (0.31, 0.5)),
     (dict(detector_separation_mrad=-390.0), (0.3, 0.4)),    # 150 bins: the band wraps
-    (dict(illumination="far", resolution_mrad=0.0), FIT_SPAN),            # t = 0
+    (dict(resolution_mrad=0.0), FIT_SPAN),                   # t = 0: one even shift
     (dict(resolution_mrad=0.0, detector_separation_mrad=-4.0), (-1.0, -0.3)),  # one odd shift
-    (dict(illumination="far"), (0.3, 1.0)),
-    (dict(illumination="far", detector_separation_mrad=-390.0), (0.3, 0.4)),
 ]
 
 
@@ -479,16 +478,14 @@ def test_profiles_for_span_rows_equal_the_whole_lattice(keys, span):
         assert got.angles[-1] > span[1] or start + got.angles.size == want.angles.size
 
 
-# n = 512: bins are 1.3 mrad wide, first-detector angles -665.6 to 663.0 mrad
-LAG_CONFIGS = [dict(), dict(illumination="far"),
+# n = 512: bins are 1.3 mrad wide, first-detector angles -665.6 to 663.0 mrad; near
+# mode, the only one with a lag band
+LAG_CONFIGS = [dict(),
                dict(detector_separation_mrad=13.0),
-               dict(illumination="far", detector_separation_mrad=13.0),
                dict(detector_separation_mrad=4.0),                     # snapped to 3 bins
-               dict(illumination="far", detector_separation_mrad=4.0),
                dict(detector_separation_mrad=-390.0),                  # 300 bins: wraps
-               dict(illumination="far", detector_separation_mrad=-390.0),
                dict(resolution_mrad=0.0),                              # t = 0: one parity
-               dict(illumination="far", resolution_mrad=0.0, detector_separation_mrad=4.0)]
+               dict(resolution_mrad=0.0, detector_separation_mrad=4.0)]
 
 
 @pytest.mark.parametrize("keys", LAG_CONFIGS)
@@ -526,8 +523,9 @@ def test_lag_band_matches_the_product_band(keys, monkeypatch):
 
 
 def test_plans_pick_their_band_from_their_geometry():
-    # the rules of propagation's docstring: (4t + 1)(2m - 1) < m**2/2, at most m
-    # band rows, and the plan with its tables under MAX_KEPT_PLAN_BYTES
+    # the rules of propagation's docstring: near mode, (4t + 1)(2m - 1) < m**2/2,
+    # at most m band rows, and the plan with its tables and the pair exponents
+    # under MAX_KEPT_PLAN_BYTES
     fit = ScenarioConfig()                                  # m = 155, t = 4
     large = ScenarioConfig(grid_n=2048, window_um=2400.0)   # m = 155, t = 15
     orders = (large.wavelength_um / (2.0 * large.grating_period_um),
@@ -535,12 +533,13 @@ def test_plans_pick_their_band_from_their_geometry():
     covered = replace(large, spot_diameter_um=1e5)          # m = n = 2048
     for config, spans, lag in (
             (fit, (FIT_SPAN,), True),                 # 17*309 = 5,253 < 12,012; 105 rows
+            (replace(fit, illumination="far"), (FIT_SPAN,), False),
             (large, ((-0.06, 0.06), orders), False),  # a sweep's: 61*309 = 18,849 > 12,012
             (fit, (None,), False),                    # 512 + 8 band rows > 155
             (covered, (FIT_SPAN,), True)):            # 403 rows; 43 MiB with U^T
-        plan = scenario._support_plan(scenario._plan_key(config), *spans)[2]
+        line, _, plan = scenario._support_plan(scenario._plan_key(config), *spans)
         assert plan.lag_band == lag
-        assert plan.nbytes <= scenario.MAX_KEPT_PLAN_BYTES
+        assert line.nbytes + plan.nbytes <= scenario.MAX_KEPT_PLAN_BYTES
     # m = n = 4096 over a fit's span passes rules 1 and 2, but U^T and the tables
     # come to 174 MiB; counted, not built
     n, window = 4096, 4800.0
@@ -551,9 +550,29 @@ def test_plans_pick_their_band_from_their_geometry():
     columns = last - first + 1 + 2 * reach
     rows_bytes = 16 * n * columns
     assert 2 * (4 * reach + 1) * (2 * n - 1) < n * n and columns <= n
-    tables = propagation._lag_table_bytes("near", n, columns, reach)
+    tables = propagation._lag_table_bytes(n, columns, reach)
     assert rows_bytes + tables > 170 * 2 ** 20 > scenario.MAX_KEPT_PLAN_BYTES
     assert not propagation._takes_lag_band("near", n, columns, reach, rows_bytes)
+    scenario._support_plan.cache_clear()
+
+
+def test_lag_band_counts_the_plan_as_profiles_for_keeps_it(monkeypatch):
+    # rule 3 and profiles_for's cache count the same bytes: a cap that holds the
+    # lag plan but not the 8*(2m - 1) bytes of exponents kept beside it leaves
+    # the plan on |E Phi^T|**2, and that plan is kept
+    config = ScenarioConfig()
+    scenario._support_plan.cache_clear()
+    profiles_for(config, span=FIT_SPAN)
+    line, _, plan = _kept_plan(config, FIT_SPAN)
+    assert plan.lag_band
+    kept = line.nbytes + plan.nbytes
+    for cap, lag in ((kept, True), (kept - 1, False), (kept - line.nbytes + 1, False)):
+        monkeypatch.setattr(propagation, "MAX_KEPT_PLAN_BYTES", cap)
+        monkeypatch.setattr(scenario, "MAX_KEPT_PLAN_BYTES", cap)
+        scenario._support_plan.cache_clear()
+        profiles_for(config, span=FIT_SPAN)
+        assert scenario._support_plan.cache_info().currsize == 1
+        assert _kept_plan(config, FIT_SPAN)[2].lag_band == lag
     scenario._support_plan.cache_clear()
 
 
