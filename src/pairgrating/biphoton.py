@@ -10,8 +10,8 @@ Both evaluators and their n x n reference build the weight
 G = exp(-(x_j -+ x_l)**2/(2*sigma**2)) one way.  On m consecutive
 lattice positions the exponent depends only on x_j - x_l (near) or
 x_j + x_l (far), so it takes 2m - 1 distinct values, each at its exact
-lattice offset (pair_exponent_line: the spot's support for scenario's
-rate_map_for and profiles_for, the whole grid for two_photon_amplitude,
+lattice offset (pair_exponent_line: the spot's support for propagation's
+support_map and SupportPlan, the whole grid for two_photon_amplitude,
 the reference the tests check them against).  pair_weight applies one
 width (the sampling warning and the exponential, with weights below
 about 1e-200 set to 0), and pair_matrix reads the m x m weight as a

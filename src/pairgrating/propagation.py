@@ -77,10 +77,9 @@ cut is the same bits whichever channel asks for it:
    the product band, where the lag band measured slower;
 2. |Kd+| = |Kd| + 2t <= m: the tables stay the size of the support, and
    a whole-lattice plan at the default spot keeps U alone;
-3. the plan with its tables, and the 8*(2m - 1) bytes of pair exponents
-   scenario.profiles_for keeps beside it, fits MAX_KEPT_PLAN_BYTES: the
-   sum profiles_for keeps a plan by, because a plan that is not kept
-   would rebuild its tables on every call.  The tables hold
+3. the plan with its tables would be kept: its nbytes with them is at
+   most MAX_KEPT_PLAN_BYTES, the one sum kept reads, because a plan that
+   is not kept would rebuild its tables on every call.  The tables hold
    16*m*(2*(|Kd+| - 1) + 3*(4t+1)) bytes (one parity at t = 0:
    16*m*(|Kd+| + 2)).
 
@@ -96,7 +95,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .biphoton import pair_matrix
+from .biphoton import pair_exponent_line, pair_matrix, pair_weight
 from .errors import BinSnapWarning, warn_caller
 from .lattice import TWO_PI, SpatialGrid, angles_of
 
@@ -107,10 +106,9 @@ SUPPORT_FLOOR = 1e-17
 # The two cuts a scan or profiles_for may name: the diagonal and the singles.
 CHANNELS = ("coincidences", "singles")
 
-# scenario.profiles_for keeps a plan only while SupportPlan.nbytes (U^T, the band's
-# tables, the shifted kernels and O(m + |K|)) and the 2m - 1 pair exponents it keeps
-# beside them (8*(2m - 1) bytes) fit in this; a plan takes the lag band only while
-# that same sum with the lag tables does (rule 3 above).
+# A SupportPlan is kept while its nbytes (the 2m - 1 pair exponents, U^T, the band's
+# tables, the shifted kernels and O(m + |K|)) fit in this; a plan takes the lag band
+# only while that same sum with the lag tables does (rule 3 above).
 MAX_KEPT_PLAN_BYTES = 64 * 2 ** 20
 
 # Complex entries per block of a lag table's build: 256 KiB work arrays, which keep a fit's
@@ -180,19 +178,21 @@ def support_of(amplitude) -> slice:
     return slice(int(inside[0]), int(inside[-1]) + 1)
 
 
-def support_map(amplitude, support: slice, weights, mode: str, grid: SpatialGrid,
+def support_map(amplitude, sigma_corr: float, mode: str, grid: SpatialGrid,
                 wavelength: float) -> RateMap:
-    """Rate map of the pair A_j*g[j, l]*A_l on support x support, with a unit square sum.
+    """Rate map of the pair A_j*g[j, l]*A_l on S x S, with a unit square sum.
 
-    amplitude is A on the whole lattice, shape (n,), support its
-    support_of, and weights the 2m - 1 float pair weights on it, spread
-    over g as biphoton.pair_matrix(weights, mode) does.  W[p, S_l] is
-    omega**(p*l)*(-1)**l, l counted from the start of S, times a unit
-    phase of row p, so with Q[j, l] = (-1)**(j + l)*a_j*g[j, l]*a_l the
-    map is coincidence_map's R = |fft2(Q, s=(n, n))|**2*(dx/(2*pi))**2/T
-    up to rounding (module docstring), with no shift and no n x n pair.
+    amplitude is A on the whole lattice, shape (n,), and S its support_of;
+    g is biphoton.pair_weight at sigma_corr on S's 2m - 1 pair exponents,
+    laid out for mode as SupportPlan's.  W[p, S_l] is omega**(p*l)*(-1)**l,
+    l counted from the start of S, times a unit phase of row p, so with
+    Q[j, l] = (-1)**(j + l)*a_j*g[j, l]*a_l the map is coincidence_map's
+    R = |fft2(Q, s=(n, n))|**2*(dx/(2*pi))**2/T up to rounding (module
+    docstring), with no shift and no n x n pair.
     """
-    n = grid.n
+    n, support = grid.n, support_of(amplitude)
+    line = pair_exponent_line(mode, support.start - n // 2, support.stop - support.start, grid.dx)
+    weights = pair_weight(line, sigma_corr, grid.dx)
     signed = amplitude[support] * np.sqrt(grid.dx)
     norm = np.square(weights) @ _norm_lags(np.abs(signed) ** 2, mode)
     weight = pair_matrix(weights, mode)
@@ -332,9 +332,9 @@ def _lag_table_bytes(m: int, columns: int, reach: int) -> int:
 def _takes_lag_band(mode: str, m: int, columns: int, reach: int, other_bytes: int) -> bool:
     """Whether a plan on m support samples takes its band of columns rows from the lag
     tables, other_bytes being what it keeps besides them: near mode and the three
-    rules of the module docstring, the third on the sum profiles_for keeps it by."""
+    rules of the module docstring, the third on the sum SupportPlan.kept reads."""
     shifts = 4 * reach + 1
-    kept = other_bytes + 8 * (2 * m - 1) + _lag_table_bytes(m, columns, reach)
+    kept = other_bytes + _lag_table_bytes(m, columns, reach)
     return (mode == "near" and 2 * shifts * (2 * m - 1) < m * m and columns <= m
             and kept <= MAX_KEPT_PLAN_BYTES)
 
@@ -377,7 +377,9 @@ class SupportPlan:
     amplitude is A on the whole lattice, complex, shape (n,); the support
     S is the slice support, m samples from the first to the last where |A|
     exceeds SUPPORT_FLOOR times its peak.  mode, "near" or "far", lays
-    the pair weight out as biphoton.pair_exponent_line does.  width is at
+    out the 2m - 1 pair exponents on S (exponents) as
+    biphoton.pair_exponent_line does, and weights(sigma_corr) is
+    biphoton.pair_weight on them.  width is at
     most half the angular window and separation under n - 1/2 bins
     (ScenarioConfig's rules).  The first-detector rows run over span =
     (lo, hi) in rad with lo <= hi (profiles_for's rule), or None for the
@@ -393,7 +395,8 @@ class SupportPlan:
     hold none.  The plan takes the band from the lag tables or from
     E Phi^T by its mode and geometry alone (lag_band, module docstring).
     The snap warning, if any, is raised on every call.  The plan's arrays
-    (nbytes) are read-only, so threads may share a plan.
+    (nbytes) are read-only, so threads may share a plan; kept says whether
+    they fit in MAX_KEPT_PLAN_BYTES.
     """
 
     def __init__(self, amplitude, mode: str, grid: SpatialGrid, wavelength: float, width: float,
@@ -428,11 +431,12 @@ class SupportPlan:
         # row a holds w_a times the kernel at band rows 2t - a .. 4t - a (__call__)
         blur_rows = kernel[:, None] * sliding_window_view(np.pad(kernel, 2 * reach), 4 * reach + 1)
         norm_lags = _norm_lags(np.abs(tilde) ** 2, mode)
+        self.exponents = pair_exponent_line(mode, int(columns[0]), columns.size, grid.dx)
         singles_angles = angles[first:last + 1].copy()
         cut_angles = angles[cut_first:cut_last + 1].copy()
         # the band's columns: the diagonal's rows, reach more each side
         band_width = cut_angles.size + 2 * reach
-        kept = [kernel, rows_t, blur_rows, norm_lags, singles_angles, cut_angles]
+        kept = [self.exponents, kernel, rows_t, blur_rows, norm_lags, singles_angles, cut_angles]
         self.lag_band = _takes_lag_band(mode, tilde.size, band_width, reach,
                                         sum(array.nbytes for array in kept))
         if self.lag_band:
@@ -440,18 +444,22 @@ class SupportPlan:
                                          cut_first - reach - n // 2, band_width, roots)
             kept += [array for part in self._lag_parts for array in part[1:]]
         else:
-            self._lag_parts = ()
             self._phases = roots[np.outer(shifts, columns) % n]
             kept.append(self._phases)
         for array in kept:
             array.setflags(write=False)
         self.nbytes = sum(array.nbytes for array in kept)
+        self.kept = self.nbytes <= MAX_KEPT_PLAN_BYTES
         self._mode, self._kernel, self._rows_t = mode, kernel, rows_t
         self._blur_rows, self._norm_lags = blur_rows, norm_lags
         self._singles_angles, self._cut_angles = singles_angles, cut_angles
         start = cut_first - first
         self._band_width, self._band_columns = band_width, slice(start, start + band_width)
         self._dx = grid.dx
+
+    def weights(self, sigma_corr: float) -> np.ndarray:
+        """The 2m - 1 pair weights at sigma_corr: biphoton.pair_weight on exponents."""
+        return pair_weight(self.exponents, sigma_corr, self._dx)
 
     def __call__(self, weights,
                  channel: str | None = None) -> tuple[RateProfile | None, RateProfile | None]:
@@ -468,14 +476,14 @@ class SupportPlan:
         scale = self._dx / TWO_PI
 
         diagonal_cut = singles_cut = None
-        if channel != "coincidences" or not self._lag_parts:
+        if channel != "coincidences" or not self.lag_band:
             # V^T = g^T U^T as one real product on the interleaved real and
             # imaginary parts, then E^T = V^T o U^T in place
             v_t = pair_matrix(weights, self._mode).T @ self._rows_t.view(float)
             e_t = v_t.view(complex)
             e_t *= self._rows_t
         if channel != "singles":
-            band = self._lag_band(weights) if self._lag_parts else self._product_band(e_t)
+            band = self._lag_band(weights) if self.lag_band else self._product_band(e_t)
             # first-detector offset a - t reads second-detector offsets b - t at
             # band row b - a + 2t: row a of blur_rows @ band is w_a*sum_b w_b*band[...],
             # and the cut sums row a at columns a + i, one skewed read

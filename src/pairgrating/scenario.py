@@ -9,12 +9,12 @@ chain relies on, each in Python floats as the stage computes it, the
 grid spacing among them, so no stage leaves the doubles; profiles_for
 checks its sigma_um, span, diagonal_span and channel.  The stages trust both.
 
-Both evaluators work on the spot's support S (propagation.support_of:
-155 samples at the default 29 um spot and 1.17 um spacing, whatever n
-is) with the Gaussian pair weight on it: biphoton.pair_weight on the
-2m - 1 distinct exponents -(x_j -+ x_l)**2 of S (pair_exponent_line),
-which the stages spread over the m x m pairs as a strided view
-(pair_matrix) where they need the matrix.
+Both evaluators work on the spot's support S, which propagation finds
+(support_of: 155 samples at the default 29 um spot and 1.17 um spacing,
+whatever n is), with the Gaussian pair weight on it: biphoton.pair_weight
+on the 2m - 1 distinct exponents -(x_j -+ x_l)**2 of S, which propagation
+lays out (pair_exponent_line) and spreads over the m x m pairs as a
+strided view (pair_matrix) where it needs the matrix.
 rate_map_for blurs propagation.support_map's n x n map of that pair for
 simulate: a traced peak of 6.0 MiB at n = 512 and 96 MiB at n = 2048,
 two n x n complex128 arrays when S covers the grid.  The n x n chain
@@ -31,23 +31,17 @@ at all.  The diagonal runs on the rows of diagonal_span within K, or on
 all of K: a sweep passes its two order positions there, 52 of its 311
 rows at n = 2048.
 
-The plan holds what does not depend on the width: the SupportPlan and
-the 2m - 1 exponents on its support.  It is kept in a one-entry cache
-keyed on the values of the nine optics fields it reads (every config
-field except sigma_corr_um, angle_offset_mrad and output_prefix), on
-the span and on a diagonal_span if one is given, so the evaluations of
-a fit or a sweep share it, and a call builds no config unless it
-builds the plan.  It holds 8*(2m - 1) bytes of exponents,
-16*m*|K| for U over |K| rows (the span's, widened by t), the band's
-tables, 8*(2t + 1)*(4t + 1) for the shifted kernels and O(m + |K|).
-The tables are 16*m*(4t + 1) bytes for the product band's Phi, or the
-lag tables, which rule 3 of propagation's docstring counts with the
-exponents as this cache does: 0.87 MiB in all for a fit's
-+-60 mrad at the default spot and n = 512 (lag band), 1.1 MiB at
-n = 2048 and 5.1 MiB for the whole lattice at n = 2048 (product band).
-A plan over MAX_KEPT_PLAN_BYTES serves only the call that built it.
-Each call weighs the exponents for its width, then runs the plan for
-the channel asked for: a fit computes only its scan's cut, a sweep both.
+The SupportPlan holds what does not depend on the width.  profiles_for
+keeps it in a one-entry cache keyed on the values of the nine optics
+fields it reads (every config field except sigma_corr_um,
+angle_offset_mrad and output_prefix), on the span and on the
+diagonal_span, so the evaluations of a fit or a sweep share it, and a
+call builds no config unless it builds the plan.  A plan that is not
+kept (SupportPlan.kept: propagation counts its bytes against
+MAX_KEPT_PLAN_BYTES) serves only the call that built it.  Each call
+weighs the plan's exponents for its width (SupportPlan.weights), then
+runs the plan for the channel asked for: a fit computes only its scan's
+cut, a sweep both.
 """
 
 from __future__ import annotations
@@ -59,12 +53,11 @@ from operator import attrgetter
 
 import numpy as np
 
-from .biphoton import pair_exponent_line, pair_weight
 from .errors import ParameterError, read_lines, read_number
 from .lattice import TWO_PI, SpatialGrid, angles_of, make_grid
 from .optics import transmission
-from .propagation import (CHANNELS, MAX_KEPT_PLAN_BYTES, RateMap, RateProfile, SupportPlan,
-                          _cut_angles, _snap_shift, blur, support_map, support_of)
+from .propagation import (CHANNELS, RateMap, RateProfile, SupportPlan, _cut_angles, _snap_shift,
+                          blur, support_map)
 
 # rate_map_for holds at most two n x n complex128 arrays at once, 512 MiB at this n
 # (the traced peak when the support covers the grid; 384 MiB at the default spot).
@@ -281,12 +274,8 @@ def rate_map_for(config: ScenarioConfig) -> RateMap:
     """Blurred rate map on the n x n angle lattice at config.sigma_corr_um (module docstring)."""
     grid = grid_for(config)
     amp = transmission_for(config, grid)
-    support = support_of(amp)
-    line = pair_exponent_line(config.illumination, support.start - grid.n // 2,
-                              support.stop - support.start, grid.dx)
-    weights = pair_weight(line, config.sigma_corr_um, grid.dx)
-    return blur(support_map(amp, support, weights, config.illumination, grid, config.wavelength_um),
-                config.resolution_mrad * 1e-3)
+    return blur(support_map(amp, config.sigma_corr_um, config.illumination, grid,
+                            config.wavelength_um), config.resolution_mrad * 1e-3)
 
 
 def _check_span(span, name: str) -> tuple[float, float] | None:
@@ -305,21 +294,13 @@ def _check_span(span, name: str) -> tuple[float, float] | None:
 
 @lru_cache(maxsize=1)
 def _support_plan(optics: tuple, span: tuple[float, float] | None,
-                  diagonal_span: tuple[float, float] | None = None
-                  ) -> tuple[np.ndarray, float, SupportPlan]:
-    """profiles_for's 2m - 1 pair exponents on the support, grid spacing and SupportPlan.
-
-    optics holds a config's values of _PLAN_FIELDS, in that order.  Every
-    array is read-only.
-    """
+                  diagonal_span: tuple[float, float] | None) -> SupportPlan:
+    """profiles_for's SupportPlan; optics holds a config's values of _PLAN_FIELDS, in order."""
     config = ScenarioConfig(**dict(zip(_PLAN_FIELDS, optics)))
     grid = grid_for(config)
-    cuts = SupportPlan(transmission_for(config, grid), config.illumination, grid,
+    return SupportPlan(transmission_for(config, grid), config.illumination, grid,
                        config.wavelength_um, config.resolution_mrad * 1e-3,
                        config.detector_separation_mrad * 1e-3, span, diagonal_span)
-    line = pair_exponent_line(config.illumination, cuts.support.start - grid.n // 2,
-                              cuts.support.stop - cuts.support.start, grid.dx)
-    return line, grid.dx, cuts
 
 
 def profiles_for(config: ScenarioConfig, sigma_um: float | None = None,
@@ -342,12 +323,10 @@ def profiles_for(config: ScenarioConfig, sigma_um: float | None = None,
     diagonal_span = _check_span(diagonal_span, "diagonal_span")
     if channel is not None and channel not in CHANNELS:
         raise ParameterError(f"channel must be one of {CHANNELS} or None, got {channel!r}")
-    # a call without diagonal_span keys the cache on (optics, span) alone
-    line, dx, cuts = _support_plan(_plan_key(config), span,
-                                   *(() if diagonal_span is None else (diagonal_span,)))
-    if line.nbytes + cuts.nbytes > MAX_KEPT_PLAN_BYTES:
+    plan = _support_plan(_plan_key(config), span, diagonal_span)
+    if not plan.kept:
         _support_plan.cache_clear()
-    return cuts(pair_weight(line, sigma, dx), channel)
+    return plan(plan.weights(sigma), channel)
 
 
 def profile_angles(config: ScenarioConfig) -> tuple[np.ndarray, np.ndarray]:

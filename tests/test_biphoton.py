@@ -244,7 +244,7 @@ def test_pair_matrix_lays_out_the_line_by_hand(mode):
 
 def _support_positions(config):
     """The support's first lattice offset, its size and its positions, from profiles_for's plan."""
-    support = scenario._support_plan(scenario._plan_key(config), None)[2].support
+    support = scenario._support_plan(scenario._plan_key(config), None, None).support
     grid = scenario.grid_for(config)
     return support.start - grid.n // 2, support.stop - support.start, grid.x[support]
 
@@ -263,6 +263,9 @@ def test_weight_from_the_line_is_the_full_weight_on_dyadic_spacings(keys):
     mode = config.illumination
     first, m, x = _support_positions(config)
     line = pair_exponent_line(mode, first, m, config.window_um / config.grid_n)
+    # the plan lays out the same line, bit for bit
+    plan = scenario._support_plan(scenario._plan_key(config), None, None)
+    assert plan.exponents.tobytes() == line.tobytes()
     exponent = _exponent(mode, x)
     assert np.array_equal(pair_matrix(line, mode), exponent)
     with warnings.catch_warnings():

@@ -57,6 +57,32 @@ def test_unused_import_lint_finds_dead_imports():
     assert unused_imports(source) == ["line 2: os", "line 4: ParameterError"]
 
 
+def imported_names(source: str) -> list[str]:
+    """'module.name' for each name the source imports, module as written after `from`,
+    in source order."""
+    names = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names += [f"{node.module or ''}.{alias.name}" for alias in node.names]
+    return names
+
+
+def test_scenario_leaves_the_pair_and_the_plan_cap_to_propagation():
+    # propagation alone lays out the pair weights on the support and decides which
+    # plans are kept; scenario turns a config into its calls
+    def crossings(source):
+        return [name for name in imported_names(source)
+                if "biphoton" in name.split(".")
+                or name.rsplit(".", 1)[-1] in ("MAX_KEPT_PLAN_BYTES", "support_of")]
+
+    assert crossings((SOURCE_DIR / "scenario.py").read_text(encoding="utf-8")) == []
+    assert crossings("from . import biphoton\nfrom .biphoton import pair_weight\n"
+                     "from .propagation import MAX_KEPT_PLAN_BYTES, blur\n") == [
+        ".biphoton", "biphoton.pair_weight", "propagation.MAX_KEPT_PLAN_BYTES"]
+
+
 def parameter_error_sites(source: str) -> list[str]:
     """The enclosing function, dotted through its classes, of each `raise ParameterError`,
     in source order; '<module>' for one outside every function and class."""

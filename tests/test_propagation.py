@@ -524,22 +524,21 @@ def test_lag_band_matches_the_product_band(keys, monkeypatch):
 
 def test_plans_pick_their_band_from_their_geometry():
     # the rules of propagation's docstring: near mode, (4t + 1)(2m - 1) < m**2/2,
-    # at most m band rows, and the plan with its tables and the pair exponents
-    # under MAX_KEPT_PLAN_BYTES
+    # at most m band rows, and the plan with its tables kept
     fit = ScenarioConfig()                                  # m = 155, t = 4
     large = ScenarioConfig(grid_n=2048, window_um=2400.0)   # m = 155, t = 15
     orders = (large.wavelength_um / (2.0 * large.grating_period_um),
               large.wavelength_um / large.grating_period_um)
     covered = replace(large, spot_diameter_um=1e5)          # m = n = 2048
     for config, spans, lag in (
-            (fit, (FIT_SPAN,), True),                 # 17*309 = 5,253 < 12,012; 105 rows
-            (replace(fit, illumination="far"), (FIT_SPAN,), False),
+            (fit, (FIT_SPAN, None), True),            # 17*309 = 5,253 < 12,012; 105 rows
+            (replace(fit, illumination="far"), (FIT_SPAN, None), False),
             (large, ((-0.06, 0.06), orders), False),  # a sweep's: 61*309 = 18,849 > 12,012
-            (fit, (None,), False),                    # 512 + 8 band rows > 155
-            (covered, (FIT_SPAN,), True)):            # 403 rows; 43 MiB with U^T
-        line, _, plan = scenario._support_plan(scenario._plan_key(config), *spans)
+            (fit, (None, None), False),               # 512 + 8 band rows > 155
+            (covered, (FIT_SPAN, None), True)):       # 403 rows; 43 MiB with U^T
+        plan = scenario._support_plan(scenario._plan_key(config), *spans)
         assert plan.lag_band == lag
-        assert line.nbytes + plan.nbytes <= scenario.MAX_KEPT_PLAN_BYTES
+        assert plan.kept
     # m = n = 4096 over a fit's span passes rules 1 and 2, but U^T and the tables
     # come to 174 MiB; counted, not built
     n, window = 4096, 4800.0
@@ -551,28 +550,26 @@ def test_plans_pick_their_band_from_their_geometry():
     rows_bytes = 16 * n * columns
     assert 2 * (4 * reach + 1) * (2 * n - 1) < n * n and columns <= n
     tables = propagation._lag_table_bytes(n, columns, reach)
-    assert rows_bytes + tables > 170 * 2 ** 20 > scenario.MAX_KEPT_PLAN_BYTES
+    assert rows_bytes + tables > 170 * 2 ** 20 > propagation.MAX_KEPT_PLAN_BYTES
     assert not propagation._takes_lag_band("near", n, columns, reach, rows_bytes)
     scenario._support_plan.cache_clear()
 
 
 def test_lag_band_counts_the_plan_as_profiles_for_keeps_it(monkeypatch):
-    # rule 3 and profiles_for's cache count the same bytes: a cap that holds the
-    # lag plan but not the 8*(2m - 1) bytes of exponents kept beside it leaves
-    # the plan on |E Phi^T|**2, and that plan is kept
+    # rule 3 and profiles_for's cache read the same sum, SupportPlan.kept: a cap
+    # one byte under the lag plan leaves the plan on |E Phi^T|**2, and that plan
+    # is kept
     config = ScenarioConfig()
     scenario._support_plan.cache_clear()
     profiles_for(config, span=FIT_SPAN)
-    line, _, plan = _kept_plan(config, FIT_SPAN)
+    plan = _kept_plan(config, FIT_SPAN)
     assert plan.lag_band
-    kept = line.nbytes + plan.nbytes
-    for cap, lag in ((kept, True), (kept - 1, False), (kept - line.nbytes + 1, False)):
+    for cap, lag in ((plan.nbytes, True), (plan.nbytes - 1, False)):
         monkeypatch.setattr(propagation, "MAX_KEPT_PLAN_BYTES", cap)
-        monkeypatch.setattr(scenario, "MAX_KEPT_PLAN_BYTES", cap)
         scenario._support_plan.cache_clear()
         profiles_for(config, span=FIT_SPAN)
         assert scenario._support_plan.cache_info().currsize == 1
-        assert _kept_plan(config, FIT_SPAN)[2].lag_band == lag
+        assert _kept_plan(config, FIT_SPAN).lag_band == lag
     scenario._support_plan.cache_clear()
 
 
@@ -730,15 +727,14 @@ def _kept_plan(config, span=None):
     """The plan profiles_for kept for config and span, read from its cache without building one."""
     misses = scenario._support_plan.cache_info().misses
     plan = scenario._support_plan(scenario._plan_key(config),
-                                  None if span is None else tuple(map(float, span)))
+                                  None if span is None else tuple(map(float, span)), None)
     assert scenario._support_plan.cache_info().misses == misses
     return plan
 
 
 def _plan_bytes(config, span=None):
-    """What profiles_for counts against MAX_KEPT_PLAN_BYTES for config and span."""
-    line, _, cuts = _kept_plan(config, span)
-    return line.nbytes + cuts.nbytes
+    """What SupportPlan.kept counts against MAX_KEPT_PLAN_BYTES for config and span."""
+    return _kept_plan(config, span).nbytes
 
 
 @pytest.mark.parametrize("keys", [dict(), dict(illumination="far"),
@@ -748,7 +744,8 @@ def test_profiles_for_equals_the_plan_on_the_unzeroed_weight(keys):
     # at any width of a fit's coarse grid
     config = ScenarioConfig(**keys)
     profiles_for(config)
-    line, _, cuts = _kept_plan(config)
+    cuts = _kept_plan(config)
+    line = cuts.exponents
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", SamplingWarning)
         for sigma in np.geomspace(*SIGMA_RANGE, COARSE_POINTS):
@@ -771,7 +768,8 @@ def test_profiles_for_plan_holds_under_two_mib():
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    line, _, cuts = _kept_plan(config, FIT_SPAN)
+    cuts = _kept_plan(config, FIT_SPAN)
+    line = cuts.exponents
     rows, reach = cuts._singles_angles.size, cuts._kernel.size // 2
     m = cuts.support.stop - cuts.support.start
     assert line.size == 2 * m - 1
@@ -786,7 +784,7 @@ def test_profiles_for_drops_a_plan_over_the_byte_cap(monkeypatch):
     config = ScenarioConfig(grid_n=256, window_um=300.0)
     scenario._support_plan.cache_clear()
     profiles_for(config)
-    monkeypatch.setattr(scenario, "MAX_KEPT_PLAN_BYTES", _plan_bytes(config) - 1)
+    monkeypatch.setattr(propagation, "MAX_KEPT_PLAN_BYTES", _plan_bytes(config) - 1)
     scenario._support_plan.cache_clear()
     tracemalloc.start()
     try:
@@ -802,7 +800,7 @@ def test_profiles_for_keeps_a_plan_at_the_byte_cap(monkeypatch):
     config = ScenarioConfig(grid_n=256, window_um=300.0)
     scenario._support_plan.cache_clear()
     profiles_for(config)
-    monkeypatch.setattr(scenario, "MAX_KEPT_PLAN_BYTES", _plan_bytes(config))
+    monkeypatch.setattr(propagation, "MAX_KEPT_PLAN_BYTES", _plan_bytes(config))
     scenario._support_plan.cache_clear()
     profiles_for(config)
     assert scenario._support_plan.cache_info().currsize == 1
@@ -817,7 +815,7 @@ def test_profiles_for_counts_the_row_stack_against_the_byte_cap(monkeypatch):
     narrow = _plan_bytes(config, FIT_SPAN)
     profiles_for(config)
     assert narrow < _plan_bytes(config)
-    monkeypatch.setattr(scenario, "MAX_KEPT_PLAN_BYTES", narrow)
+    monkeypatch.setattr(propagation, "MAX_KEPT_PLAN_BYTES", narrow)
     profiles_for(config, span=FIT_SPAN)
     assert scenario._support_plan.cache_info().currsize == 1
     profiles_for(config)
@@ -861,7 +859,7 @@ def test_profiles_for_whole_grid_support_peaks_below_three_full_arrays():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert _kept_plan(config, FIT_SPAN)[2].support == slice(0, config.grid_n)
+    assert _kept_plan(config, FIT_SPAN).support == slice(0, config.grid_n)
     assert peak < 3 * 16 * config.grid_n ** 2
 
 
@@ -871,7 +869,7 @@ def test_profiles_for_warm_call_allocates_no_m_by_n_array():
     # array (4.84 MiB at m = 155)
     config = ScenarioConfig(grid_n=2048, window_um=2400.0, resolution_mrad=0.0)
     profiles_for(config, span=FIT_SPAN)
-    support = _kept_plan(config, FIT_SPAN)[2].support
+    support = _kept_plan(config, FIT_SPAN).support
     m = support.stop - support.start
     tracemalloc.start()
     try:
@@ -950,7 +948,7 @@ def test_profiles_for_peak_memory_is_below_four_support_arrays():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    support = _kept_plan(config)[2].support
+    support = _kept_plan(config).support
     assert peak < 4 * config.grid_n * (support.stop - support.start) * 16
 
 
