@@ -5,10 +5,11 @@ _search_width, searches the width on a coarse logarithmic grid of 25 widths
 followed by Brent's parabolic refinement, about 31 evaluations in all,
 reports the evaluation of lowest loss, and owns the flat and boundary
 diagnostics.
-The inner solver of _least_squares takes the model at one width to its
-weighted sum of squares, with scale and background solved in closed form,
-on the rates scaled by a power of two so that small rates keep their sums
-in the normal doubles.
+The model at each width is forward_on_angles at that width on the scan's
+angles and channel, as a library caller gets it.  The inner solver of
+_least_squares takes it to its weighted sum of squares, with scale and
+background solved in closed form, on the rates scaled by a power of two
+so that small rates keep their sums in the normal doubles.
 The one-dimensional width landscape is smooth and unimodal in every
 regime of interest, and full determinism is worth more than optimizer
 generality here.
@@ -17,6 +18,7 @@ generality here.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -227,8 +229,12 @@ def od_ratio(profile, wavelength: float, period: float) -> float:
     ParameterError when the windows overlap (a step of about
     wavelength/(2*period) or more) or leave the profile's range.
     Returns +inf when the red peak is exactly zero.  The profile needs
-    at least 2 samples.
+    at least 2 samples; wavelength and period must be positive and finite.
     """
+    if not all(isinstance(value, numbers.Real) and 0.0 < value < math.inf
+               for value in (wavelength, period)):
+        raise ParameterError(f"wavelength and period must be positive finite numbers, "
+                             f"got {wavelength!r} and {period!r}")
     count = np.size(profile.angles)
     if count < 2:
         raise ParameterError(f"order ratio needs a profile of at least 2 samples, got {count}")
@@ -276,16 +282,9 @@ def forward_on_angles(scenario: ScenarioConfig, sigma_um: float, angles,
     if angles.ndim != 1 or angles.size == 0:
         raise ParameterError(
             f"angles must be a nonempty 1-D array, got shape {angles.shape}")
-    bad = np.flatnonzero(~np.isfinite(angles))
-    if bad.size:
-        raise ParameterError(
-            f"angles must be finite, got {float(angles[bad[0]])} at index {bad[0]}")
-    return _model_on_angles(scenario, sigma_um, angles, channel)
-
-
-def _model_on_angles(scenario: ScenarioConfig, sigma_um: float, angles: np.ndarray,
-                     channel: str) -> np.ndarray:
-    """forward_on_angles after its checks of the channel and the angle array."""
+    if not np.isfinite(angles).all():
+        bad = int(np.argmin(np.isfinite(angles)))
+        raise ParameterError(f"angles must be finite, got {float(angles[bad])} at index {bad}")
     offset = scenario.angle_offset_mrad * 1e-3
     lowest, highest = angles.min(), angles.max()
     diagonal, singles = profiles_for(scenario, sigma_um=sigma_um,
@@ -454,9 +453,9 @@ def fit_sigma(measurement: Measurement, scenario: ScenarioConfig) -> FitResult:
     """Fit the correlation width of a measured scan against the forward model.
 
     Minimizes sum_i w_i*(rate_i - scale*model(theta_i) - background)**2 by
-    _search_width and _least_squares, the model being the blurred forward
-    profile of the scan's channel at its angles.  A refined fit whose scale
-    is not positive, or loss not finite, is degenerate.  Needs 3 samples.
+    _search_width and _least_squares on forward_on_angles at each width,
+    on the scan's angles and channel.  A refined fit whose scale is not
+    positive, or loss not finite, is degenerate.  Needs 3 samples.
     """
     rates = measurement.rates
     if rates.size < 3:
@@ -466,10 +465,9 @@ def fit_sigma(measurement: Measurement, scenario: ScenarioConfig) -> FitResult:
     errors = measurement.rate_errors
     weights = np.ones_like(rates) if errors is None else 1.0 / np.square(errors)
     solve, data_scale = _least_squares(rates, weights)
-    # Measurement has checked the angles and the channel
     (sigma, loss, (scale, background, sse)), evaluations, message = _search_width(
-        lambda sigma: solve(_model_on_angles(scenario, sigma, measurement.angles,
-                                             measurement.channel)), data_scale)
+        lambda sigma: solve(forward_on_angles(scenario, sigma, measurement.angles,
+                                              measurement.channel)), data_scale)
     if not message and (not (scale > 0.0) or not math.isfinite(loss)):
         message = f"degenerate solution at sigma = {sigma:.6g} um: scale = {scale:.6g}"
     return FitResult(sigma_corr=sigma, scale=scale, background=background, residual_sse=sse,

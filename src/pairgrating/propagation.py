@@ -401,7 +401,7 @@ class SupportPlan:
 
     def __init__(self, amplitude, mode: str, grid: SpatialGrid, wavelength: float, width: float,
                  separation: float, span: tuple[float, float] | None,
-                 diagonal_span: tuple[float, float] | None = None):
+                 diagonal_span: tuple[float, float] | None):
         n = grid.n
         self.support = support_of(amplitude)
         angles = angles_of(grid, wavelength)

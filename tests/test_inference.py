@@ -282,6 +282,15 @@ def test_od_ratio_window_validation():
     narrow = RateProfile(angles=SCAN[:30], values=np.ones(30))
     with pytest.raises(ParameterError):
         od_ratio(narrow, WAVELENGTH, PERIOD)                         # out of range
+    # each argument is checked before it is read, not left to fail in the windows
+    diagonal = scenario.profiles_for(ScenarioConfig(), span=(-0.06, 0.06))[0]
+    assert od_ratio(diagonal, WAVELENGTH, PERIOD) > 0.0
+    for wavelength, period in [(WAVELENGTH, 0.0), (WAVELENGTH, -25.0), (math.nan, PERIOD),
+                               (0.0, PERIOD), (math.inf, PERIOD), (WAVELENGTH, math.inf),
+                               (None, PERIOD)]:
+        message = f"positive finite numbers, got {wavelength!r} and {period!r}$"
+        with pytest.raises(ParameterError, match=f"^wavelength and period must be {message}"):
+            od_ratio(diagonal, wavelength, period)
 
 
 def test_od_ratio_order_in_a_gap():
@@ -442,7 +451,7 @@ def test_scale_and_background_model_flat_up_to_rounding(level):
 @pytest.mark.parametrize("count", [0, 1, 2])
 def test_fit_needs_three_samples(fast_config, monkeypatch, count):
     # one sample per fitted parameter: width, scale and background
-    monkeypatch.setattr(inference, "_model_on_angles", None)   # no evaluation is spent
+    monkeypatch.setattr(inference, "forward_on_angles", None)   # no evaluation is spent
     measurement = Measurement(angles=SCAN[:count], rates=np.ones(count))
     with pytest.raises(ParameterError, match=f"at least 3 scan samples .*got {count}$"):
         fit_sigma(measurement, fast_config)
@@ -490,13 +499,13 @@ def test_warm_fit_builds_at_most_one_config(fast_config, monkeypatch):
 def test_fit_evaluates_each_width_once(fast_config, monkeypatch, sigma):
     model = _quiet_model(fast_config, sigma)
     widths = []
-    evaluate = inference._model_on_angles
+    evaluate = inference.forward_on_angles
 
     def recording(config, sigma_um, *args, **kwargs):
         widths.append(sigma_um)
         return evaluate(config, sigma_um, *args, **kwargs)
 
-    monkeypatch.setattr(inference, "_model_on_angles", recording)
+    monkeypatch.setattr(inference, "forward_on_angles", recording)
     result = fit_sigma(Measurement(angles=SCAN, rates=900.0 * model), fast_config)
     assert result.n_evaluations == len(widths) == len(set(widths))
 
@@ -712,7 +721,7 @@ def test_fit_lands_on_a_dense_grid_minimizer(illumination, channel, sigma):
         solve, _ = inference._least_squares(
             rates, np.ones_like(rates) if errors is None else 1.0 / np.square(errors))
         grid = result.sigma_corr * (1.0 + inference.REFINE_REL_WIDTH * np.linspace(-1, 1, 41))
-        losses = [solve(inference._model_on_angles(config, s, SCAN, channel))[0] for s in grid]
+        losses = [solve(forward_on_angles(config, s, SCAN, channel))[0] for s in grid]
         best = int(np.argmin(losses))
         assert 0 < best < grid.size - 1   # the grid holds the minimizer
         assert abs(result.sigma_corr - grid[best]) <= 0.5 * inference.REFINE_REL_WIDTH * grid[best]

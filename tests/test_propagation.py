@@ -29,7 +29,7 @@ def _plan_on_hull(grid, support, amplitude, mode, width, separation, span=None):
     support is the hull of those indices."""
     lattice = np.zeros(grid.n, dtype=complex)
     lattice[support] = amplitude
-    plan = SupportPlan(lattice, mode, grid, 1.0, width, separation, span)
+    plan = SupportPlan(lattice, mode, grid, 1.0, width, separation, span, None)
     assert plan.support == slice(support.min(), support.max() + 1)
     return plan
 
@@ -478,7 +478,7 @@ def test_profiles_for_span_rows_equal_the_whole_lattice(keys, span):
         assert got.angles[-1] > span[1] or start + got.angles.size == want.angles.size
 
 
-# n = 512: bins are 1.3 mrad wide, first-detector angles -665.6 to 663.0 mrad; near
+# n = 512: bins are 1.3 mrad wide, first-detector angles -332.8 to 331.5 mrad; near
 # mode, the only one with a lag band
 LAG_CONFIGS = [dict(),
                dict(detector_separation_mrad=13.0),
@@ -506,7 +506,7 @@ def test_lag_band_matches_the_product_band(keys, monkeypatch):
                 monkeypatch.setattr(propagation, "_takes_lag_band", lambda *args, lag=lag: lag)
                 plans.append(SupportPlan(amplitude, config.illumination, grid,
                                          config.wavelength_um, config.resolution_mrad * 1e-3,
-                                         config.detector_separation_mrad * 1e-3, span))
+                                         config.detector_separation_mrad * 1e-3, span, None))
             assert [plan.lag_band for plan in plans] == [True, False]
             support = plans[0].support
             line = pair_exponent_line(config.illumination, support.start - grid.n // 2,
